@@ -18,7 +18,6 @@ from . import datagen, maxop, scalar_examples, sphere
 from .diagnostics import diagnose_result, write_report_csv
 from .engine import RhoSchedule, StopCriteria, TraceRow
 from .errors import SolverError
-from .inner import FistaConfig
 from .terms import CompositeObjective, l1_term, logistic_loss, zero_prox
 
 TRACE_HEADER = ["iter", "objective", "primal_residual", "dual_residual", "rho"]
@@ -65,12 +64,22 @@ def _schedule(args) -> RhoSchedule:
     return RhoSchedule.increment(args.rho0, args.rho_delta)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _add_common(p, rho0: float, max_iter: int):
     p.add_argument("--rho0", type=float, default=rho0)
     p.add_argument("--rho-schedule", choices=["constant", "increment"],
                    default="constant", dest="rho_schedule")
     p.add_argument("--rho-delta", type=float, default=0.01, dest="rho_delta")
-    p.add_argument("--max-iter", type=int, default=max_iter, dest="max_iter")
+    p.add_argument("--max-iter", type=_positive_int, default=max_iter, dest="max_iter")
     p.add_argument("--tol-primal", type=float, default=1e-6, dest="tol_primal")
     p.add_argument("--tol-dual", type=float, default=1e-6, dest="tol_dual")
     p.add_argument("--output", default=None, help="trace CSV path")

@@ -13,6 +13,7 @@ from .errors import DegenerateAllZero, InvalidBracket, NonFiniteIterate
 from .terms import CompositeObjective
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_BACKTRACKS = 200
 
 
 def _cbrt(x: float) -> float:
@@ -27,6 +28,9 @@ class FistaConfig:
     backtracking_factor: float = 0.5
 
     def __post_init__(self):
+        fields = (self.max_iter, self.tol, self.initial_step, self.backtracking_factor)
+        if not all(math.isfinite(v) for v in fields):
+            raise ValueError("FISTA configuration fields must be finite")
         if self.max_iter < 1 or self.tol <= 0 or self.initial_step <= 0:
             raise ValueError("invalid FISTA configuration")
         if not 0.0 < self.backtracking_factor < 1.0:
@@ -36,50 +40,79 @@ class FistaConfig:
 def _backtracked_step(obj: CompositeObjective, z: np.ndarray, step: float,
                       factor: float):
     """Proximal gradient step from z with the standard sufficient-decrease
-    backtracking on the smooth part. Returns (new point, accepted step)."""
+    backtracking on the smooth part. Returns (new point, accepted step).
+
+    The step shrinks at most _MAX_BACKTRACKS times and never below 1e-18,
+    so a smooth part that returns NaN cannot keep the loop running."""
     g = obj.smooth.gradient(z)
     fz = obj.smooth.value(z)
-    while True:
+    for _ in range(_MAX_BACKTRACKS):
         xn = obj.nonsmooth.prox(z - step * g, step)
         diff = xn - z
         quad = fz + g @ diff + (diff @ diff) / (2.0 * step)
         if obj.smooth.value(xn) <= quad + 1e-12 * (1.0 + abs(quad)):
             return xn, step
         step *= factor
-        if step < 1e-18:
-            return xn, step
+        if not step >= 1e-18:
+            break
+    return xn, step
 
 
 def fista(obj: CompositeObjective, x0: np.ndarray,
-          cfg: FistaConfig = FistaConfig()) -> np.ndarray:
-    """Accelerated proximal gradient with backtracking line search.
+          cfg: FistaConfig = FistaConfig(),
+          lipschitz: float | None = None) -> np.ndarray:
+    """Accelerated proximal gradient (Beck & Teboulle 2009).
 
-    Uses function-value restart so the returned point never has a larger
-    composite objective than x0.
+    Without ``lipschitz`` the step backtracks from ``cfg.initial_step`` and
+    function-value restart keeps the returned point no worse than x0.
+
+    With ``lipschitz`` = L, an upper bound on the Lipschitz constant of the
+    smooth gradient, every step is 1/L: no backtracking and no objective
+    values inside the loop. Momentum restarts when it points against the
+    generalized gradient, (z - x_new)·(x_new - x) > 0 (O'Donoghue & Candès
+    2015), and x0 is returned if the result has a larger composite
+    objective, so the result is never worse than x0 on either path.
     """
+    if lipschitz is not None and not (math.isfinite(lipschitz) and lipschitz > 0):
+        raise ValueError(f"lipschitz must be finite and positive, got {lipschitz}")
     x = np.asarray(x0, dtype=float).copy()
     fx = obj.value(x)
     z = x
     t = 1.0
-    step = cfg.initial_step
+    step = cfg.initial_step if lipschitz is None else 1.0 / lipschitz
 
     for _ in range(cfg.max_iter):
-        xn, step = _backtracked_step(obj, z, step, cfg.backtracking_factor)
-        fn = obj.value(xn)
-        if fn > fx:
-            # Momentum overshot: restart from the current best iterate.
-            xn, step = _backtracked_step(obj, x, step, cfg.backtracking_factor)
+        if lipschitz is None:
+            xn, step = _backtracked_step(obj, z, step, cfg.backtracking_factor)
             fn = obj.value(xn)
-            t = 1.0
+            if fn > fx:
+                # Momentum overshot: restart from the current best iterate.
+                xn, step = _backtracked_step(obj, x, step, cfg.backtracking_factor)
+                fn = obj.value(xn)
+                t = 1.0
+            fx = min(fn, fx)
+        else:
+            xn = obj.nonsmooth.prox(z - step * obj.smooth.gradient(z), step)
+            if (z - xn) @ (xn - x) > 0.0:
+                t = 1.0
         if not np.all(np.isfinite(xn)):
             raise NonFiniteIterate("non-finite iterate in accelerated proximal gradient")
         delta = float(np.linalg.norm(xn - x))
         tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = xn + ((t - 1.0) / tn) * (xn - x)
-        x, fx, t = xn, min(fn, fx), tn
+        x, t = xn, tn
         if delta <= cfg.tol:
             break
+    if lipschitz is not None and obj.value(x) > fx:
+        return np.asarray(x0, dtype=float).copy()
     return x
+
+
+def gram_lmax(A: np.ndarray) -> tuple[np.ndarray, float]:
+    """A'A and its largest eigenvalue, the Lipschitz constant of the
+    gradient of (1/2)||A x - b||^2."""
+    G = A.T @ A
+    return G, float(np.linalg.eigvalsh(G)[-1])
 
 
 @dataclass(frozen=True)

@@ -8,13 +8,15 @@ has an exact sort-based solution computed in O(n_i log n_i).
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List
 
 import numpy as np
 
 from .engine import RhoSchedule, StopCriteria, TraceRow
-from .inner import FistaConfig, fista
+from .inner import FistaConfig, fista, gram_lmax
 from .terms import CompositeObjective, ProxTerm, with_quadratic, SmoothTerm
 
 
@@ -36,6 +38,11 @@ class BagDataset:
             raise ValueError("every bag must be nonempty")
         if self.offsets[-1] != self.X.shape[0]:
             raise ValueError("offsets inconsistent with the instance stack")
+
+    @cached_property
+    def gram(self) -> tuple[np.ndarray, float]:
+        """X'X and its largest eigenvalue, computed on first use."""
+        return gram_lmax(self.X)
 
     @property
     def n_bags(self) -> int:
@@ -74,6 +81,8 @@ def save_bags_csv(path, data: BagDataset) -> None:
 
 
 def load_bags_csv(path) -> BagDataset:
+    """Read the bag_id,label,f1..fp format; non-finite features and labels
+    other than 0 and 1 raise ValueError naming the line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -82,8 +91,15 @@ def load_bags_csv(path) -> BagDataset:
         by_bag: dict = {}
         for row in reader:
             bag = int(row[0])
-            by_bag.setdefault(bag, (float(row[1]), []))[1].append(
-                [float(v) for v in row[2:]])
+            label = float(row[1])
+            if label not in (0.0, 1.0):
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 f"label {row[1]!r} is not 0 or 1")
+            features = [float(v) for v in row[2:]]
+            if not all(map(math.isfinite, features)):
+                raise ValueError(f"{path}, line {reader.line_num}: "
+                                 "non-finite feature value")
+            by_bag.setdefault(bag, (label, []))[1].append(features)
     bags = sorted(by_bag)
     labels = [by_bag[i][0] for i in bags]
     instances = [np.asarray(by_bag[i][1]) for i in bags]
@@ -126,10 +142,11 @@ def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
                 y2: np.ndarray, rho: float,
                 cfg: FistaConfig | None = None,
                 beta0: np.ndarray | None = None) -> np.ndarray:
-    """Approximate argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2."""
+    """Approximate argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2,
+    by FISTA with the fixed step 1/(rho lambda_max(X'X))."""
     X = data.X
     b = t + y2 / rho
-    XtX = X.T @ X
+    XtX, lmax = data.gram
     Xtb = X.T @ b
 
     def value(beta):
@@ -140,12 +157,10 @@ def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
         return rho * (XtX @ beta - Xtb)
 
     obj = CompositeObjective(SmoothTerm(value=value, gradient=gradient), reg)
-    if cfg is None:
-        # Backtracking from the inverse of a cheap Lipschitz estimate.
-        lip = rho * max(float(np.trace(XtX)), 1e-12)
-        cfg = FistaConfig(initial_step=1.0 / lip)
     start = np.zeros(X.shape[1]) if beta0 is None else beta0
-    return fista(obj, start, cfg)
+    # The floor keeps the step finite when every feature is zero.
+    lipschitz = rho * max(lmax, 1e-12)
+    return fista(obj, start, FistaConfig() if cfg is None else cfg, lipschitz=lipschitz)
 
 
 def t_update_bag(psi: float, phi: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import RhoSchedule, StopCriteria, TraceRow
 from .errors import NoCandidate
-from .inner import FistaConfig, cubic_real_roots, fista
+from .inner import FistaConfig, cubic_real_roots, fista, gram_lmax
 from .terms import CompositeObjective, l1_term, with_quadratic, SmoothTerm, ProxTerm
 
 
@@ -190,11 +190,17 @@ def onebit_update_z(w: np.ndarray, y2: np.ndarray, rho: float, lam: float,
 def onebit_update_w(z: np.ndarray, x: np.ndarray, y2: np.ndarray,
                     y3: np.ndarray, rho: float, Phi: np.ndarray,
                     y_sign: np.ndarray, cfg: FistaConfig = FistaConfig(),
-                    w0: np.ndarray | None = None) -> np.ndarray:
+                    w0: np.ndarray | None = None,
+                    gram: tuple[np.ndarray, float] | None = None) -> np.ndarray:
     """Approximate argmin_w ||w||_1 + (rho/2)||Y Phi w - z + y2/rho||^2
-    + (rho/2)||w - x + y3/rho||^2 via the accelerated proximal method."""
+    + (rho/2)||w - x + y3/rho||^2 via the accelerated proximal method.
+
+    The smooth part's gradient is Lipschitz with constant
+    rho (lambda_max(M'M) + 1), M = Y Phi, so FISTA takes the fixed step
+    1/L. ``gram`` is (M'M, lambda_max(M'M)); ``onebit_solve`` computes it
+    once per solve, and it is computed here when omitted."""
     M = y_sign[:, None] * Phi
-    MtM = M.T @ M
+    MtM, lmax = gram_lmax(M) if gram is None else gram
     b = z - y2 / rho
     Mtb = M.T @ b
     c = x - y3 / rho
@@ -209,16 +215,17 @@ def onebit_update_w(z: np.ndarray, x: np.ndarray, y2: np.ndarray,
 
     obj = CompositeObjective(SmoothTerm(value=value, gradient=gradient), l1_term(1.0))
     start = c if w0 is None else w0
-    return fista(obj, start, cfg)
+    return fista(obj, start, cfg, lipschitz=rho * (lmax + 1.0))
 
 
 def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,
                  schedule: RhoSchedule, stop: StopCriteria,
-                 fista_cfg: FistaConfig | None = None):
+                 fista_cfg: FistaConfig = FistaConfig()):
     """Three-block cycle: sphere-penalized x (closed form), clipped z
     (closed form), sparse w (proximal gradient), then the dual ascent steps."""
     Phi, y_sign, lam = problem.Phi, problem.y_sign, problem.lam
     M = problem.signed_matrix
+    gram = gram_lmax(M)
     x = np.asarray(init.x, dtype=float).copy()
     w = np.asarray(init.w, dtype=float).copy()
     z = np.asarray(init.z, dtype=float).copy()
@@ -230,15 +237,11 @@ def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,
     converged = False
     for k in range(stop.max_iter):
         rho = schedule.at(k)
-        if fista_cfg is None:
-            cfg = FistaConfig(initial_step=1.0 / rho)
-        else:
-            cfg = fista_cfg
         z_old, w_old = z, w
 
         x = sphere_penalty_min(w + y3 / rho, y1 / rho)
         z = onebit_update_z(w, y2, rho, lam, Phi, y_sign)
-        w = onebit_update_w(z, x, y2, y3, rho, Phi, y_sign, cfg, w0=w)
+        w = onebit_update_w(z, x, y2, y3, rho, Phi, y_sign, fista_cfg, w0=w, gram=gram)
 
         r1 = float(x @ x) - 1.0
         r2 = M @ w - z

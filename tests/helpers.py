@@ -4,6 +4,7 @@ These deliberately avoid the library's own closed-form solvers: the bag
 subproblem oracle enumerates averaging-block sizes and polishes with
 coordinate descent, and the sphere-penalty oracle reduces to one scalar
 variable and combines a dense grid with a derivative-free polish.
+``record_lipschitz`` records the Lipschitz constant each FISTA call is given.
 """
 
 from __future__ import annotations
@@ -108,3 +109,17 @@ def sphere_penalty_oracle(v: np.ndarray, alpha: float,
                                   options={"xatol": 1e-12})
             best = min(best, float(res.fun))
     return best
+
+
+def record_lipschitz(monkeypatch, module) -> list:
+    """Wrap ``module.fista`` so that each call appends its ``lipschitz``
+    argument to the returned list."""
+    fista = module.fista
+    used = []
+
+    def recording_fista(obj, x0, cfg, lipschitz=None):
+        used.append(lipschitz)
+        return fista(obj, x0, cfg, lipschitz=lipschitz)
+
+    monkeypatch.setattr(module, "fista", recording_fista)
+    return used

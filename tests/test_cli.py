@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -49,6 +54,13 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             cli.main(["example1", "--max-iter", "abc"])
         assert e.value.code == 64
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_max_iter_not_positive(self, value, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["example1", "--max-iter", value])
+        assert e.value.code == 64
+        assert "--max-iter: must be at least 1" in capsys.readouterr().err
 
 
 class TestExampleSubcommands:
@@ -133,6 +145,25 @@ class TestBagSubcommands:
         rows = cli.read_trace(out)
         assert len(rows) <= 200
         assert "max_rule_gap" in capsys.readouterr().out
+
+    def test_multi_instance_nan_input_exit_1(self, tmp_path):
+        """A NaN feature is rejected at load time; the command ends at once."""
+        data = tmp_path / "bags.csv"
+        assert cli.main(["generate-bags", "--seed", "1", "--output", str(data)]) == 0
+        lines = data.read_text().splitlines()
+        fields = lines[7].split(",")
+        fields[2] = "nan"
+        lines[7] = ",".join(fields)
+        data.write_text("\n".join(lines) + "\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "nladmm.cli", "multi-instance",
+             "--input", str(data), "--max-iter", "5"],
+            capture_output=True, text=True, timeout=60, env=env)
+        assert proc.returncode == 1
+        assert "line 8: non-finite feature value" in proc.stderr
 
     def test_multi_instance_missing_file_exit_1(self, capsys):
         code = cli.main(["multi-instance", "--input", "/nonexistent/bags.csv"])

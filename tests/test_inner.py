@@ -133,15 +133,17 @@ class TestFista:
         x = fista(obj, np.zeros(1), FistaConfig(tol=1e-12))
         assert x[0] == pytest.approx(2.0, abs=1e-8)
 
-    def test_lasso_vector_vs_soft_threshold(self):
+    @pytest.mark.parametrize("lipschitz", [None, 1.0],
+                             ids=["backtracking", "known_lipschitz"])
+    def test_lasso_vector_vs_soft_threshold(self, lipschitz):
         rng = np.random.default_rng(1)
         c = rng.standard_normal(8) * 2.0
         obj = CompositeObjective(quadratic_smooth(1.0, c), l1_term(0.5))
-        x = fista(obj, np.zeros(8), FistaConfig(tol=1e-12))
+        x = fista(obj, np.zeros(8), FistaConfig(tol=1e-12), lipschitz=lipschitz)
         assert np.allclose(x, soft_threshold(c, 0.5), atol=1e-8)
 
-    def test_monotone_objective(self):
-        """Function-value restart: the result never beats the start backwards."""
+    @staticmethod
+    def _least_squares_l1():
         rng = np.random.default_rng(2)
         A = rng.standard_normal((20, 10))
         b = rng.standard_normal(20)
@@ -153,9 +155,57 @@ class TestFista:
         obj = CompositeObjective(
             SmoothTerm(value=value, gradient=lambda x: A.T @ (A @ x - b)),
             l1_term(0.3))
-        x0 = rng.standard_normal(10)
-        x = fista(obj, x0, FistaConfig(max_iter=300))
+        return obj, np.linalg.norm(A, 2) ** 2, rng.standard_normal(10)
+
+    @pytest.mark.parametrize("known_lipschitz", [False, True],
+                             ids=["backtracking", "known_lipschitz"])
+    def test_monotone_objective(self, known_lipschitz):
+        """Restart and the final check: the result is never worse than the start."""
+        obj, lip, x0 = self._least_squares_l1()
+        x = fista(obj, x0, FistaConfig(max_iter=300),
+                  lipschitz=lip if known_lipschitz else None)
         assert obj.value(x) <= obj.value(x0) + 1e-12
+
+    def test_known_lipschitz_falls_back_to_start(self):
+        """A step far above 1/L makes the iterates grow; x0 is returned."""
+        obj, lip, x0 = self._least_squares_l1()
+        x = fista(obj, x0, FistaConfig(max_iter=3), lipschitz=1e-3 * lip)
+        assert np.array_equal(x, x0)
+
+    def test_known_lipschitz_evaluates_objective_twice(self):
+        calls = []
+        c = np.array([1.0, -2.0, 0.5])
+        quad = quadratic_smooth(3.0, c)
+
+        def value(x):
+            calls.append(1)
+            return quad.value(x)
+
+        obj = CompositeObjective(SmoothTerm(value=value, gradient=quad.gradient),
+                                 l1_term(0.1))
+        fista(obj, np.zeros(3), FistaConfig(max_iter=200, tol=1e-14), lipschitz=3.0)
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("lipschitz", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_lipschitz(self, lipschitz):
+        obj = CompositeObjective(quadratic_smooth(1.0, np.ones(2)), zero_prox())
+        with pytest.raises(ValueError):
+            fista(obj, np.zeros(2), lipschitz=lipschitz)
+
+    def test_backtracking_ends_on_nan_values(self):
+        """A NaN smooth value never passes the sufficient-decrease test; the
+        number of step reductions is capped."""
+        calls = []
+
+        def value(x):
+            calls.append(1)
+            return math.nan
+
+        obj = CompositeObjective(SmoothTerm(value=value, gradient=np.zeros_like),
+                                 zero_prox())
+        fista(obj, np.ones(2), FistaConfig(max_iter=2, initial_step=1e300,
+                                           backtracking_factor=0.999))
+        assert len(calls) < 1000
 
     def test_backtracking_handles_bad_initial_step(self):
         c = np.array([1.0, -2.0])
@@ -175,7 +225,10 @@ class TestFista:
 
     @pytest.mark.parametrize("kw", [dict(max_iter=0), dict(tol=0.0),
                                     dict(initial_step=0.0),
-                                    dict(backtracking_factor=1.0)])
+                                    dict(backtracking_factor=1.0),
+                                    dict(tol=math.nan), dict(tol=math.inf),
+                                    dict(initial_step=math.nan),
+                                    dict(initial_step=math.inf)])
     def test_invalid_config(self, kw):
         with pytest.raises(ValueError):
             FistaConfig(**kw)

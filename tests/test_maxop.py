@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from helpers import bag_subproblem_oracle, bag_subproblem_value
+from helpers import bag_subproblem_oracle, bag_subproblem_value, record_lipschitz
 from nladmm import datagen, maxop
 from nladmm.engine import RhoSchedule, StopCriteria
-from nladmm.inner import FistaConfig
+from nladmm.inner import FistaConfig, fista
 from nladmm.terms import (
     CompositeObjective,
     SmoothTerm,
@@ -116,6 +116,21 @@ class TestBagDataset:
         assert np.array_equal(loaded.X, data.X)
         assert np.array_equal(loaded.offsets, data.offsets)
 
+    @pytest.mark.parametrize("column, text, message", [
+        (2, "nan", "non-finite"), (3, "-inf", "non-finite"),
+        (1, "2", "not 0 or 1"), (1, "-1.0", "not 0 or 1"), (1, "nan", "not 0 or 1")])
+    def test_csv_rejects_bad_values(self, tmp_path, column, text, message):
+        data, _ = datagen.generate_bags(3, 2, 2, seed=2)
+        path = tmp_path / "bags.csv"
+        maxop.save_bags_csv(path, data)
+        lines = path.read_text().splitlines()
+        fields = lines[4].split(",")
+        fields[column] = text
+        lines[4] = ",".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=f"line 5: .*{message}"):
+            maxop.load_bags_csv(path)
+
     def test_csv_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
@@ -151,6 +166,38 @@ class TestBlockUpdates:
         beta = maxop.update_beta(l1_term(1.0), data, t, np.zeros(4), rho=1.0,
                                  cfg=FistaConfig(tol=1e-14, max_iter=5000))
         assert np.allclose(beta, [2.0, 0.0, 0.0, 0.0], atol=1e-6)
+
+    @pytest.mark.parametrize("reg", [zero_prox(), l1_term(0.5)], ids=["none", "l1"])
+    def test_update_beta_matches_backtracking_oracle(self, reg):
+        """The fixed-step beta-update reaches the minimizer that backtracking
+        FISTA on an independently built objective reaches."""
+        data, _ = datagen.generate_bags(6, 3, 3, seed=5)
+        rng = np.random.default_rng(9)
+        t = rng.standard_normal(data.X.shape[0])
+        y2 = rng.standard_normal(data.X.shape[0])
+        rho = 0.1
+        beta = maxop.update_beta(reg, data, t, y2, rho,
+                                 cfg=FistaConfig(tol=1e-14, max_iter=5000))
+        X, b = data.X, t + y2 / rho
+        obj = CompositeObjective(
+            SmoothTerm(value=lambda v: 0.5 * rho * float((X @ v - b) @ (X @ v - b)),
+                       gradient=lambda v: rho * X.T @ (X @ v - b)),
+            reg)
+        oracle = fista(obj, np.zeros(3), FistaConfig(tol=1e-14, max_iter=20000))
+        assert np.allclose(beta, oracle, atol=1e-6)
+
+    def test_update_beta_lipschitz_bound(self, monkeypatch):
+        """The beta-update steps with L = rho ||X||_2^2 from a Gram matrix
+        computed once per dataset."""
+        used = record_lipschitz(monkeypatch, maxop)
+        data, _ = datagen.generate_bags(6, 3, 3, seed=5)
+        gram = data.gram
+        t = np.ones(data.X.shape[0])
+        maxop.update_beta(l1_term(1.0), data, t, np.zeros_like(t), 0.3)
+        bound = 0.3 * np.linalg.norm(data.X, 2) ** 2
+        assert used[0] >= bound * (1.0 - 1e-12)
+        assert used[0] == pytest.approx(bound, rel=1e-9)
+        assert data.gram is gram
 
 
 class TestMaxopSolve:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import sphere_penalty_oracle, sphere_penalty_value
+from helpers import record_lipschitz, sphere_penalty_oracle, sphere_penalty_value
 from nladmm import datagen, sphere
 from nladmm.engine import RhoSchedule, StopCriteria
-from nladmm.inner import FistaConfig
-from nladmm.terms import CompositeObjective, SmoothTerm, zero_prox
+from nladmm.inner import FistaConfig, fista
+from nladmm.terms import CompositeObjective, SmoothTerm, l1_term, zero_prox
 
 
 def stationarity_residual(w, v, alpha):
@@ -146,6 +146,58 @@ class TestOneBitPieces:
         step = 1e-3
         fixed = soft_threshold(w - step * grad, step)
         assert np.linalg.norm(fixed - w) <= 1e-6
+
+    @staticmethod
+    def _w_subproblem(seed, m=8, n=6):
+        rng = np.random.default_rng(seed)
+        Phi = rng.standard_normal((m, n))
+        y_sign = np.where(rng.standard_normal(m) >= 0, 1.0, -1.0)
+        return (Phi, y_sign, rng.standard_normal(m), rng.standard_normal(n),
+                rng.standard_normal(m), rng.standard_normal(n))
+
+    @pytest.mark.parametrize("rho", [0.5, 2.0, 1000.0])
+    def test_update_w_matches_backtracking_oracle(self, rho):
+        """The fixed-step w-update reaches the minimizer that backtracking
+        FISTA on an independently built objective reaches."""
+        Phi, y_sign, z, x, y2, y3 = self._w_subproblem(12)
+        w = sphere.onebit_update_w(z, x, y2, y3, rho, Phi, y_sign,
+                                   cfg=FistaConfig(tol=1e-14, max_iter=5000))
+        M = y_sign[:, None] * Phi
+        b, c = z - y2 / rho, x - y3 / rho
+
+        def value(v):
+            return 0.5 * rho * float((M @ v - b) @ (M @ v - b) + (v - c) @ (v - c))
+
+        obj = CompositeObjective(
+            SmoothTerm(value=value,
+                       gradient=lambda v: rho * (M.T @ (M @ v - b) + v - c)),
+            l1_term(1.0))
+        oracle = fista(obj, c, FistaConfig(tol=1e-14, max_iter=20000))
+        assert np.allclose(w, oracle, atol=1e-6)
+
+    def test_update_w_lipschitz_bound(self, monkeypatch):
+        """Every w-update, direct or inside a solve, steps with
+        L = rho (||M||_2^2 + 1), the exact constant of its gradient."""
+        used = record_lipschitz(monkeypatch, sphere)
+        Phi, y_sign, z, x, y2, y3 = self._w_subproblem(13)
+        sphere.onebit_update_w(z, x, y2, y3, 3.0, Phi, y_sign)
+        M = y_sign[:, None] * Phi
+        bound = 3.0 * (np.linalg.norm(M, 2) ** 2 + 1.0)
+        assert used[0] >= bound * (1.0 - 1e-12)
+        assert used[0] == pytest.approx(bound, rel=1e-9)
+
+        problem, _ = datagen.generate_onebit(16, 12, 4, seed=0, lam=10.0)
+        M = problem.signed_matrix
+        x0 = M.T @ np.ones(12)
+        x0 /= np.linalg.norm(x0)
+        init = sphere.OneBitCsState(x=x0.copy(), w=x0.copy(), z=M @ x0, y1=0.0,
+                                    y2=np.zeros(12), y3=np.zeros(16), rho=50.0)
+        used.clear()
+        sphere.onebit_solve(problem, init, RhoSchedule.constant(50.0),
+                            StopCriteria(max_iter=3))
+        bound = 50.0 * (np.linalg.norm(M, 2) ** 2 + 1.0)
+        assert len(used) == 3
+        assert all(lip >= bound * (1.0 - 1e-12) for lip in used)
 
     def test_onebit_solve_small(self):
         problem, x_true = datagen.generate_onebit(16, 12, 4, seed=0, lam=10.0)
