@@ -1,16 +1,19 @@
-"""Generic alternating solver for problems with a nonlinear equality
-constraint f1(x1) + f2(x2) = 0.
+"""Generic alternating solver for problems with nonlinear equality
+constraints, and the outer loop every solver in the package runs on.
 
-Each outer iteration minimizes the augmented Lagrangian in the x1 block,
-then in the x2 block, then takes a dual ascent step. Block minimizers are
-supplied by the caller; the engine owns residuals, the penalty schedule,
-stopping, and trace recording.
+Each outer iteration minimizes the augmented Lagrangian block by block,
+then takes a dual ascent step on every constraint. Block minimizers and
+constraint residuals are supplied by the caller; ``iterate`` owns the
+penalty schedule, the dual steps, the residual norms, the non-finite
+guards, the trace and the stopping test. ``solve`` is the two-block
+instance for f1(x1) + f2(x2) = 0.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
-from typing import Callable, List
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -147,60 +150,88 @@ def residuals(f1: ConstraintTerm, f2: ConstraintTerm, x1_new, x2_new, x2_old,
     return primal, dual
 
 
-def _require_finite(v: np.ndarray, what: str, trace, exc=NonFiniteIterate):
-    if not np.all(np.isfinite(v)):
+def _require_finite(v, what: str, trace, exc=NonFiniteIterate):
+    if not np.isfinite(v).all():
         raise exc(f"non-finite values in {what}", trace=trace)
+
+
+def iterate(init, blocks: Sequence[Tuple[str, Callable]],
+            constraints: Sequence[Tuple[str, Callable]], dual_norm: Callable,
+            objective: Callable, schedule: RhoSchedule, stop: StopCriteria):
+    """The outer loop of every solver, run on a copy of the state ``init``.
+
+    Iteration k fixes rho = schedule.at(k), sets each (field, update) of
+    ``blocks`` in order to update(state, rho), and steps the dual field of
+    each (dual, residual) of ``constraints`` by rho * residual(state). The
+    primal norm is sqrt(sum_i r_i . r_i), the dual one
+    dual_norm(state, previous, rho). Returns (state, trace, converged). A
+    non-finite block raises SubproblemFailure naming it, a non-finite dual
+    or norm NonFiniteIterate; both carry the trace so far.
+    """
+    state = copy.copy(init)
+    for name, _ in list(blocks) + list(constraints):
+        value = getattr(init, name)
+        setattr(state, name, float(value) if np.ndim(value) == 0
+                else np.array(value, dtype=float))
+    trace: List[TraceRow] = []
+    for k in range(stop.max_iter):
+        rho = schedule.at(k)
+        previous = copy.copy(state)
+        for name, update in blocks:
+            value = update(state, rho)
+            _require_finite(value, f"{name} block update", trace, SubproblemFailure)
+            setattr(state, name, value)
+        rs = [(dual, residual(state)) for dual, residual in constraints]
+        for dual, r in rs:
+            if np.shape(r) != np.shape(getattr(state, dual)):
+                raise DimensionMismatch(f"dual {dual} and its residual differ in shape")
+            y = getattr(state, dual) + rho * r
+            _require_finite(y, f"dual variable {dual}", trace)
+            setattr(state, dual, y)
+        state.rho = rho
+        r_norm = float(np.sqrt(sum(np.dot(r, r) for _, r in rs)))
+        s_norm = dual_norm(state, previous, rho)
+        _require_finite((r_norm, s_norm), "residual norms", trace)
+        trace.append(TraceRow(k=k, objective=objective(state), r_norm=r_norm,
+                              s_norm=s_norm, rho=rho))
+        if r_norm <= stop.tol_primal and s_norm <= stop.tol_dual:
+            return state, trace, True
+    return state, trace, False
 
 
 def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
           stop: StopCriteria) -> SolveResult:
-    """Run the alternating iteration until both residual norms pass their
+    """Run the two-block iteration until both residual norms pass their
     tolerances or ``stop.max_iter`` is reached."""
-    x1 = np.asarray(init.x1, dtype=float).copy()
-    x2 = np.asarray(init.x2, dtype=float).copy()
-    y = np.asarray(init.y, dtype=float).copy()
-
-    trace: List[TraceRow] = []
-    w_hist = [np.concatenate([problem.f1.eval(x1), problem.f2.eval(x2), y])]
+    f1, f2 = problem.f1, problem.f2
+    # f1 and f2 are evaluated once per iteration; f2_old is f2 at the last x2.
+    f1x1 = f1.eval(np.asarray(init.x1, dtype=float))
+    f2x2 = f2.eval(np.asarray(init.x2, dtype=float))
+    f2_old = None
+    w_hist = [np.concatenate([f1x1, f2x2, np.asarray(init.y, dtype=float)])]
     wt_hist: List[np.ndarray] = []
-    converged = False
-    primal = dual = None
-    rho = schedule.at(0)
 
-    for k in range(stop.max_iter):
-        # The schedule value is fixed at iteration start and used for every
-        # update within the iteration.
-        rho = schedule.at(k)
-        x2_old = x2
-        f2_old = problem.f2.eval(x2)
-        y_old = y
+    def primal(s):
+        nonlocal f1x1, f2x2, f2_old
+        f2_old = f2x2
+        f1x1, f2x2 = f1.eval(s.x1), f2.eval(s.x2)
+        s.primal_residual = f1x1 + f2x2
+        return s.primal_residual
 
-        x1 = np.asarray(problem.solve_x1(x1, x2, y, rho), dtype=float)
-        _require_finite(x1, "x1 block update", trace, SubproblemFailure)
-        x2 = np.asarray(problem.solve_x2(x1, x2, y, rho), dtype=float)
-        _require_finite(x2, "x2 block update", trace, SubproblemFailure)
+    def dual_norm(s, previous, rho):
+        # Also records the (f1(x1), f2(x2), y) histories for the diagnostics.
+        wt_hist.append(np.concatenate([f1x1, f2x2, previous.y + rho * (f1x1 + f2_old)]))
+        w_hist.append(np.concatenate([f1x1, f2x2, s.y]))
+        s.dual_residual = rho * (f1.jacobian(s.x1).T @ (f2x2 - f2_old))
+        return float(np.linalg.norm(s.dual_residual))
 
-        f1x1 = problem.f1.eval(x1)
-        f2x2 = problem.f2.eval(x2)
-        wt_hist.append(np.concatenate([f1x1, f2x2, y_old + rho * (f1x1 + f2_old)]))
-
-        y = dual_update(y, rho, f1x1, f2x2)
-        primal, dual = residuals(problem.f1, problem.f2, x1, x2, x2_old, rho)
-        _require_finite(y, "dual variable", trace)
-        _require_finite(primal, "primal residual", trace)
-        _require_finite(dual, "dual residual", trace)
-        w_hist.append(np.concatenate([f1x1, f2x2, y]))
-
-        obj = float(problem.F1(x1) + problem.F2(x2))
-        r_norm = float(np.linalg.norm(primal))
-        s_norm = float(np.linalg.norm(dual))
-        trace.append(TraceRow(k=k, objective=obj, r_norm=r_norm, s_norm=s_norm, rho=rho))
-
-        if r_norm <= stop.tol_primal and s_norm <= stop.tol_dual:
-            converged = True
-            break
-
-    state = IterateState(x1=x1, x2=x2, y=y, rho=rho, k=len(trace),
-                         primal_residual=primal, dual_residual=dual)
+    blocks = [
+        ("x1", lambda s, rho: np.asarray(problem.solve_x1(s.x1, s.x2, s.y, rho), dtype=float)),
+        ("x2", lambda s, rho: np.asarray(problem.solve_x2(s.x1, s.x2, s.y, rho), dtype=float)),
+    ]
+    state, trace, converged = iterate(
+        init, blocks, [("y", primal)], dual_norm,
+        lambda s: float(problem.F1(s.x1) + problem.F2(s.x2)), schedule, stop)
+    state.k = len(trace)
     return SolveResult(state=state, trace=trace, converged=converged,
                        w_history=w_hist, w_tilde_history=wt_hist)

@@ -11,11 +11,10 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List
 
 import numpy as np
 
-from .engine import RhoSchedule, StopCriteria, TraceRow
+from .engine import RhoSchedule, StopCriteria, iterate
 from .inner import FistaConfig, fista, gram_lmax
 from .terms import CompositeObjective, ProxTerm, with_quadratic, SmoothTerm
 
@@ -81,25 +80,36 @@ def save_bags_csv(path, data: BagDataset) -> None:
 
 
 def load_bags_csv(path) -> BagDataset:
-    """Read the bag_id,label,f1..fp format; non-finite features and labels
-    other than 0 and 1 raise ValueError naming the line."""
+    """Read the bag_id,label,f1..fp format. Malformed input raises
+    ValueError naming the path and line: no header or no rows, a field
+    count unlike the header's, a value that does not parse, a non-finite
+    feature, a label not 0 or 1, or a label unlike that of the bag's first row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header[:2] != ["bag_id", "label"]:
-            raise ValueError("expected header starting with bag_id,label")
+        header = next(reader, [])
+        if header[:2] != ["bag_id", "label"] or len(header) < 3:
+            raise ValueError(f"{path}, line 1: expected a header bag_id,label,f1,...")
         by_bag: dict = {}
         for row in reader:
-            bag = int(row[0])
-            label = float(row[1])
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise ValueError(f"{where}: {len(row)} fields, the header has {len(header)}")
+            try:
+                bag = int(row[0])
+                label = float(row[1])
+                features = [float(v) for v in row[2:]]
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
             if label not in (0.0, 1.0):
-                raise ValueError(f"{path}, line {reader.line_num}: "
-                                 f"label {row[1]!r} is not 0 or 1")
-            features = [float(v) for v in row[2:]]
+                raise ValueError(f"{where}: label {row[1]!r} is not 0 or 1")
             if not all(map(math.isfinite, features)):
-                raise ValueError(f"{path}, line {reader.line_num}: "
-                                 "non-finite feature value")
-            by_bag.setdefault(bag, (label, []))[1].append(features)
+                raise ValueError(f"{where}: non-finite feature value")
+            bag_label, rows = by_bag.setdefault(bag, (label, []))
+            if label != bag_label:
+                raise ValueError(f"{where}: bag {bag} has label {bag_label:g}, not {row[1]!r}")
+            rows.append(features)
+        if not by_bag:
+            raise ValueError(f"{path}, line {reader.line_num}: no rows after the header")
     bags = sorted(by_bag)
     labels = [by_bag[i][0] for i in bags]
     instances = [np.asarray(by_bag[i][1]) for i in bags]
@@ -202,42 +212,29 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
                 fista_cfg: FistaConfig | None = None):
     """Cycle q (proximal gradient), beta (proximal gradient), t (exact per
     bag), then the two dual ascent steps, with combined residual norms."""
-    q = np.asarray(init.q, dtype=float).copy()
-    beta = np.asarray(init.beta, dtype=float).copy()
-    t = np.asarray(init.t, dtype=float).copy()
-    y1 = np.asarray(init.y1, dtype=float).copy()
-    y2 = np.asarray(init.y2, dtype=float).copy()
     slices = data.bag_slices()
 
-    trace: List[TraceRow] = []
-    converged = False
-    for k in range(stop.max_iter):
-        rho = schedule.at(k)
-        t_old = t
-
-        q = update_q(loss, data, t, y1, rho, fista_cfg)
-        beta = update_beta(reg, data, t, y2, rho, fista_cfg, beta0=beta)
-        scores = data.X @ beta
-        phi_all = scores - y2 / rho
-        t = t.copy()
+    def update_t(s, rho):
+        phi_all = data.X @ s.beta - s.y2 / rho
+        psi = s.q + s.y1 / rho
+        t = s.t.copy()
         for i, sl in enumerate(slices):
-            t[sl] = t_update_bag(q[i] + y1[i] / rho, phi_all[sl])
+            t[sl] = t_update_bag(psi[i], phi_all[sl])
+        return t
 
-        maxes = data.bag_max(t)
-        r1 = q - maxes
-        r2 = t - scores
-        s1 = rho * (data.bag_max(t_old) - maxes)
-        s2 = t - t_old  # deliberately unscaled, mirroring the r2 dual line
-        y1 = y1 + rho * r1
-        y2 = y2 + rho * r2
+    blocks = [
+        ("q", lambda s, rho: update_q(loss, data, s.t, s.y1, rho, fista_cfg)),
+        ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, fista_cfg,
+                                            beta0=s.beta)),
+        ("t", update_t),
+    ]
+    constraints = [("y1", lambda s: s.q - data.bag_max(s.t)),
+                   ("y2", lambda s: s.t - data.X @ s.beta)]
 
-        r = float(np.sqrt(r1 @ r1 + r2 @ r2))
-        s = float(np.sqrt(s1 @ s1 + s2 @ s2))
-        obj = float(loss.value(q) + reg.value(beta))
-        trace.append(TraceRow(k=k, objective=obj, r_norm=r, s_norm=s, rho=rho))
-        if r <= stop.tol_primal and s <= stop.tol_dual:
-            converged = True
-            break
+    def dual_norm(s, old, rho):
+        s1 = rho * (data.bag_max(old.t) - data.bag_max(s.t))
+        s2 = s.t - old.t  # deliberately unscaled, mirroring the r2 dual line
+        return float(np.sqrt(s1 @ s1 + s2 @ s2))
 
-    state = MaxOpState(q=q, beta=beta, t=t, y1=y1, y2=y2, rho=trace[-1].rho)
-    return state, trace, converged
+    return iterate(init, blocks, constraints, dual_norm,
+                   lambda s: float(loss.value(s.q) + reg.value(s.beta)), schedule, stop)

@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 
-from .engine import RhoSchedule, StopCriteria, TraceRow
+from .engine import RhoSchedule, StopCriteria, iterate
 from .errors import NoCandidate
 from .inner import FistaConfig, cubic_real_roots, fista, gram_lmax
 from .terms import CompositeObjective, l1_term, with_quadratic, SmoothTerm, ProxTerm
@@ -112,36 +112,19 @@ def sphere_solve(problem: SphereProblem, init: SphereState,
                  fista_cfg: FistaConfig = FistaConfig()):
     """Alternate the loss-side pull and the exact sphere-penalty update,
     with scalar and vector duals for the two constraints."""
-    x = np.asarray(init.x, dtype=float).copy()
-    w = np.asarray(init.w, dtype=float).copy()
-    y1 = float(init.y1)
-    y2 = np.asarray(init.y2, dtype=float).copy()
+    blocks = [
+        ("x", lambda s, rho: sphere_update_x(problem.loss, s.w, s.y2, rho, fista_cfg, x0=s.x)),
+        ("w", lambda s, rho: sphere_update_w(s.x, s.y1, s.y2, rho)),
+    ]
+    constraints = [("y1", lambda s: float(s.w @ s.w) - 1.0), ("y2", lambda s: s.w - s.x)]
 
-    trace: List[TraceRow] = []
-    converged = False
-    for k in range(stop.max_iter):
-        rho = schedule.at(k)
-        w_old = w
-        x = sphere_update_x(problem.loss, w, y2, rho, fista_cfg, x0=x)
-        w = sphere_update_w(x, y1, y2, rho)
+    def dual_norm(s, old, rho):
+        s1 = rho * (float(s.w @ s.w) - float(old.w @ old.w))
+        s2 = rho * (s.w - old.w)
+        return float(np.sqrt(s1 * s1 + s2 @ s2))
 
-        r1 = float(w @ w) - 1.0
-        r2 = w - x
-        s1 = rho * (float(w @ w) - float(w_old @ w_old))
-        s2 = rho * (w - w_old)
-        y1 = y1 + rho * r1
-        y2 = y2 + rho * r2
-
-        r = float(np.sqrt(r1 * r1 + r2 @ r2))
-        s = float(np.sqrt(s1 * s1 + s2 @ s2))
-        trace.append(TraceRow(k=k, objective=problem.loss.value(x),
-                              r_norm=r, s_norm=s, rho=rho))
-        if r <= stop.tol_primal and s <= stop.tol_dual:
-            converged = True
-            break
-
-    state = SphereState(x=x, w=w, y1=y1, y2=y2, rho=trace[-1].rho)
-    return state, trace, converged
+    return iterate(init, blocks, constraints, dual_norm,
+                   lambda s: problem.loss.value(s.x), schedule, stop)
 
 
 @dataclass(frozen=True)
@@ -226,37 +209,19 @@ def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,
     Phi, y_sign, lam = problem.Phi, problem.y_sign, problem.lam
     M = problem.signed_matrix
     gram = gram_lmax(M)
-    x = np.asarray(init.x, dtype=float).copy()
-    w = np.asarray(init.w, dtype=float).copy()
-    z = np.asarray(init.z, dtype=float).copy()
-    y1 = float(init.y1)
-    y2 = np.asarray(init.y2, dtype=float).copy()
-    y3 = np.asarray(init.y3, dtype=float).copy()
+    blocks = [
+        ("x", lambda s, rho: sphere_penalty_min(s.w + s.y3 / rho, s.y1 / rho)),
+        ("z", lambda s, rho: onebit_update_z(s.w, s.y2, rho, lam, Phi, y_sign)),
+        ("w", lambda s, rho: onebit_update_w(s.z, s.x, s.y2, s.y3, rho, Phi, y_sign,
+                                             fista_cfg, w0=s.w, gram=gram)),
+    ]
+    constraints = [("y1", lambda s: float(s.x @ s.x) - 1.0),
+                   ("y2", lambda s: M @ s.w - s.z),
+                   ("y3", lambda s: s.w - s.x)]
 
-    trace: List[TraceRow] = []
-    converged = False
-    for k in range(stop.max_iter):
-        rho = schedule.at(k)
-        z_old, w_old = z, w
+    def dual_norm(s, old, rho):
+        dz, dw = s.z - old.z, s.w - old.w
+        return rho * float(np.sqrt(dz @ dz + dw @ dw))
 
-        x = sphere_penalty_min(w + y3 / rho, y1 / rho)
-        z = onebit_update_z(w, y2, rho, lam, Phi, y_sign)
-        w = onebit_update_w(z, x, y2, y3, rho, Phi, y_sign, fista_cfg, w0=w, gram=gram)
-
-        r1 = float(x @ x) - 1.0
-        r2 = M @ w - z
-        r3 = w - x
-        y1 = y1 + rho * r1
-        y2 = y2 + rho * r2
-        y3 = y3 + rho * r3
-
-        r = float(np.sqrt(r1 * r1 + r2 @ r2 + r3 @ r3))
-        s = rho * float(np.sqrt((z - z_old) @ (z - z_old) + (w - w_old) @ (w - w_old)))
-        trace.append(TraceRow(k=k, objective=problem.objective(w, z),
-                              r_norm=r, s_norm=s, rho=rho))
-        if r <= stop.tol_primal and s <= stop.tol_dual:
-            converged = True
-            break
-
-    state = OneBitCsState(x=x, w=w, z=z, y1=y1, y2=y2, y3=y3, rho=trace[-1].rho)
-    return state, trace, converged
+    return iterate(init, blocks, constraints, dual_norm,
+                   lambda s: problem.objective(s.w, s.z), schedule, stop)

@@ -90,6 +90,16 @@ class TestExampleSubcommands:
         for r in rows:
             assert r["gap"] <= r["bound"] + 1e-8
 
+    def test_example2_diagnose_rho0_49(self, tmp_path):
+        """At rho = 49, (1/rho) * rho != 1 in floating point; the diagnostics
+        must not depend on that product being exact."""
+        out = tmp_path / "d.csv"
+        code = cli.main(["example2", "--diagnose", "--rho0", "49", "--output", str(out)])
+        assert code in (0, 2)
+        rows = cli.read_trace(out)
+        assert list(rows[0]) == cli.DIAG_HEADER
+        assert all(r["gap"] <= r["bound"] + 1e-8 for r in rows)
+
     def test_increment_schedule_runs(self):
         assert cli.main(["example1", "--rho-schedule", "increment",
                          "--rho-delta", "0.1"]) in (0, 2)
@@ -164,6 +174,12 @@ class TestBagSubcommands:
             capture_output=True, text=True, timeout=60, env=env)
         assert proc.returncode == 1
         assert "line 8: non-finite feature value" in proc.stderr
+
+    def test_multi_instance_malformed_input_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "bags.csv"
+        data.write_text("bag_id,label,f1\n0,1,0.5\n\n1,0,0.2\n")
+        assert cli.main(["multi-instance", "--input", str(data), "--max-iter", "5"]) == 1
+        assert "line 3: 0 fields" in capsys.readouterr().err
 
     def test_multi_instance_missing_file_exit_1(self, capsys):
         code = cli.main(["multi-instance", "--input", "/nonexistent/bags.csv"])

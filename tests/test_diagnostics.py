@@ -176,6 +176,19 @@ class TestDiagnoseResult:
         assert all(b <= a + 1e-10 for a, b in zip(vi, vi[1:]))
         assert all(r.flags == "" for r in rows)
 
+    @pytest.mark.parametrize("which", [se.EXAMPLE_SQRT, se.EXAMPLE_CIRCLE])
+    def test_vi_norm_matches_dense_matrices(self, which):
+        run = se.run_example(which, RhoSchedule.constant(1.0))
+        problem = se.build_example(which)
+        rows = diagnose_result(run.result, se.example_reference(which), problem.f1,
+                               problem.f2, run.x1_history, run.x2_history)
+        mats = vi_matrices(d=1, rho=1.0)
+        history = zip(run.result.w_history, run.result.w_tilde_history)
+        dense = [d_norm_sq(mats, mats.E @ (w - wt)) for w, wt in history]
+        assert len(dense) == len(rows)
+        for row, value in zip(rows, dense):
+            assert abs(row.vi_norm - value) <= 1e-12
+
     def test_rejects_varying_rho(self):
         run = se.run_example(se.EXAMPLE_SQRT, RhoSchedule.increment(1.0, 0.1))
         ref = se.example_reference(se.EXAMPLE_SQRT)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from nladmm import engine
+from nladmm import datagen, engine, maxop, sphere
 from nladmm.engine import (
     IterateState,
     Problem,
@@ -13,7 +13,15 @@ from nladmm.engine import (
     solve,
 )
 from nladmm.errors import DimensionMismatch, SubproblemFailure
-from nladmm.terms import ConstraintTerm, linear_constraint
+from nladmm.terms import (
+    CompositeObjective,
+    ConstraintTerm,
+    SmoothTerm,
+    l1_term,
+    linear_constraint,
+    logistic_loss,
+    zero_prox,
+)
 
 
 def affine_constraint(A, c):
@@ -225,6 +233,12 @@ class TestSolve:
         with pytest.raises(SubproblemFailure):
             solve(bad, init, RhoSchedule.constant(1.0), StopCriteria(max_iter=5))
 
+    def test_dual_dimension_mismatch_raises(self):
+        problem = self._linear_problem()
+        init = IterateState(x1=np.zeros(1), x2=np.zeros(1), y=np.zeros(2), rho=1.0)
+        with pytest.raises(DimensionMismatch):
+            solve(problem, init, RhoSchedule.constant(1.0), StopCriteria(max_iter=5))
+
     def test_update_identity_along_run(self):
         """w^{k+1} = w^k - E (w^k - w~^k) with the diagnostics matrices."""
         from nladmm.diagnostics import vi_matrices
@@ -237,3 +251,45 @@ class TestSolve:
             step = mats.E @ (result.w_history[k] - wt)
             assert np.allclose(result.w_history[k + 1],
                                result.w_history[k] - step, atol=1e-10)
+
+
+def _run_sphere(stop):
+    loss = CompositeObjective(SmoothTerm(value=lambda x: -float(x[0]),
+                                         gradient=lambda x: np.array([-1.0, 0.0])),
+                              zero_prox())
+    init = sphere.SphereState(x=np.array([0.6, 0.8]), w=np.array([0.6, 0.8]),
+                              y1=0.0, y2=np.zeros(2), rho=5.0)
+    return sphere.sphere_solve(sphere.SphereProblem(loss=loss, dim=2), init,
+                               RhoSchedule.constant(5.0), stop)
+
+
+def _run_onebit(stop):
+    problem, _ = datagen.generate_onebit(16, 12, 4, seed=0, lam=10.0)
+    M = problem.signed_matrix
+    x0 = M.T @ np.ones(12)
+    x0 /= np.linalg.norm(x0)
+    init = sphere.OneBitCsState(x=x0.copy(), w=x0.copy(), z=M @ x0, y1=0.0,
+                                y2=np.zeros(12), y3=np.zeros(16), rho=50.0)
+    return sphere.onebit_solve(problem, init, RhoSchedule.constant(50.0), stop)
+
+
+def _run_maxop(stop):
+    data, _ = datagen.generate_bags(4, 2, 2, seed=5)
+    loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+    return maxop.maxop_solve(data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
+                             RhoSchedule.constant(0.1), stop)
+
+
+class TestApplicationSolvers:
+    @pytest.mark.parametrize("run, module, attr, block", [
+        (_run_sphere, sphere, "sphere_update_w", "w"),
+        (_run_onebit, sphere, "onebit_update_w", "w"),
+        (_run_maxop, maxop, "t_update_bag", "t"),
+    ], ids=["sphere_solve", "onebit_solve", "maxop_solve"])
+    def test_nonfinite_block_raises(self, monkeypatch, run, module, attr, block):
+        """A NaN from the last block update of an iteration stops the solve."""
+        original = getattr(module, attr)
+        monkeypatch.setattr(module, attr,
+                            lambda *a, **kw: np.full_like(original(*a, **kw), np.nan))
+        with pytest.raises(SubproblemFailure, match=f"in {block} block update"):
+            run(StopCriteria(max_iter=1))

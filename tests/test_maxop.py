@@ -118,7 +118,12 @@ class TestBagDataset:
 
     @pytest.mark.parametrize("column, text, message", [
         (2, "nan", "non-finite"), (3, "-inf", "non-finite"),
-        (1, "2", "not 0 or 1"), (1, "-1.0", "not 0 or 1"), (1, "nan", "not 0 or 1")])
+        (1, "2", "not 0 or 1"), (1, "-1.0", "not 0 or 1"), (1, "nan", "not 0 or 1"),
+        pytest.param(slice(None), [], "0 fields, the header has 4", id="blank-line"),
+        pytest.param(slice(2, None), [], "2 fields, the header has 4", id="no-features"),
+        pytest.param(3, "0.5,0.25", "5 fields, the header has 4", id="extra-feature"),
+        pytest.param(0, "one", "invalid literal", id="bad-bag-id"),
+        pytest.param(1, "0", "bag 1 has label 1, not '0'", id="label-disagrees")])
     def test_csv_rejects_bad_values(self, tmp_path, column, text, message):
         data, _ = datagen.generate_bags(3, 2, 2, seed=2)
         path = tmp_path / "bags.csv"
@@ -135,6 +140,13 @@ class TestBagDataset:
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError):
+            maxop.load_bags_csv(path)
+
+    @pytest.mark.parametrize("text", ["", "bag_id,label,f1\n"], ids=["empty", "header-only"])
+    def test_csv_rejects_files_without_rows(self, tmp_path, text):
+        path = tmp_path / "bags.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=r"bags\.csv, line 1: "):
             maxop.load_bags_csv(path)
 
 
