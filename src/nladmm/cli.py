@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from typing import List, Optional, Sequence
 
@@ -74,14 +75,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(positive: bool):
+    """argparse type for a finite float that is positive, or nonnegative."""
+    sign = "positive" if positive else "nonnegative"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not math.isfinite(value) or value < 0 or (positive and value == 0):
+            raise argparse.ArgumentTypeError(f"must be finite and {sign}, got {text!r}")
+        return value
+
+    return parse
+
+
+_positive_float = _finite_float(positive=True)
+_nonnegative_float = _finite_float(positive=False)
+
+
 def _add_common(p, rho0: float, max_iter: int):
-    p.add_argument("--rho0", type=float, default=rho0)
+    p.add_argument("--rho0", type=_positive_float, default=rho0)
     p.add_argument("--rho-schedule", choices=["constant", "increment"],
                    default="constant", dest="rho_schedule")
-    p.add_argument("--rho-delta", type=float, default=0.01, dest="rho_delta")
+    p.add_argument("--rho-delta", type=_nonnegative_float, default=0.01, dest="rho_delta")
     p.add_argument("--max-iter", type=_positive_int, default=max_iter, dest="max_iter")
-    p.add_argument("--tol-primal", type=float, default=1e-6, dest="tol_primal")
-    p.add_argument("--tol-dual", type=float, default=1e-6, dest="tol_dual")
+    p.add_argument("--tol-primal", type=_positive_float, default=1e-6, dest="tol_primal")
+    p.add_argument("--tol-dual", type=_positive_float, default=1e-6, dest="tol_dual")
     p.add_argument("--output", default=None, help="trace CSV path")
 
 

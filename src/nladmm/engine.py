@@ -12,6 +12,7 @@ instance for f1(x1) + f2(x2) = 0.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence, Tuple
 
@@ -33,10 +34,10 @@ class RhoSchedule:
     delta: float = 0.0
 
     def __post_init__(self):
-        if self.rho0 <= 0:
-            raise ValueError("rho0 must be positive")
-        if self.delta < 0:
-            raise ValueError("delta must be nonnegative")
+        if not (math.isfinite(self.rho0) and self.rho0 > 0):
+            raise ValueError("rho0 must be finite and positive")
+        if not (math.isfinite(self.delta) and self.delta >= 0):
+            raise ValueError("delta must be finite and nonnegative")
 
     @classmethod
     def constant(cls, rho0: float) -> "RhoSchedule":
@@ -61,8 +62,8 @@ class StopCriteria:
     max_iter: int = 1000
 
     def __post_init__(self):
-        if self.tol_primal <= 0 or self.tol_dual <= 0:
-            raise ValueError("tolerances must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in (self.tol_primal, self.tol_dual)):
+            raise ValueError("tolerances must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 

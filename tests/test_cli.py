@@ -62,6 +62,18 @@ class TestUsageErrors:
         assert e.value.code == 64
         assert "--max-iter: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("subcommand, flag, value", [
+        ("onebit-cs", "--rho0", "nan"), ("example1", "--rho0", "inf"),
+        ("example1", "--rho0", "-1"), ("example1", "--rho0", "0"),
+        ("onebit-cs", "--rho-delta", "nan"), ("example1", "--rho-delta", "-0.5"),
+        ("example1", "--tol-primal", "nan"), ("example1", "--tol-primal", "-1"),
+        ("multi-instance", "--tol-dual", "inf")])
+    def test_bad_float_flag(self, subcommand, flag, value, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main([subcommand, flag, value])
+        assert e.value.code == 64
+        sign = "nonnegative" if flag == "--rho-delta" else "positive"
+        assert f"argument {flag}: must be finite and {sign}" in capsys.readouterr().err
 
 class TestExampleSubcommands:
     def test_example1_writes_trace(self, tmp_path, capsys):

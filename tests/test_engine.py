@@ -50,7 +50,9 @@ class TestRhoSchedule:
         vals = [s.at(k) for k in range(50)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    @pytest.mark.parametrize("rho0,delta", [(0.0, 0.0), (-1.0, 0.0), (1.0, -0.1)])
+    @pytest.mark.parametrize("rho0,delta", [(0.0, 0.0), (-1.0, 0.0), (1.0, -0.1),
+                                            (np.nan, 0.0), (np.inf, 0.0),
+                                            (1.0, np.nan), (1.0, np.inf)])
     def test_invalid(self, rho0, delta):
         with pytest.raises(ValueError):
             RhoSchedule(rho0, delta)
@@ -62,7 +64,8 @@ class TestStopCriteria:
         assert s.tol_primal == 1e-6 and s.tol_dual == 1e-6 and s.max_iter == 1000
 
     @pytest.mark.parametrize("kw", [dict(tol_primal=0.0), dict(tol_dual=-1.0),
-                                    dict(max_iter=0)])
+                                    dict(max_iter=0), dict(tol_primal=np.nan),
+                                    dict(tol_dual=np.nan), dict(tol_primal=np.inf)])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             StopCriteria(**kw)
@@ -284,7 +287,7 @@ class TestApplicationSolvers:
     @pytest.mark.parametrize("run, module, attr, block", [
         (_run_sphere, sphere, "sphere_update_w", "w"),
         (_run_onebit, sphere, "onebit_update_w", "w"),
-        (_run_maxop, maxop, "t_update_bag", "t"),
+        (_run_maxop, maxop, "t_update_bags", "t"),
     ], ids=["sphere_solve", "onebit_solve", "maxop_solve"])
     def test_nonfinite_block_raises(self, monkeypatch, run, module, attr, block):
         """A NaN from the last block update of an iteration stops the solve."""

@@ -107,6 +107,11 @@ class TestBagDataset:
             maxop.BagDataset(labels=np.array([1.0]), X=np.zeros((2, 2)),
                              offsets=np.array([0, 1]))
 
+    def test_offsets_must_start_at_zero(self):
+        with pytest.raises(ValueError, match="offsets inconsistent"):
+            maxop.BagDataset(labels=np.array([1.0]), X=np.zeros((2, 2)),
+                             offsets=np.array([1, 2]))
+
     def test_csv_roundtrip_exact(self, tmp_path):
         data, _ = datagen.generate_bags(5, 3, 4, seed=2)
         path = tmp_path / "bags.csv"
@@ -123,7 +128,9 @@ class TestBagDataset:
         pytest.param(slice(2, None), [], "2 fields, the header has 4", id="no-features"),
         pytest.param(3, "0.5,0.25", "5 fields, the header has 4", id="extra-feature"),
         pytest.param(0, "one", "invalid literal", id="bad-bag-id"),
-        pytest.param(1, "0", "bag 1 has label 1, not '0'", id="label-disagrees")])
+        pytest.param(1, "0", "bag 1 has label 1, not '0'", id="label-disagrees"),
+        pytest.param(0, "0", "bag 0 resumes after bag 1", id="non-adjacent"),
+        pytest.param(0, "5", "bag id 5, expected 2", id="gapped-bag-id")])
     def test_csv_rejects_bad_values(self, tmp_path, column, text, message):
         data, _ = datagen.generate_bags(3, 2, 2, seed=2)
         path = tmp_path / "bags.csv"
