@@ -120,25 +120,25 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("onebit-cs", help="1-bit compressive sensing on synthetic data")
     _add_common(p, rho0=1000.0, max_iter=100)
-    p.add_argument("--n", type=int, default=128, help="signal length")
-    p.add_argument("--m", type=int, default=64, help="number of measurements")
-    p.add_argument("--k", type=int, default=16, help="signal sparsity")
-    p.add_argument("--lambda", type=float, default=10.0, dest="lam")
+    p.add_argument("--n", type=_positive_int, default=128, help="signal length")
+    p.add_argument("--m", type=_positive_int, default=64, help="number of measurements")
+    p.add_argument("--k", type=_positive_int, default=16, help="signal sparsity")
+    p.add_argument("--lambda", type=_positive_float, default=10.0, dest="lam")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("multi-instance", help="max-rule multi-instance learning")
     _add_common(p, rho0=0.1, max_iter=1000)
     p.add_argument("--input", default=None, help="bag dataset CSV (generated if omitted)")
-    p.add_argument("--bags", type=int, default=20)
-    p.add_argument("--instances", type=int, default=5)
-    p.add_argument("--features", type=int, default=4)
-    p.add_argument("--lambda", type=float, default=1.0, dest="lam")
+    p.add_argument("--bags", type=_positive_int, default=20)
+    p.add_argument("--instances", type=_positive_int, default=5)
+    p.add_argument("--features", type=_positive_int, default=4)
+    p.add_argument("--lambda", type=_positive_float, default=1.0, dest="lam")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("generate-bags", help="write a synthetic bag dataset CSV")
-    p.add_argument("--bags", type=int, default=20)
-    p.add_argument("--instances", type=int, default=5)
-    p.add_argument("--features", type=int, default=4)
+    p.add_argument("--bags", type=_positive_int, default=20)
+    p.add_argument("--instances", type=_positive_int, default=5)
+    p.add_argument("--features", type=_positive_int, default=4)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output", required=True)
     return parser

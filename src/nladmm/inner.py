@@ -14,6 +14,7 @@ from .terms import CompositeObjective
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_BACKTRACKS = 200
+_MAX_GOLDEN_STEPS = 200
 
 
 def _cbrt(x: float) -> float:
@@ -67,11 +68,12 @@ def fista(obj: CompositeObjective, x0: np.ndarray,
     function-value restart keeps the returned point no worse than x0.
 
     With ``lipschitz`` = L, an upper bound on the Lipschitz constant of the
-    smooth gradient, every step is 1/L: no backtracking and no objective
-    values inside the loop. Momentum restarts when it points against the
-    generalized gradient, (z - x_new)·(x_new - x) > 0 (O'Donoghue & Candès
-    2015), and x0 is returned if the result has a larger composite
-    objective, so the result is never worse than x0 on either path.
+    smooth gradient (callers pass the declared ``obj.smooth.lipschitz``),
+    every step is 1/L: no backtracking and no objective values inside the
+    loop. Momentum restarts when it points against the generalized
+    gradient, (z - x_new)·(x_new - x) > 0 (O'Donoghue & Candès 2015), and
+    x0 is returned if the result has a larger composite objective, so the
+    result is never worse than x0 on either path.
     """
     if lipschitz is not None and not (math.isfinite(lipschitz) and lipschitz > 0):
         raise ValueError(f"lipschitz must be finite and positive, got {lipschitz}")
@@ -93,15 +95,18 @@ def fista(obj: CompositeObjective, x0: np.ndarray,
             fx = min(fn, fx)
         else:
             xn = obj.nonsmooth.prox(z - step * obj.smooth.gradient(z), step)
-            if (z - xn) @ (xn - x) > 0.0:
-                t = 1.0
-        if not np.all(np.isfinite(xn)):
+        d = xn - x
+        dd = float(d @ d)
+        # A NaN or Inf in xn makes dd non-finite; the full check runs only
+        # then, since finite iterates far apart can overflow dd as well.
+        if not math.isfinite(dd) and not np.all(np.isfinite(xn)):
             raise NonFiniteIterate("non-finite iterate in accelerated proximal gradient")
-        delta = float(np.linalg.norm(xn - x))
+        if lipschitz is not None and (z - xn) @ d > 0.0:
+            t = 1.0
         tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = xn + ((t - 1.0) / tn) * (xn - x)
+        z = xn + ((t - 1.0) / tn) * d
         x, t = xn, tn
-        if delta <= cfg.tol:
+        if math.sqrt(dd) <= cfg.tol:
             break
     if lipschitz is not None and obj.value(x) > fx:
         return np.asarray(x0, dtype=float).copy()
@@ -207,15 +212,23 @@ def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
     """Minimizer of f on [lo, hi] localized to an interval of width <= tol.
 
     Guaranteed optimal for unimodal f; otherwise returns a local minimizer
-    within the bracket.
+    within the bracket. Each step keeps the fraction _GOLDEN of the
+    bracket, so the loop runs at most one step more than width and tol
+    imply, and never more than _MAX_GOLDEN_STEPS: rounding can keep the
+    width above a tol below the float spacing forever.
     """
-    if lo >= hi:
+    if not (lo < hi and math.isfinite(hi - lo)):
         raise InvalidBracket(f"invalid bracket [{lo}, {hi}]")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    steps = math.ceil((math.log(tol) - math.log(hi - lo)) / math.log(_GOLDEN)) + 1
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > tol:
+    for _ in range(min(steps, _MAX_GOLDEN_STEPS)):
+        if b - a <= tol:
+            break
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)

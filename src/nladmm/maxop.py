@@ -149,12 +149,14 @@ class MaxOpState:
 def update_q(loss: CompositeObjective, data: BagDataset, t: np.ndarray,
              y1: np.ndarray, rho: float,
              cfg: FistaConfig | None = None) -> np.ndarray:
-    """Approximate argmin_q loss(q) + (rho/2)||q - max t + y1/rho||^2."""
+    """Approximate argmin_q loss(q) + (rho/2)||q - max t + y1/rho||^2, with
+    the fixed step 1/(L + rho) when the loss declares its constant L (1/4
+    for the logistic loss); otherwise the step backtracks from 1/rho."""
     center = data.bag_max(t) - y1 / rho
     obj = with_quadratic(loss, rho, center)
     if cfg is None:
         cfg = FistaConfig(initial_step=1.0 / rho)
-    return fista(obj, center, cfg)
+    return fista(obj, center, cfg, lipschitz=obj.smooth.lipschitz)
 
 
 def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
@@ -175,11 +177,12 @@ def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
     def gradient(beta):
         return rho * (XtX @ beta - Xtb)
 
-    obj = CompositeObjective(SmoothTerm(value=value, gradient=gradient), reg)
-    start = np.zeros(X.shape[1]) if beta0 is None else beta0
     # The floor keeps the step finite when every feature is zero.
-    lipschitz = rho * max(lmax, 1e-12)
-    return fista(obj, start, FistaConfig() if cfg is None else cfg, lipschitz=lipschitz)
+    smooth = SmoothTerm(value=value, gradient=gradient, lipschitz=rho * max(lmax, 1e-12))
+    obj = CompositeObjective(smooth, reg)
+    start = np.zeros(X.shape[1]) if beta0 is None else beta0
+    return fista(obj, start, FistaConfig() if cfg is None else cfg,
+                 lipschitz=obj.smooth.lipschitz)
 
 
 def t_update_bag(psi: float, phi: np.ndarray) -> np.ndarray:

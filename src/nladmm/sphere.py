@@ -11,6 +11,7 @@ whose stationarity condition reduces to a scalar cubic in ||w||.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List
 
@@ -95,10 +96,11 @@ def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:
 def sphere_update_x(loss: CompositeObjective, w: np.ndarray, y2: np.ndarray,
                     rho: float, cfg: FistaConfig = FistaConfig(),
                     x0: np.ndarray | None = None) -> np.ndarray:
-    """Approximate argmin_x loss(x) + (rho/2)||w - x + y2/rho||^2."""
+    """Approximate argmin_x loss(x) + (rho/2)||w - x + y2/rho||^2, with the
+    fixed step 1/(L + rho) when the loss declares its constant L."""
     center = w + y2 / rho
     obj = with_quadratic(loss, rho, center)
-    return fista(obj, center if x0 is None else x0, cfg)
+    return fista(obj, center if x0 is None else x0, cfg, lipschitz=obj.smooth.lipschitz)
 
 
 def sphere_update_w(x_new: np.ndarray, y1: float, y2: np.ndarray,
@@ -139,8 +141,8 @@ class OneBitCsProblem:
     def __post_init__(self):
         if not np.all(np.isin(self.y_sign, (-1.0, 1.0))):
             raise ValueError("sign measurements must be +-1")
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not (math.isfinite(self.lam) and self.lam > 0):
+            raise ValueError(f"lambda must be finite and positive, got {self.lam}")
 
     @property
     def signed_matrix(self) -> np.ndarray:
@@ -196,9 +198,10 @@ def onebit_update_w(z: np.ndarray, x: np.ndarray, y2: np.ndarray,
     def gradient(w):
         return rho * (MtM @ w - Mtb + w - c)
 
-    obj = CompositeObjective(SmoothTerm(value=value, gradient=gradient), l1_term(1.0))
+    smooth = SmoothTerm(value=value, gradient=gradient, lipschitz=rho * (lmax + 1.0))
+    obj = CompositeObjective(smooth, l1_term(1.0))
     start = c if w0 is None else w0
-    return fista(obj, start, cfg, lipschitz=rho * (lmax + 1.0))
+    return fista(obj, start, cfg, lipschitz=obj.smooth.lipschitz)
 
 
 def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,

@@ -8,6 +8,7 @@ must return one designated subgradient element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,8 +31,12 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SmoothTerm:
+    """``lipschitz``, when known, bounds the Lipschitz constant of the
+    gradient; callers pass it to ``fista`` for a fixed step."""
+
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
+    lipschitz: float | None = None
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,8 @@ def zero_composite() -> CompositeObjective:
 
 def l1_term(lam: float = 1.0) -> ProxTerm:
     """lam * ||.||_1 with its exact shrinkage prox."""
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"l1 weight must be finite and nonnegative, got {lam}")
     return ProxTerm(
         value=lambda x: lam * float(np.sum(np.abs(x))),
         prox=lambda v, step: soft_threshold(v, lam * step),
@@ -94,13 +101,17 @@ def quadratic_smooth(weight: float, center: np.ndarray) -> SmoothTerm:
     return SmoothTerm(
         value=lambda x: 0.5 * weight * float(np.dot(x - c, x - c)),
         gradient=lambda x: weight * (x - c),
+        lipschitz=weight,
     )
 
 
 def add_smooth(a: SmoothTerm, b: SmoothTerm) -> SmoothTerm:
+    """Sum of two smooth terms; its constant is known when both are."""
+    known = a.lipschitz is not None and b.lipschitz is not None
     return SmoothTerm(
         value=lambda x: a.value(x) + b.value(x),
         gradient=lambda x: a.gradient(x) + b.gradient(x),
+        lipschitz=a.lipschitz + b.lipschitz if known else None,
     )
 
 
@@ -113,7 +124,9 @@ def with_quadratic(obj: CompositeObjective, weight: float, center: np.ndarray) -
 
 
 def logistic_loss(labels: np.ndarray) -> SmoothTerm:
-    """Componentwise log loss sum_i log(1 + exp(q_i)) - labels_i * q_i."""
+    """Componentwise log loss sum_i log(1 + exp(q_i)) - labels_i * q_i.
+    The sigmoid's slope is at most 1/4, which bounds the gradient's
+    Lipschitz constant."""
     y = np.asarray(labels, dtype=float)
 
     def value(q):
@@ -122,7 +135,7 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
     def gradient(q):
         return 1.0 / (1.0 + np.exp(-q)) - y
 
-    return SmoothTerm(value=value, gradient=gradient)
+    return SmoothTerm(value=value, gradient=gradient, lipschitz=0.25)
 
 
 def linear_constraint(A: np.ndarray) -> ConstraintTerm:

@@ -67,13 +67,27 @@ class TestUsageErrors:
         ("example1", "--rho0", "-1"), ("example1", "--rho0", "0"),
         ("onebit-cs", "--rho-delta", "nan"), ("example1", "--rho-delta", "-0.5"),
         ("example1", "--tol-primal", "nan"), ("example1", "--tol-primal", "-1"),
-        ("multi-instance", "--tol-dual", "inf")])
+        ("multi-instance", "--tol-dual", "inf"), ("onebit-cs", "--lambda", "nan"),
+        ("onebit-cs", "--lambda", "0"), ("multi-instance", "--lambda", "-1"),
+        ("multi-instance", "--lambda", "inf")])
     def test_bad_float_flag(self, subcommand, flag, value, capsys):
         with pytest.raises(SystemExit) as e:
             cli.main([subcommand, flag, value])
         assert e.value.code == 64
         sign = "nonnegative" if flag == "--rho-delta" else "positive"
         assert f"argument {flag}: must be finite and {sign}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, flag", [
+        ("onebit-cs", "--n"), ("onebit-cs", "--m"), ("onebit-cs", "--k"),
+        ("multi-instance", "--bags"), ("multi-instance", "--instances"),
+        ("multi-instance", "--features"), ("generate-bags", "--bags"),
+        ("generate-bags", "--instances"), ("generate-bags", "--features")])
+    def test_size_not_positive(self, subcommand, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main([subcommand, flag, "0", "--output", str(tmp_path / "out.csv")])
+        assert e.value.code == 64
+        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+
 
 class TestExampleSubcommands:
     def test_example1_writes_trace(self, tmp_path, capsys):

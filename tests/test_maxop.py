@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
+from scipy.special import expit
 
 from helpers import bag_subproblem_oracle, bag_subproblem_value, record_lipschitz
 from nladmm import datagen, maxop
@@ -167,6 +169,52 @@ class TestBlockUpdates:
         q = maxop.update_q(zero, data, t, y1, rho=2.0,
                            cfg=FistaConfig(tol=1e-12))
         assert q[0] == pytest.approx(5.0 - 0.5, abs=1e-8)
+
+    @staticmethod
+    def _q_subproblem():
+        data, _ = datagen.generate_bags(8, 3, 3, seed=6)
+        rng = np.random.default_rng(10)
+        t = rng.standard_normal(data.X.shape[0]) * 3.0
+        y1 = rng.standard_normal(data.n_bags)
+        return data, t, y1, 0.1
+
+    @staticmethod
+    def _q_oracle(data, t, y1, rho):
+        """Per-bag root of sigmoid(q) - label + rho (q - center) = 0, which
+        lies within 1/rho of the center."""
+        center = data.bag_max(t) - y1 / rho
+        return np.array([brentq(lambda q: expit(q) - y + rho * (q - c),
+                                c - 1.0 / rho - 1.0, c + 1.0 / rho + 1.0, xtol=1e-14)
+                         for y, c in zip(data.labels, center)])
+
+    def test_update_q_declared_step(self, monkeypatch):
+        """The logistic loss declares 1/4, so the q-update steps with
+        L = 1/4 + rho and reaches the per-bag root."""
+        used = record_lipschitz(monkeypatch, maxop)
+        data, t, y1, rho = self._q_subproblem()
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        q = maxop.update_q(loss, data, t, y1, rho)
+        assert used == [0.25 + rho]
+        assert np.allclose(q, self._q_oracle(data, t, y1, rho), atol=1e-7)
+
+    def test_update_q_undeclared_loss_backtracks(self, monkeypatch):
+        """A loss that declares no constant still gets the backtracking
+        q-update, which evaluates the smooth value inside the loop."""
+        used = record_lipschitz(monkeypatch, maxop)
+        data, t, y1, rho = self._q_subproblem()
+        logistic = logistic_loss(data.labels)
+        calls = []
+
+        def value(q):
+            calls.append(1)
+            return logistic.value(q)
+
+        loss = CompositeObjective(SmoothTerm(value=value, gradient=logistic.gradient),
+                                  zero_prox())
+        q = maxop.update_q(loss, data, t, y1, rho)
+        assert used == [None]
+        assert len(calls) > 2
+        assert np.allclose(q, self._q_oracle(data, t, y1, rho), atol=1e-7)
 
     def test_update_beta_least_squares(self):
         rng = np.random.default_rng(8)

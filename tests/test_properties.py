@@ -1,15 +1,22 @@
-"""Property tests: the all-bags t-update against the per-bag reference.
+"""Property tests: the all-bags t-update against the per-bag reference,
+the cubic root solver against ``numpy.roots``, and the sphere-penalty
+minimizer against the grid-plus-polish oracle.
 
 Targets and psi come mostly from a coarse grid, so ties inside a bag and
 between psi and the targets are frequent; bag sizes run 1 to 8, so
-single-instance bags occur in most examples.
+single-instance bags occur in most examples. Cubics are drawn both from
+free coefficients and from products of (t - r_i) with roots on a
+half-integer grid, so repeated roots occur often.
 """
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from helpers import sphere_penalty_oracle, sphere_penalty_value
 from nladmm import datagen, maxop
 from nladmm.engine import RhoSchedule, StopCriteria
+from nladmm.inner import cubic_real_roots
+from nladmm.sphere import sphere_penalty_min
 from nladmm.terms import CompositeObjective, l1_term, logistic_loss, zero_prox
 
 VALUES = st.one_of(st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5]),
@@ -63,3 +70,73 @@ def test_maxop_solve_matches_per_bag_loop(monkeypatch):
         a, b = getattr(state, name), getattr(ref_state, name)
         assert a.dtype == b.dtype and np.array_equal(a, b)
     assert state.rho == ref_state.rho
+
+
+COEFFS = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
+GRID_ROOTS = st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
+
+
+@st.composite
+def cubics(draw):
+    """((a, b, c, d), known real roots or None): free coefficients, or the
+    expansion of a (t - r1)(t - r2)(t - r3) with roots on a half-integer
+    grid, which is exact in floating point, so repeated roots stay exact.
+
+    Free coefficients are 0 or between 0.1 and 10 in size: with a leading
+    coefficient far below the others the solver loses roots (see
+    ``test_inner.TestCubicRealRoots::test_small_leading_coefficient``)."""
+    if draw(st.booleans()):
+        return tuple(draw(COEFFS) for _ in range(4)), None
+    r = [draw(GRID_ROOTS) for _ in range(3)]
+    a = draw(st.sampled_from([-3.0, -1.0, 0.5, 1.0, 2.0]))
+    coeffs = (a, -a * (r[0] + r[1] + r[2]),
+              a * (r[0] * r[1] + r[0] * r[2] + r[1] * r[2]), -a * r[0] * r[1] * r[2])
+    return coeffs, r
+
+
+def _near(u, v):
+    # 1e-5 relative: the spread of a triple root under rounding.
+    return abs(u - v) <= 1e-5 * max(1.0, abs(u))
+
+
+@settings(max_examples=500, deadline=None)
+@given(cubics())
+def test_cubic_real_roots_against_numpy(case):
+    """Every returned root leaves a residual at rounding level (normwise:
+    against the coefficients' size times max(1, |r|)^3) and is a root of
+    ``numpy.roots``. Every real root of ``numpy.roots`` that is at least
+    1e-3 away from the others is returned, and so is every known root.
+    Clustered roots of ``numpy.roots`` are not required: there it can
+    report a complex pair with a tiny imaginary part as two real roots."""
+    (a, b, c, d), known = case
+    assume(any(v != 0.0 for v in (a, b, c, d)))
+    roots = cubic_real_roots(a, b, c, d).roots
+    assert roots == sorted(roots)
+    size = abs(a) + abs(b) + abs(c) + abs(d)
+    for r in roots:
+        residual = abs(((a * r + b) * r + c) * r + d)
+        assert residual <= 1e-12 * size * max(1.0, abs(r)) ** 3
+    reference = np.roots([a, b, c, d])
+    for r in roots:
+        assert any(_near(r, z) for z in reference), (roots, reference)
+    for i, z in enumerate(reference):
+        isolated = all(abs(z - o) > 1e-3 * max(1.0, abs(z))
+                       for j, o in enumerate(reference) if j != i)
+        if z.imag == 0.0 and isolated:
+            assert any(_near(z.real, r) for r in roots), (roots, reference)
+    for z in known or []:
+        assert any(_near(z, r) for r in roots), (roots, known)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=4),
+       st.floats(-2.0, 2.0, allow_nan=False))
+def test_sphere_penalty_min_no_worse_than_oracle(v, alpha):
+    """Inputs with 0 < ||v|| < 1e-7 are left out: there the minimizer loses
+    its best candidate (see ``test_sphere.TestSpherePenaltyMin::
+    test_tiny_input_keeps_best_candidate``)."""
+    v = np.array(v)
+    assume(not 0.0 < np.linalg.norm(v) < 1e-7)
+    w = sphere_penalty_min(v, alpha)
+    best = sphere_penalty_oracle(v, alpha)
+    assert sphere_penalty_value(w, v, alpha) <= best + 1e-9 * (1.0 + abs(best))
