@@ -10,12 +10,9 @@ from .engine import (
     SolveResult,
     StopCriteria,
     TraceRow,
-    augmented_lagrangian,
-    dual_update,
-    residuals,
     solve,
 )
-from .inner import CubicRealRoots, FistaConfig, cubic_real_roots, fista, golden_section_min
+from .inner import CubicRealRoots, FistaConfig, cubic_real_roots, fista
 from .terms import (
     CompositeObjective,
     ConstraintTerm,
@@ -31,15 +28,11 @@ __all__ = [
     "SolveResult",
     "StopCriteria",
     "TraceRow",
-    "augmented_lagrangian",
-    "dual_update",
-    "residuals",
     "solve",
     "CubicRealRoots",
     "FistaConfig",
     "cubic_real_roots",
     "fista",
-    "golden_section_min",
     "CompositeObjective",
     "ConstraintTerm",
     "ProxTerm",

@@ -16,7 +16,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from . import datagen, maxop, scalar_examples, sphere
-from .diagnostics import diagnose_result, write_report_csv
+from .diagnostics import diagnose_result
 from .engine import RhoSchedule, StopCriteria, TraceRow
 from .errors import SolverError
 from .terms import CompositeObjective, l1_term, logistic_loss, zero_prox
@@ -50,13 +50,6 @@ def write_trace(path, rows: Sequence[TraceRow],
             if extra_cols is not None:
                 rec.extend(repr(float(v)) for v in extra_cols[i])
             writer.writerow(rec)
-
-
-def read_trace(path) -> List[dict]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        return [{k: (int(v) if k == "iter" else float(v)) for k, v in row.items()}
-                for row in reader]
 
 
 def _schedule(args) -> RhoSchedule:
@@ -225,6 +218,11 @@ def _run_generate_bags(args) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The diagnostics need a constant rho; refuse before any solve runs.
+    if getattr(args, "diagnose", False) and args.rho_schedule == "increment" \
+            and args.rho_delta > 0:
+        parser.error(f"--diagnose needs a constant rho, but --rho-schedule increment "
+                     f"with --rho-delta {args.rho_delta:g} grows it")
     handlers = {
         scalar_examples.EXAMPLE_SQRT: _run_example,
         scalar_examples.EXAMPLE_CIRCLE: _run_example,

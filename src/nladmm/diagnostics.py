@@ -1,17 +1,16 @@
 """Convergence diagnostics computed against a known optimum or along a
 recorded solve: the objective-gap bound, the Lyapunov merit function, and
-the variational-inequality quantities with their monotonicity checks."""
+the variational-inequality contraction value."""
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
 from .engine import IterateState, SolveResult
-from .errors import EmptyTrace, MissingReference
+from .errors import MissingReference
 from .terms import ConstraintTerm
 
 
@@ -107,55 +106,6 @@ def vi_matrices(d: int, rho: float) -> ViMatrices:
     return ViMatrices(d=d, rho=rho, C=C, D=D, E=E, G=G)
 
 
-def d_norm_sq(mats: ViMatrices, v: np.ndarray) -> float:
-    return float(v @ (mats.D @ v))
-
-
-@dataclass
-class ViReport:
-    values: List[float]  # ||E(w^k - w~^k)||_D^2 per iteration
-    increase_flags: List[int]  # iterations where the value grew beyond tolerance
-    identity_residuals: List[float]  # ||w^{k+1} - w^k + E(w^k - w~^k)||
-    decay_constant: float  # c of the best c/(t+1) fit
-    decay_ratios: List[float] = field(default_factory=list)
-
-
-def vi_sequence_check(w_history: Sequence[np.ndarray],
-                      w_tilde_history: Sequence[np.ndarray],
-                      mats: ViMatrices,
-                      increase_tol: float = 1e-10) -> ViReport:
-    """Evaluate the per-iteration contraction quantity, flag any increase,
-    and verify the update identity w^{k+1} = w^k - E(w^k - w~^k)."""
-    if len(w_tilde_history) == 0:
-        raise EmptyTrace("no variational-inequality snapshots recorded")
-    if len(w_history) < len(w_tilde_history) + 1:
-        raise ValueError("w history must have one more entry than the predicted sequence")
-
-    values = []
-    identity_residuals = []
-    for k, wt in enumerate(w_tilde_history):
-        step = mats.E @ (w_history[k] - wt)
-        values.append(d_norm_sq(mats, step))
-        identity_residuals.append(float(np.linalg.norm(w_history[k + 1] - w_history[k] + step)))
-
-    increase_flags = [k for k in range(1, len(values))
-                      if values[k] > values[k - 1] + increase_tol]
-
-    # Least-squares fit of values[t] ~ c/(t+1); report per-iteration ratios.
-    tt = 1.0 / (np.arange(len(values)) + 1.0)
-    vv = np.asarray(values)
-    denom = float(tt @ tt)
-    c = float(tt @ vv) / denom if denom > 0 else 0.0
-    if c > 0:
-        ratios = [float(v / (c * w)) for v, w in zip(vv, tt)]
-    else:
-        ratios = [0.0 for _ in values]
-
-    return ViReport(values=values, increase_flags=increase_flags,
-                    identity_residuals=identity_residuals,
-                    decay_constant=c, decay_ratios=ratios)
-
-
 @dataclass(frozen=True)
 class DiagnosticsRow:
     k: int
@@ -166,13 +116,17 @@ class DiagnosticsRow:
     flags: str
 
 
-def write_report_csv(path, rows: Sequence[DiagnosticsRow]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "bound", "gap", "V", "vi_norm", "flags"])
-        for row in rows:
-            writer.writerow([row.k, repr(row.bound), repr(row.gap),
-                             repr(row.lyapunov), repr(row.vi_norm), row.flags])
+def recover_duals(result: SolveResult, f1: ConstraintTerm, f2: ConstraintTerm,
+                  x1_history: Sequence[np.ndarray],
+                  x2_history: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """The duals y^0, ..., y^K of a solve, from its final dual y^K backward:
+    y^k = y^{k+1} - rho_k (f1(x1^{k+1}) + f2(x2^{k+1})), undoing the
+    engine's dual steps. The histories are as in ``diagnose_result``."""
+    ys = [np.asarray(result.state.y, dtype=float)]
+    for k in range(len(result.trace) - 1, -1, -1):
+        r = f1.eval(x1_history[k + 1]) + f2.eval(x2_history[k + 1])
+        ys.append(ys[-1] - result.trace[k].rho * r)
+    return ys[::-1]
 
 
 def diagnose_result(result: SolveResult, ref: OptimumReference,
@@ -189,24 +143,26 @@ def diagnose_result(result: SolveResult, ref: OptimumReference,
         raise ValueError("diagnostics require a constant penalty parameter")
     rho = result.trace[0].rho
     check_reference_feasible(ref, f1, f2)
-    d = f1.dim_out
+    ys = recover_duals(result, f1, f2, x1_history, x2_history)
 
     rows = []
+    f2_prev = f2.eval(x2_history[0])
     for i, tr in enumerate(result.trace):
-        # ||E(w - w~)||_D^2 of vi_matrices in closed form: with b and c the
-        # f2 and y parts of w - w~, it is rho ||b||^2 + ||rho b + c||^2 / rho.
-        v = result.w_history[i] - result.w_tilde_history[i]
-        b, c = v[d:2 * d], v[2 * d:]
+        # ||E(w^i - w~^i)||_D^2 of vi_matrices in closed form, with
+        # w = (f1(x1), f2(x2), y): b = f2(x2^i) - f2(x2^{i+1}) and
+        # c = -rho (f1(x1^{i+1}) + f2(x2^i)) are the f2 and y parts of
+        # w^i - w~^i, and the value is rho ||b||^2 + ||rho b + c||^2 / rho.
+        f2_next = f2.eval(x2_history[i + 1])
+        b = f2_prev - f2_next
+        c = -rho * (f1.eval(x1_history[i + 1]) + f2_prev)
         e = rho * b + c
         vi_norm = rho * float(b @ b) + float(e @ e) / rho
-        y_i = result.w_history[i + 1][2 * d:]
-        state = IterateState(x1=x1_history[i + 1], x2=x2_history[i + 1], y=y_i,
+        state = IterateState(x1=x1_history[i + 1], x2=x2_history[i + 1], y=ys[i + 1],
                              rho=rho, k=tr.k)
-        prev_f2 = f2.eval(x2_history[i])
-        bound, gap = error_bound(state, tr.objective, prev_f2, ref, f1, f2)
+        bound, gap = error_bound(state, tr.objective, f2_prev, ref, f1, f2)
         V = lyapunov(state, ref, f2)
-        # The increase tolerance of vi_sequence_check.
         flags = "increase" if rows and vi_norm > rows[-1].vi_norm + 1e-10 else ""
         rows.append(DiagnosticsRow(k=tr.k, bound=bound, gap=gap, lyapunov=V,
                                    vi_norm=vi_norm, flags=flags))
+        f2_prev = f2_next
     return rows

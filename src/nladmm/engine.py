@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
@@ -46,10 +46,6 @@ class RhoSchedule:
     @classmethod
     def increment(cls, rho0: float, delta: float) -> "RhoSchedule":
         return cls(rho0, delta)
-
-    @property
-    def is_constant(self) -> bool:
-        return self.delta == 0.0
 
     def at(self, k: int) -> float:
         return self.rho0 + k * self.delta
@@ -115,40 +111,6 @@ class SolveResult:
     state: IterateState
     trace: List[TraceRow]
     converged: bool
-    # Stacked (f1(x1), f2(x2), y) per iterate and the companion predicted
-    # sequence, recorded for the variational-inequality diagnostics.
-    w_history: List[np.ndarray] = field(default_factory=list)
-    w_tilde_history: List[np.ndarray] = field(default_factory=list)
-
-
-def augmented_lagrangian(F1, F2, f1: ConstraintTerm, f2: ConstraintTerm,
-                         x1, x2, y, rho: float) -> float:
-    """F1(x1) + F2(x2) + y'(f1(x1)+f2(x2)) + (rho/2)||f1(x1)+f2(x2)||^2."""
-    if rho <= 0:
-        raise ValueError("rho must be positive")
-    c = f1.eval(x1) + f2.eval(x2)
-    y = np.asarray(y, dtype=float)
-    if y.shape != c.shape:
-        raise DimensionMismatch(f"dual dimension {y.shape} != constraint dimension {c.shape}")
-    return float(F1(x1) + F2(x2) + y @ c + 0.5 * rho * (c @ c))
-
-
-def dual_update(y: np.ndarray, rho: float, f1x1: np.ndarray, f2x2: np.ndarray) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    f1x1 = np.asarray(f1x1, dtype=float)
-    f2x2 = np.asarray(f2x2, dtype=float)
-    if not (y.shape == f1x1.shape == f2x2.shape):
-        raise DimensionMismatch("dual and constraint blocks must share dimension")
-    return y + rho * (f1x1 + f2x2)
-
-
-def residuals(f1: ConstraintTerm, f2: ConstraintTerm, x1_new, x2_new, x2_old,
-              rho: float):
-    """Primal residual f1(x1)+f2(x2) and dual residual rho*J1' (f2 change)."""
-    primal = f1.eval(x1_new) + f2.eval(x2_new)
-    delta2 = f2.eval(x2_new) - f2.eval(x2_old)
-    dual = rho * (f1.jacobian(x1_new).T @ delta2)
-    return primal, dual
 
 
 def _require_finite(v, what: str, trace, exc=NonFiniteIterate):
@@ -205,24 +167,18 @@ def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
     """Run the two-block iteration until both residual norms pass their
     tolerances or ``stop.max_iter`` is reached."""
     f1, f2 = problem.f1, problem.f2
-    # f1 and f2 are evaluated once per iteration; f2_old is f2 at the last x2.
-    f1x1 = f1.eval(np.asarray(init.x1, dtype=float))
+    # f2 is evaluated once per iteration; f2_old is f2 at the last x2.
     f2x2 = f2.eval(np.asarray(init.x2, dtype=float))
     f2_old = None
-    w_hist = [np.concatenate([f1x1, f2x2, np.asarray(init.y, dtype=float)])]
-    wt_hist: List[np.ndarray] = []
 
     def primal(s):
-        nonlocal f1x1, f2x2, f2_old
+        nonlocal f2x2, f2_old
         f2_old = f2x2
-        f1x1, f2x2 = f1.eval(s.x1), f2.eval(s.x2)
-        s.primal_residual = f1x1 + f2x2
+        f2x2 = f2.eval(s.x2)
+        s.primal_residual = f1.eval(s.x1) + f2x2
         return s.primal_residual
 
     def dual_norm(s, previous, rho):
-        # Also records the (f1(x1), f2(x2), y) histories for the diagnostics.
-        wt_hist.append(np.concatenate([f1x1, f2x2, previous.y + rho * (f1x1 + f2_old)]))
-        w_hist.append(np.concatenate([f1x1, f2x2, s.y]))
         s.dual_residual = rho * (f1.jacobian(s.x1).T @ (f2x2 - f2_old))
         return float(np.linalg.norm(s.dual_residual))
 
@@ -234,5 +190,4 @@ def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
         init, blocks, [("y", primal)], dual_norm,
         lambda s: float(problem.F1(s.x1) + problem.F2(s.x2)), schedule, stop)
     state.k = len(trace)
-    return SolveResult(state=state, trace=trace, converged=converged,
-                       w_history=w_hist, w_tilde_history=wt_hist)
+    return SolveResult(state=state, trace=trace, converged=converged)

@@ -33,13 +33,5 @@ class DegenerateAllZero(SolverError):
     """All cubic coefficients are zero; the root set is undefined."""
 
 
-class InvalidBracket(SolverError):
-    """Bracketed scalar minimization called with lo >= hi."""
-
-
 class MissingReference(SolverError):
     """A diagnostic needs a known optimum that was not supplied."""
-
-
-class EmptyTrace(SolverError):
-    """A trace-level diagnostic was invoked on an empty trace."""

@@ -1,20 +1,19 @@
-"""Convex inner solvers: accelerated proximal gradient, a real-root cubic
-solver, and a bracketed scalar minimizer used as a test oracle."""
+"""Convex inner solvers: accelerated proximal gradient and a real-root
+cubic solver."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 import numpy as np
 
-from .errors import DegenerateAllZero, InvalidBracket, NonFiniteIterate
+from .errors import DegenerateAllZero, NoCandidate, NonFiniteIterate
 from .terms import CompositeObjective
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_BACKTRACKS = 200
-_MAX_GOLDEN_STEPS = 200
 
 
 def _cbrt(x: float) -> float:
@@ -154,10 +153,14 @@ def cubic_real_roots(a: float, b: float, c: float, d: float) -> CubicRealRoots:
 
     Degenerate leading coefficients fall back to the quadratic / linear
     case. Uses the closed form (trigonometric branch when all three roots
-    are real) followed by a Newton polish per root.
+    are real) followed by a Newton polish per root. A nonzero ``a`` with
+    27a^3 below the normal float range raises NoCandidate: the closed form
+    divides by 27a^3, which has underflowed.
     """
     if a == 0.0 and b == 0.0 and c == 0.0 and d == 0.0:
         raise DegenerateAllZero("all cubic coefficients are zero")
+    if a != 0.0 and abs(27.0 * a ** 3) < sys.float_info.min:
+        raise NoCandidate(f"leading cubic coefficient {a!r} is too small: 27a^3 underflows")
 
     if a == 0.0:
         if b == 0.0:
@@ -205,36 +208,3 @@ def cubic_real_roots(a: float, b: float, c: float, d: float) -> CubicRealRoots:
         if not deduped or abs(r - deduped[-1]) > 1e-12 * max(1.0, abs(r)):
             deduped.append(r)
     return CubicRealRoots(roots=deduped)
-
-
-def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
-                       tol: float = 1e-8) -> float:
-    """Minimizer of f on [lo, hi] localized to an interval of width <= tol.
-
-    Guaranteed optimal for unimodal f; otherwise returns a local minimizer
-    within the bracket. Each step keeps the fraction _GOLDEN of the
-    bracket, so the loop runs at most one step more than width and tol
-    imply, and never more than _MAX_GOLDEN_STEPS: rounding can keep the
-    width above a tol below the float spacing forever.
-    """
-    if not (lo < hi and math.isfinite(hi - lo)):
-        raise InvalidBracket(f"invalid bracket [{lo}, {hi}]")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
-    steps = math.ceil((math.log(tol) - math.log(hi - lo)) / math.log(_GOLDEN)) + 1
-    a, b = lo, hi
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    for _ in range(min(steps, _MAX_GOLDEN_STEPS)):
-        if b - a <= tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return 0.5 * (a + b)

@@ -242,22 +242,14 @@ def t_update_bags(data: BagDataset, psi: np.ndarray, phi: np.ndarray) -> np.ndar
     return t
 
 
-def bag_objective(psi: float, phi: np.ndarray, t: np.ndarray) -> float:
-    """The per-bag t-subproblem objective (psi - max t)^2 + ||t - phi||^2."""
-    d = t - phi
-    return (psi - float(np.max(t))) ** 2 + float(d @ d)
-
-
 def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
-                init: MaxOpState, schedule: RhoSchedule, stop: StopCriteria,
-                fista_cfg: FistaConfig | None = None):
+                init: MaxOpState, schedule: RhoSchedule, stop: StopCriteria):
     """Cycle q (proximal gradient), beta (proximal gradient), t (exact per
     bag, all bags in one pass), then the two dual ascent steps, with
     combined residual norms."""
     blocks = [
-        ("q", lambda s, rho: update_q(loss, data, s.t, s.y1, rho, fista_cfg)),
-        ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, fista_cfg,
-                                            beta0=s.beta)),
+        ("q", lambda s, rho: update_q(loss, data, s.t, s.y1, rho)),
+        ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, beta0=s.beta)),
         ("t", lambda s, rho: t_update_bags(data, s.q + s.y1 / rho,
                                            data.X @ s.beta - s.y2 / rho)),
     ]

@@ -12,7 +12,7 @@ whose stationarity condition reduces to a scalar cubic in ||w||.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from .engine import RhoSchedule, StopCriteria, iterate
 from .errors import NoCandidate
 from .inner import FistaConfig, cubic_real_roots, fista, gram_lmax
-from .terms import CompositeObjective, l1_term, with_quadratic, SmoothTerm, ProxTerm
+from .terms import CompositeObjective, l1_term, with_quadratic, SmoothTerm
 
 
 @dataclass(frozen=True)
@@ -110,12 +110,11 @@ def sphere_update_w(x_new: np.ndarray, y1: float, y2: np.ndarray,
 
 
 def sphere_solve(problem: SphereProblem, init: SphereState,
-                 schedule: RhoSchedule, stop: StopCriteria,
-                 fista_cfg: FistaConfig = FistaConfig()):
+                 schedule: RhoSchedule, stop: StopCriteria):
     """Alternate the loss-side pull and the exact sphere-penalty update,
     with scalar and vector duals for the two constraints."""
     blocks = [
-        ("x", lambda s, rho: sphere_update_x(problem.loss, s.w, s.y2, rho, fista_cfg, x0=s.x)),
+        ("x", lambda s, rho: sphere_update_x(problem.loss, s.w, s.y2, rho, x0=s.x)),
         ("w", lambda s, rho: sphere_update_w(s.x, s.y1, s.y2, rho)),
     ]
     constraints = [("y1", lambda s: float(s.w @ s.w) - 1.0), ("y2", lambda s: s.w - s.x)]
@@ -205,8 +204,7 @@ def onebit_update_w(z: np.ndarray, x: np.ndarray, y2: np.ndarray,
 
 
 def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,
-                 schedule: RhoSchedule, stop: StopCriteria,
-                 fista_cfg: FistaConfig = FistaConfig()):
+                 schedule: RhoSchedule, stop: StopCriteria):
     """Three-block cycle: sphere-penalized x (closed form), clipped z
     (closed form), sparse w (proximal gradient), then the dual ascent steps."""
     Phi, y_sign, lam = problem.Phi, problem.y_sign, problem.lam
@@ -216,7 +214,7 @@ def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,
         ("x", lambda s, rho: sphere_penalty_min(s.w + s.y3 / rho, s.y1 / rho)),
         ("z", lambda s, rho: onebit_update_z(s.w, s.y2, rho, lam, Phi, y_sign)),
         ("w", lambda s, rho: onebit_update_w(s.z, s.x, s.y2, s.y3, rho, Phi, y_sign,
-                                             fista_cfg, w0=s.w, gram=gram)),
+                                             w0=s.w, gram=gram)),
     ]
     constraints = [("y1", lambda s: float(s.x @ s.x) - 1.0),
                    ("y2", lambda s: M @ s.w - s.z),

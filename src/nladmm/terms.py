@@ -14,20 +14,6 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
-
-
-def as_vector(x, dim: int | None = None) -> np.ndarray:
-    """Coerce to a finite 1-D float array, optionally checking its length."""
-    v = np.atleast_1d(np.asarray(x, dtype=float))
-    if v.ndim != 1 or v.size == 0:
-        raise DimensionMismatch(f"expected a nonempty 1-D vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
-    if dim is not None and v.size != dim:
-        raise DimensionMismatch(f"expected dimension {dim}, got {v.size}")
-    return v
-
 
 @dataclass(frozen=True)
 class SmoothTerm:
@@ -54,9 +40,6 @@ class ConstraintTerm:
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
 
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.eval(x)
-
 
 @dataclass(frozen=True)
 class CompositeObjective:
@@ -73,16 +56,8 @@ def soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
     return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
 
 
-def zero_smooth() -> SmoothTerm:
-    return SmoothTerm(value=lambda x: 0.0, gradient=np.zeros_like)
-
-
 def zero_prox() -> ProxTerm:
     return ProxTerm(value=lambda x: 0.0, prox=lambda v, step: v)
-
-
-def zero_composite() -> CompositeObjective:
-    return CompositeObjective(zero_smooth(), zero_prox())
 
 
 def l1_term(lam: float = 1.0) -> ProxTerm:

@@ -2,15 +2,72 @@
 
 These deliberately avoid the library's own closed-form solvers: the bag
 subproblem oracle enumerates averaging-block sizes and polishes with
-coordinate descent, and the sphere-penalty oracle reduces to one scalar
-variable and combines a dense grid with a derivative-free polish.
-``record_lipschitz`` records the Lipschitz constant each FISTA call is given.
+coordinate descent, the sphere-penalty oracle reduces to one scalar
+variable and combines a dense grid with a derivative-free polish, and
+``golden_section_min`` is a bracketed scalar minimizer for the scalar block
+updates. ``record_lipschitz`` records the Lipschitz constant each FISTA call
+is given, ``record_duals`` the dual each scalar-example solve hands its x1
+block, and ``read_trace`` reads a trace CSV back.
 """
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+import math
+from typing import Callable, List
+
 import numpy as np
 from scipy.optimize import minimize_scalar
+
+from nladmm.errors import SolverError
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_MAX_GOLDEN_STEPS = 200
+
+
+class InvalidBracket(SolverError):
+    """Bracketed scalar minimization called with lo >= hi."""
+
+
+def golden_section_min(f: Callable[[float], float], lo: float, hi: float,
+                       tol: float = 1e-8) -> float:
+    """Minimizer of f on [lo, hi] localized to an interval of width <= tol.
+
+    Guaranteed optimal for unimodal f; otherwise returns a local minimizer
+    within the bracket. Each step keeps the fraction _GOLDEN of the
+    bracket, so the loop runs at most one step more than width and tol
+    imply, and never more than _MAX_GOLDEN_STEPS: rounding can keep the
+    width above a tol below the float spacing forever.
+    """
+    if not (lo < hi and math.isfinite(hi - lo)):
+        raise InvalidBracket(f"invalid bracket [{lo}, {hi}]")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    steps = math.ceil((math.log(tol) - math.log(hi - lo)) / math.log(_GOLDEN)) + 1
+    a, b = lo, hi
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(x1), f(x2)
+    for _ in range(min(steps, _MAX_GOLDEN_STEPS)):
+        if b - a <= tol:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _GOLDEN * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _GOLDEN * (b - a)
+            f2 = f(x2)
+    return 0.5 * (a + b)
+
+
+def read_trace(path) -> List[dict]:
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        return [{k: (int(v) if k == "iter" else float(v)) for k, v in row.items()}
+                for row in reader]
 
 
 def bag_subproblem_value(psi: float, phi: np.ndarray, t: np.ndarray) -> float:
@@ -123,3 +180,36 @@ def record_lipschitz(monkeypatch, module) -> list:
 
     monkeypatch.setattr(module, "fista", recording_fista)
     return used
+
+
+def record_duals(monkeypatch, module) -> list:
+    """Wrap ``module.build_example`` (the scalar examples) so that every
+    solve of a built problem appends to the returned list a copy of the
+    dual its x1 block receives: y^0, ..., y^{K-1} of a K-iteration run,
+    straight from the engine. Append ``result.state.y`` for y^K."""
+    build = module.build_example
+    ys = []
+
+    def recording_build(which):
+        problem = build(which)
+
+        def solve_x1(x1, x2, y, rho):
+            ys.append(np.array(y, dtype=float))
+            return problem.solve_x1(x1, x2, y, rho)
+
+        return dataclasses.replace(problem, solve_x1=solve_x1)
+
+    monkeypatch.setattr(module, "build_example", recording_build)
+    return ys
+
+
+def vi_sequences(f1, f2, x1_history, x2_history, ys, rho: float):
+    """The stacked w^k = (f1(x1^k), f2(x2^k), y^k), k = 0..K, and the
+    predicted w~^k = (f1(x1^{k+1}), f2(x2^{k+1}), y^k + rho (f1(x1^{k+1})
+    + f2(x2^k))), k = 0..K-1, of the variational-inequality analysis."""
+    f1s = [f1.eval(x) for x in x1_history]
+    f2s = [f2.eval(x) for x in x2_history]
+    w = [np.concatenate([a, b, y]) for a, b, y in zip(f1s, f2s, ys)]
+    w_tilde = [np.concatenate([f1s[k + 1], f2s[k + 1], ys[k] + rho * (f1s[k + 1] + f2s[k])])
+               for k in range(len(ys) - 1)]
+    return w, w_tilde

@@ -6,7 +6,14 @@ import time
 
 import numpy as np
 
-from helpers import bag_subproblem_oracle, sphere_penalty_oracle, sphere_penalty_value
+from helpers import (
+    bag_subproblem_oracle,
+    bag_subproblem_value,
+    record_duals,
+    sphere_penalty_oracle,
+    sphere_penalty_value,
+    vi_sequences,
+)
 from nladmm import datagen, maxop, scalar_examples as se, sphere
 from nladmm.diagnostics import diagnose_result, vi_matrices
 from nladmm.engine import IterateState, Problem, RhoSchedule, StopCriteria, solve
@@ -54,7 +61,7 @@ def test_criterion_2_t_update_exactness():
         phi = rng.standard_normal(n) * rng.uniform(0.3, 4.0)
         psi = float(rng.standard_normal() * rng.uniform(0.3, 4.0))
         t = maxop.t_update_bag(psi, phi)
-        h = maxop.bag_objective(psi, phi, t)
+        h = bag_subproblem_value(psi, phi, t)
         worst_gap = max(worst_gap, h - bag_subproblem_oracle(psi, phi))
         # h restricted to averaging the top-c sorted block (with the block
         # value taken as the bag max) is nondecreasing in c.
@@ -123,7 +130,7 @@ def test_criterion_5_lyapunov_descent():
                    f"max increase={worst:.2e}")
 
 
-def test_criterion_6_vi_properties():
+def test_criterion_6_vi_properties(monkeypatch):
     min_eig = np.inf
     for d in (1, 2, 5, 10):
         for rho in (0.1, 1.0, 10.0):
@@ -131,16 +138,22 @@ def test_criterion_6_vi_properties():
             assert np.array_equal(mats.C, mats.D @ mats.E)
             min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(mats.G))))
     worst_increase, worst_identity = -np.inf, 0.0
+    ys = record_duals(monkeypatch, se)
     for which in (se.EXAMPLE_SQRT, se.EXAMPLE_CIRCLE):
+        ys.clear()
         rows, run = _example_diagnostics(which)
         vals = [r.vi_norm for r in rows]
         for a, b in zip(vals, vals[1:]):
             worst_increase = max(worst_increase, b - a)
+        # The engine's own duals: those its x1 block received, then the final one.
+        problem = se.build_example(which)
+        w, w_tilde = vi_sequences(problem.f1, problem.f2, run.x1_history,
+                                  run.x2_history, ys + [run.result.state.y], 1.0)
         mats = vi_matrices(1, 1.0)
-        for k, wt in enumerate(run.result.w_tilde_history):
-            step = mats.E @ (run.result.w_history[k] - wt)
-            worst_identity = max(worst_identity, float(np.linalg.norm(
-                run.result.w_history[k + 1] - run.result.w_history[k] + step)))
+        for k, wt in enumerate(w_tilde):
+            step = mats.E @ (w[k] - wt)
+            worst_identity = max(worst_identity,
+                                 float(np.linalg.norm(w[k + 1] - w[k] + step)))
     ok = (min_eig >= -1e-10 and worst_increase <= 1e-10
           and worst_identity <= 1e-8)
     _report(6, ok, f"G PSD (min eig={min_eig:.1e}), C=DE exact, contraction "
@@ -259,7 +272,7 @@ def test_criterion_9_classic_admm_reduction():
     for k, (xr, zr, yr) in enumerate(ref_iterates[:len(xs)]):
         worst = max(worst, float(np.max(np.abs(xs[k] - xr))),
                     float(np.max(np.abs(zs[k] - zr))))
-    ys = result.w_history[-1][2 * n:]
+    ys = result.state.y
     worst = max(worst, float(np.max(np.abs(ys - ref_iterates[len(xs) - 1][2]))))
     ok = worst <= 1e-10 and len(xs) == 30
     _report(9, ok, f"engine vs independent two-block ADMM over 30 iterations: "

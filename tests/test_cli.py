@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import read_trace
 from nladmm import cli
 from nladmm.engine import TraceRow
 
@@ -18,7 +19,7 @@ class TestTraceCsv:
                          r_norm=0.30000000000000004, s_norm=7.0, rho=1.01)]
         path = tmp_path / "trace.csv"
         cli.write_trace(path, rows)
-        back = cli.read_trace(path)
+        back = read_trace(path)
         assert back[0]["objective"] == 0.1
         assert back[0]["primal_residual"] == 1.0 / 3.0
         assert back[0]["dual_residual"] == 1e-300
@@ -77,6 +78,18 @@ class TestUsageErrors:
         sign = "nonnegative" if flag == "--rho-delta" else "positive"
         assert f"argument {flag}: must be finite and {sign}" in capsys.readouterr().err
 
+    def test_diagnose_with_growing_rho(self, tmp_path, capsys):
+        """The diagnostics need a constant rho, so the combination is
+        refused before any solve runs and no trace is written."""
+        out = tmp_path / "d.csv"
+        with pytest.raises(SystemExit) as e:
+            cli.main(["example1", "--diagnose", "--rho-schedule", "increment",
+                      "--output", str(out)])
+        assert e.value.code == 64
+        err = capsys.readouterr().err
+        assert "--diagnose" in err and "--rho-schedule increment" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("subcommand, flag", [
         ("onebit-cs", "--n"), ("onebit-cs", "--m"), ("onebit-cs", "--k"),
         ("multi-instance", "--bags"), ("multi-instance", "--instances"),
@@ -95,7 +108,7 @@ class TestExampleSubcommands:
         code = cli.main(["example1", "--rho0", "1", "--rho-schedule", "constant",
                          "--max-iter", "30", "--output", str(out)])
         assert code in (0, 2)
-        rows = cli.read_trace(out)
+        rows = read_trace(out)
         assert 0 < len(rows) <= 30
         assert rows[-1]["objective"] == pytest.approx(0.5, abs=1e-3)
         assert "example1" in capsys.readouterr().out
@@ -112,7 +125,7 @@ class TestExampleSubcommands:
         header = out.read_text().splitlines()[0]
         assert header == ("iter,objective,primal_residual,dual_residual,rho"
                           ",bound,gap,lyapunov,vi_norm")
-        rows = cli.read_trace(out)
+        rows = read_trace(out)
         for r in rows:
             assert r["gap"] <= r["bound"] + 1e-8
 
@@ -122,13 +135,31 @@ class TestExampleSubcommands:
         out = tmp_path / "d.csv"
         code = cli.main(["example2", "--diagnose", "--rho0", "49", "--output", str(out)])
         assert code in (0, 2)
-        rows = cli.read_trace(out)
+        rows = read_trace(out)
         assert list(rows[0]) == cli.DIAG_HEADER
         assert all(r["gap"] <= r["bound"] + 1e-8 for r in rows)
 
     def test_increment_schedule_runs(self):
         assert cli.main(["example1", "--rho-schedule", "increment",
                          "--rho-delta", "0.1"]) in (0, 2)
+
+    def test_diagnose_increment_with_zero_delta(self, tmp_path):
+        """An increment schedule with --rho-delta 0 keeps rho constant, so
+        the diagnostics still run."""
+        out = tmp_path / "d.csv"
+        code = cli.main(["example1", "--diagnose", "--rho-schedule", "increment",
+                         "--rho-delta", "0", "--output", str(out)])
+        assert code in (0, 2)
+        rows = read_trace(out)
+        assert list(rows[0]) == cli.DIAG_HEADER
+        assert all(r["gap"] <= r["bound"] + 1e-8 for r in rows)
+
+    def test_example2_tiny_rho0_exit_1(self, capsys):
+        """At rho0 = 1e-160 the stationarity cubic's 27a^3 underflows; the
+        solve fails with the CLI's error line, not a traceback."""
+        assert cli.main(["example2", "--rho0", "1e-160"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver failed:") and "underflows" in err
 
 
 class TestOnebitSubcommand:
@@ -138,7 +169,7 @@ class TestOnebitSubcommand:
                          "--max-iter", "30", "--seed", "1",
                          "--output", str(out)])
         assert code in (0, 2)
-        rows = cli.read_trace(out)
+        rows = read_trace(out)
         assert len(rows) <= 30
         text = capsys.readouterr().out
         assert "sphere_residual" in text
@@ -178,7 +209,7 @@ class TestBagSubcommands:
         code = cli.main(["multi-instance", "--input", str(data),
                          "--max-iter", "200", "--output", str(out)])
         assert code in (0, 2)
-        rows = cli.read_trace(out)
+        rows = read_trace(out)
         assert len(rows) <= 200
         assert "max_rule_gap" in capsys.readouterr().out
 

@@ -1,21 +1,19 @@
 import numpy as np
 import pytest
 
+from helpers import record_duals, vi_sequences
 from nladmm import scalar_examples as se
 from nladmm.diagnostics import (
     OptimumReference,
     check_reference_feasible,
-    d_norm_sq,
     diagnose_result,
     error_bound,
     lyapunov,
+    recover_duals,
     vi_matrices,
-    vi_sequence_check,
-    write_report_csv,
-    DiagnosticsRow,
 )
-from nladmm.engine import IterateState, RhoSchedule
-from nladmm.errors import EmptyTrace, MissingReference
+from nladmm.engine import IterateState, RhoSchedule, SolveResult, TraceRow
+from nladmm.errors import MissingReference
 from nladmm.terms import ConstraintTerm, linear_constraint
 
 
@@ -122,41 +120,8 @@ class TestViMatrices:
         mats = vi_matrices(d=1, rho=2.0)
         v = np.array([1.0, 1.0, 2.0])
         # D = diag(0, 2, 1/2) -> 0 + 2 + 2 = 4
-        assert d_norm_sq(mats, v) == pytest.approx(4.0)
-
-
-class TestViSequenceCheck:
-    def test_empty_raises(self):
-        mats = vi_matrices(d=1, rho=1.0)
-        with pytest.raises(EmptyTrace):
-            vi_sequence_check([np.zeros(3)], [], mats)
-
-    def test_length_mismatch(self):
-        mats = vi_matrices(d=1, rho=1.0)
-        with pytest.raises(ValueError):
-            vi_sequence_check([np.zeros(3)], [np.zeros(3)], mats)
-
-    def test_single_step(self):
-        mats = vi_matrices(d=1, rho=1.0)
-        w0 = np.array([1.0, 2.0, 3.0])
-        wt = np.array([0.0, 1.0, 1.0])
-        step = mats.E @ (w0 - wt)
-        report = vi_sequence_check([w0, w0 - step], [wt], mats)
-        assert len(report.values) == 1
-        assert report.identity_residuals[0] <= 1e-12
-        assert report.increase_flags == []
-
-    def test_flags_increase(self):
-        mats = vi_matrices(d=1, rho=1.0)
-        wts = []
-        ws = [np.array([0.0, 1.0, 0.0])]
-        for delta in (0.1, 0.5):  # growing step -> flagged
-            wt = ws[-1] - np.array([0.0, delta, 0.0])
-            step = mats.E @ (ws[-1] - wt)
-            wts.append(wt)
-            ws.append(ws[-1] - step)
-        report = vi_sequence_check(ws, wts, mats)
-        assert report.increase_flags == [1]
+        assert np.array_equal(mats.D, np.diag([0.0, 2.0, 0.5]))
+        assert float(v @ mats.D @ v) == pytest.approx(4.0)
 
 
 class TestDiagnoseResult:
@@ -177,17 +142,61 @@ class TestDiagnoseResult:
         assert all(r.flags == "" for r in rows)
 
     @pytest.mark.parametrize("which", [se.EXAMPLE_SQRT, se.EXAMPLE_CIRCLE])
-    def test_vi_norm_matches_dense_matrices(self, which):
+    def test_vi_norm_matches_dense_matrices(self, which, monkeypatch):
+        """The closed-form VI value equals ||E(w - w~)||_D^2 with the dense
+        matrices, on w and w~ rebuilt from the recorded iterates and the
+        engine's own duals."""
+        ys = record_duals(monkeypatch, se)
         run = se.run_example(which, RhoSchedule.constant(1.0))
         problem = se.build_example(which)
         rows = diagnose_result(run.result, se.example_reference(which), problem.f1,
                                problem.f2, run.x1_history, run.x2_history)
+        w, w_tilde = vi_sequences(problem.f1, problem.f2, run.x1_history,
+                                  run.x2_history, ys + [run.result.state.y], 1.0)
         mats = vi_matrices(d=1, rho=1.0)
-        history = zip(run.result.w_history, run.result.w_tilde_history)
-        dense = [d_norm_sq(mats, mats.E @ (w - wt)) for w, wt in history]
+        dense = []
+        for wk, wt in zip(w, w_tilde):
+            step = mats.E @ (wk - wt)
+            dense.append(float(step @ mats.D @ step))
         assert len(dense) == len(rows)
         for row, value in zip(rows, dense):
             assert abs(row.vi_norm - value) <= 1e-12
+
+    @pytest.mark.parametrize("schedule", [RhoSchedule.constant(1.0),
+                                          RhoSchedule.constant(49.0),
+                                          RhoSchedule.increment(1.0, 0.1)],
+                             ids=["rho1", "rho49", "increment"])
+    @pytest.mark.parametrize("which", [se.EXAMPLE_SQRT, se.EXAMPLE_CIRCLE])
+    def test_recovered_duals_match_engine(self, which, schedule, monkeypatch):
+        """The duals recovered backward from the final one equal those the
+        engine handed its x1 block, y^0 included."""
+        ys = record_duals(monkeypatch, se)
+        run = se.run_example(which, schedule, y0=0.3)
+        problem = se.build_example(which)
+        recovered = recover_duals(run.result, problem.f1, problem.f2,
+                                  run.x1_history, run.x2_history)
+        recorded = ys + [run.result.state.y]
+        assert len(recovered) == len(recorded) == len(run.result.trace) + 1
+        assert recorded[0][0] == 0.3
+        for a, b in zip(recovered, recorded):
+            assert np.max(np.abs(a - b)) <= 1e-12
+
+    def test_flags_increase(self):
+        """A VI value that grows by more than 1e-10 is flagged. With f1 = x,
+        f2 = z - 1 and rho = 1 the values are 2 (z^i - z^{i+1})^2 when
+        x^{i+1} + z^i = 1: 0.02, then 0.5."""
+        f2 = _affine(np.array([-1.0]))
+        ref = OptimumReference(x1_star=np.array([0.5]), x2_star=np.array([0.5]),
+                               y_star=np.zeros(1), p_star=0.0)
+        trace = [TraceRow(k=k, objective=0.0, r_norm=1.0, s_norm=1.0, rho=1.0)
+                 for k in range(2)]
+        state = IterateState(x1=np.array([0.9]), x2=np.array([0.6]), y=np.zeros(1), rho=1.0)
+        x1s = [np.array([v]) for v in (0.0, 1.0, 0.9)]
+        x2s = [np.array([v]) for v in (0.0, 0.1, 0.6)]
+        rows = diagnose_result(SolveResult(state, trace, False), ref, _identity(), f2,
+                               x1s, x2s)
+        assert [r.vi_norm for r in rows] == pytest.approx([0.02, 0.5])
+        assert [r.flags for r in rows] == ["", "increase"]
 
     def test_rejects_varying_rho(self):
         run = se.run_example(se.EXAMPLE_SQRT, RhoSchedule.increment(1.0, 0.1))
@@ -196,17 +205,3 @@ class TestDiagnoseResult:
         with pytest.raises(ValueError):
             diagnose_result(run.result, ref, problem.f1, problem.f2,
                             run.x1_history, run.x2_history)
-
-
-class TestReportCsv:
-    def test_write_and_read_back(self, tmp_path):
-        rows = [DiagnosticsRow(k=0, bound=1.25, gap=0.5, lyapunov=2.0,
-                               vi_norm=0.1, flags=""),
-                DiagnosticsRow(k=1, bound=0.5, gap=0.25, lyapunov=1.5,
-                               vi_norm=0.05, flags="increase")]
-        path = tmp_path / "report.csv"
-        write_report_csv(path, rows)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "k,bound,gap,V,vi_norm,flags"
-        assert lines[1].split(",")[1] == repr(1.25)
-        assert lines[2].endswith("increase")

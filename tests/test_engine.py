@@ -1,15 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from helpers import vi_sequences
 from nladmm import datagen, engine, maxop, sphere
 from nladmm.engine import (
     IterateState,
     Problem,
     RhoSchedule,
+    SolveResult,
     StopCriteria,
-    augmented_lagrangian,
-    dual_update,
-    residuals,
     solve,
 )
 from nladmm.errors import DimensionMismatch, SubproblemFailure
@@ -35,13 +36,11 @@ def affine_constraint(A, c):
 class TestRhoSchedule:
     def test_constant(self):
         s = RhoSchedule.constant(2.5)
-        assert s.is_constant
         assert s.at(0) == 2.5
         assert s.at(100) == 2.5
 
     def test_increment(self):
         s = RhoSchedule.increment(1.0, 0.5)
-        assert not s.is_constant
         assert s.at(0) == 1.0
         assert s.at(4) == 3.0
 
@@ -71,73 +70,62 @@ class TestStopCriteria:
             StopCriteria(**kw)
 
 
-class TestAugmentedLagrangian:
-    def test_hand_value(self):
-        # F1 = x^2, F2 = z^2, constraint x + z - 1 = 0, at x=1, z=2, y=3, rho=2:
-        # 1 + 4 + 3*(1+2-1) + 1*(2)^2 = 15
-        f1 = linear_constraint(np.eye(1))
-        f2 = affine_constraint(np.eye(1), [-1.0])
-        val = augmented_lagrangian(lambda x: float(x[0]) ** 2,
-                                   lambda z: float(z[0]) ** 2,
-                                   f1, f2,
-                                   np.array([1.0]), np.array([2.0]),
-                                   np.array([3.0]), 2.0)
-        assert val == pytest.approx(15.0)
-
-    def test_feasible_point_drops_penalty(self):
-        f1 = linear_constraint(np.eye(1))
-        f2 = affine_constraint(np.eye(1), [-1.0])
-        val = augmented_lagrangian(lambda x: 0.0, lambda z: 0.0, f1, f2,
-                                   np.array([0.25]), np.array([0.75]),
-                                   np.array([7.0]), 100.0)
-        assert val == pytest.approx(0.0)
-
-    def test_bad_rho(self):
-        f = linear_constraint(np.eye(1))
-        with pytest.raises(ValueError):
-            augmented_lagrangian(lambda x: 0.0, lambda z: 0.0, f, f,
-                                 np.zeros(1), np.zeros(1), np.zeros(1), 0.0)
-
-    def test_dimension_mismatch(self):
-        f = linear_constraint(np.eye(2))
-        with pytest.raises(DimensionMismatch):
-            augmented_lagrangian(lambda x: 0.0, lambda z: 0.0, f, f,
-                                 np.zeros(2), np.zeros(2), np.zeros(3), 1.0)
+def _one_iteration(f1, f2, x1, x2_old, x2_new, y0, rho):
+    """One solve iteration from x2_old whose blocks return x1 and x2_new."""
+    problem = Problem(F1=lambda x: 0.0, F2=lambda z: 0.0, f1=f1, f2=f2,
+                      solve_x1=lambda *a: np.array(x1), solve_x2=lambda *a: np.array(x2_new))
+    init = IterateState(x1=np.array(x1), x2=np.array(x2_old), y=np.array(y0), rho=rho)
+    return solve(problem, init, RhoSchedule.constant(rho), StopCriteria(max_iter=1))
 
 
 class TestDualUpdate:
+    """The dual ascent step y + rho (f1(x1) + f2(x2)) of the engine's loop,
+    on f1 = identity and f2 = z - 1."""
+
+    F1, F2 = linear_constraint(np.eye(2)), affine_constraint(np.eye(2), [-1.0, -1.0])
+
     def test_hand_value(self):
-        y = dual_update(np.array([1.0, -1.0]), 2.0,
-                        np.array([0.5, 0.0]), np.array([0.0, 0.25]))
-        assert np.allclose(y, [2.0, -0.5])
+        # y = (1, -1) + 2 * ((0.5, 0) + (1, 1.25) - 1) = (2, -0.5)
+        x2 = [1.0, 1.25]
+        result = _one_iteration(self.F1, self.F2, [0.5, 0.0], x2, x2, [1.0, -1.0], 2.0)
+        assert np.allclose(result.state.y, [2.0, -0.5])
 
     def test_zero_residual_is_fixed_point(self):
-        y0 = np.array([3.0, -2.0])
-        y = dual_update(y0, 10.0, np.array([1.0, 2.0]), np.array([-1.0, -2.0]))
-        assert np.allclose(y, y0)
+        x2 = [0.75, -1.0]
+        result = _one_iteration(self.F1, self.F2, [0.25, 2.0], x2, x2, [3.0, -2.0], 10.0)
+        assert np.array_equal(result.state.y, [3.0, -2.0])
+        assert result.converged and result.trace[0].r_norm == 0.0
 
     def test_dimension_mismatch(self):
+        """A residual whose shape differs from its dual's stops the loop."""
+        init = IterateState(x1=np.zeros(3), x2=np.zeros(3), y=np.zeros(2), rho=1.0)
         with pytest.raises(DimensionMismatch):
-            dual_update(np.zeros(2), 1.0, np.zeros(3), np.zeros(2))
+            engine.iterate(init, [], [("y", lambda s: s.x1)], lambda *a: 0.0,
+                           lambda s: 0.0, RhoSchedule.constant(1.0), StopCriteria(max_iter=1))
 
 
 class TestResiduals:
+    """The residuals solve leaves in the state and the norms in its trace:
+    r = f1(x1) + f2(x2) and s = rho J1(x1)' (f2(x2) - f2(x2_old))."""
+
     def test_hand_values(self):
         # f1 = 2x, f2 = z - 1; x=1, z_new=0.5, z_old=2.
         f1 = linear_constraint([[2.0]])
         f2 = affine_constraint(np.eye(1), [-1.0])
-        primal, dual = residuals(f1, f2, np.array([1.0]), np.array([0.5]),
-                                 np.array([2.0]), rho=3.0)
-        assert np.allclose(primal, [1.5])       # 2*1 + (0.5 - 1)
-        assert np.allclose(dual, [-9.0])        # 3 * 2 * (-0.5 - 1.0)
+        result = _one_iteration(f1, f2, [1.0], [2.0], [0.5], [0.0], 3.0)
+        assert np.allclose(result.state.primal_residual, [1.5])  # 2*1 + (0.5 - 1)
+        assert np.allclose(result.state.dual_residual, [-9.0])   # 3 * 2 * (-0.5 - 1.0)
+        assert result.trace[0].r_norm == pytest.approx(1.5)
+        assert result.trace[0].s_norm == pytest.approx(9.0)
 
     def test_zero_when_stationary(self):
         f1 = linear_constraint(np.eye(2))
         f2 = affine_constraint(-np.eye(2), [0.0, 0.0])
-        x = np.array([0.3, -0.4])
-        primal, dual = residuals(f1, f2, x, x, x, rho=5.0)
-        assert np.allclose(primal, 0.0)
-        assert np.allclose(dual, 0.0)
+        x = [0.3, -0.4]
+        result = _one_iteration(f1, f2, x, x, x, [0.0, 0.0], 5.0)
+        assert np.allclose(result.state.primal_residual, 0.0)
+        assert np.allclose(result.state.dual_residual, 0.0)
+        assert result.trace[0].r_norm == 0.0 and result.trace[0].s_norm == 0.0
 
 
 class TestJacobians:
@@ -216,9 +204,10 @@ class TestSolve:
                        StopCriteria(max_iter=7, tol_primal=1e-14, tol_dual=1e-14))
         assert len(result.trace) == 7
         assert [row.k for row in result.trace] == list(range(7))
-        assert len(result.w_history) == 8
-        assert len(result.w_tilde_history) == 7
-        assert all(w.shape == (3,) for w in result.w_history)
+        # No iterate histories are kept: the diagnostics rebuild them.
+        assert [f.name for f in dataclasses.fields(SolveResult)] == [
+            "state", "trace", "converged"]
+        assert result.state.k == 7
 
     def test_increment_schedule_recorded(self):
         problem = self._linear_problem()
@@ -243,17 +232,32 @@ class TestSolve:
             solve(problem, init, RhoSchedule.constant(1.0), StopCriteria(max_iter=5))
 
     def test_update_identity_along_run(self):
-        """w^{k+1} = w^k - E (w^k - w~^k) with the diagnostics matrices."""
+        """w^{k+1} = w^k - E (w^k - w~^k) with the diagnostics matrices, on
+        the iterates and duals the engine hands its block solvers."""
         from nladmm.diagnostics import vi_matrices
         problem = self._linear_problem()
+        x1s, x2s, ys = [np.zeros(1)], [np.zeros(1)], []
+
+        def solve_x1(x1, x2, y, rho):
+            ys.append(y.copy())
+            x1s.append(problem.solve_x1(x1, x2, y, rho))
+            return x1s[-1]
+
+        def solve_x2(x1, x2, y, rho):
+            x2s.append(problem.solve_x2(x1, x2, y, rho))
+            return x2s[-1]
+
+        recorded = dataclasses.replace(problem, solve_x1=solve_x1, solve_x2=solve_x2)
         init = IterateState(x1=np.zeros(1), x2=np.zeros(1), y=np.zeros(1), rho=2.0)
-        result = solve(problem, init, RhoSchedule.constant(2.0),
+        result = solve(recorded, init, RhoSchedule.constant(2.0),
                        StopCriteria(max_iter=20, tol_primal=1e-14, tol_dual=1e-14))
+        w, w_tilde = vi_sequences(problem.f1, problem.f2, x1s, x2s,
+                                  ys + [result.state.y], 2.0)
+        assert len(w_tilde) == len(result.trace) == 20
         mats = vi_matrices(d=1, rho=2.0)
-        for k, wt in enumerate(result.w_tilde_history):
-            step = mats.E @ (result.w_history[k] - wt)
-            assert np.allclose(result.w_history[k + 1],
-                               result.w_history[k] - step, atol=1e-10)
+        for k, wt in enumerate(w_tilde):
+            step = mats.E @ (w[k] - wt)
+            assert np.allclose(w[k + 1], w[k] - step, atol=1e-10)
 
 
 def _run_sphere(stop):

@@ -5,12 +5,12 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from nladmm.errors import DegenerateAllZero, InvalidBracket, NonFiniteIterate
+from helpers import InvalidBracket, golden_section_min
+from nladmm.errors import DegenerateAllZero, NoCandidate, NonFiniteIterate
 from nladmm.inner import (
     FistaConfig,
     cubic_real_roots,
     fista,
-    golden_section_min,
 )
 from nladmm.terms import (
     CompositeObjective,
@@ -69,6 +69,13 @@ class TestCubicRealRoots:
     def test_all_zero_raises(self):
         with pytest.raises(DegenerateAllZero):
             cubic_real_roots(0.0, 0.0, 0.0, 0.0)
+
+    @pytest.mark.parametrize("a", [2e-160, -1e-104, 5e-324])
+    def test_underflowing_leading_coefficient_raises(self, a):
+        """27a^3 below the normal float range: the closed form would divide
+        by an underflowed number, so the solver refuses the cubic."""
+        with pytest.raises(NoCandidate, match="underflows"):
+            cubic_real_roots(a, 0.0, 2.0 * a, 1.0)
 
     @pytest.mark.xfail(strict=True, reason="known defect: with |a| far below the other "
                        "coefficients the closed form loses roots or divides by zero")

@@ -21,13 +21,13 @@ class TestTUpdateBag:
         # psi=0, phi=(3,1): only the top entry is averaged with psi.
         t = maxop.t_update_bag(0.0, np.array([3.0, 1.0]))
         assert np.allclose(t, [1.5, 1.0])
-        assert maxop.bag_objective(0.0, np.array([3.0, 1.0]), t) == pytest.approx(4.5)
+        assert bag_subproblem_value(0.0, np.array([3.0, 1.0]), t) == pytest.approx(4.5)
 
     def test_hand_example_large_psi(self):
         # psi=10, phi=(1,1): stable sort averages the first tied entry.
         t = maxop.t_update_bag(10.0, np.array([1.0, 1.0]))
         assert np.allclose(t, [5.5, 1.0])
-        assert maxop.bag_objective(10.0, np.array([1.0, 1.0]), t) == pytest.approx(40.5)
+        assert bag_subproblem_value(10.0, np.array([1.0, 1.0]), t) == pytest.approx(40.5)
 
     def test_single_instance(self):
         t = maxop.t_update_bag(4.0, np.array([2.0]))
@@ -38,7 +38,7 @@ class TestTUpdateBag:
         # (1 + 0 - 1 - 10) / 4 = -2.5, which beats lowering the max alone.
         t = maxop.t_update_bag(-10.0, np.array([1.0, 0.0, -1.0]))
         assert np.allclose(t, [-2.5, -2.5, -2.5])
-        h = maxop.bag_objective(-10.0, np.array([1.0, 0.0, -1.0]), t)
+        h = bag_subproblem_value(-10.0, np.array([1.0, 0.0, -1.0]), t)
         assert h == pytest.approx(77.0)
 
     def test_already_consistent(self):
@@ -65,7 +65,7 @@ class TestTUpdateBag:
             phi = rng.standard_normal(n) * rng.uniform(0.5, 4.0)
             psi = float(rng.standard_normal() * rng.uniform(0.5, 4.0))
             t = maxop.t_update_bag(psi, phi)
-            h = maxop.bag_objective(psi, phi, t)
+            h = bag_subproblem_value(psi, phi, t)
             assert h <= bag_subproblem_oracle(psi, phi) + 1e-9
 
     def test_block_average_objective_nondecreasing(self):

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from helpers import golden_section_min
 from nladmm import scalar_examples as se
 from nladmm.diagnostics import check_reference_feasible
 from nladmm.engine import RhoSchedule
-from nladmm.inner import golden_section_min
 
 
 class TestKnownOptima:

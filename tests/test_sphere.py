@@ -139,7 +139,7 @@ class TestOneBitPieces:
         assert z[1] == pytest.approx(1000.0 * (-1.0) / 1010.0)
 
     def test_update_z_matches_scalar_oracle(self):
-        from nladmm.inner import golden_section_min
+        from helpers import golden_section_min
         rng = np.random.default_rng(5)
         for _ in range(100):
             a = float(rng.uniform(-3, 3))
