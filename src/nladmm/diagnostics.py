@@ -50,9 +50,7 @@ def error_bound(state: IterateState, p_current: float, prev_f2: np.ndarray,
     else:
         eps = float(np.max(np.abs(f1.eval(state.x1) - f1.eval(ref.x1_star))))
     delta_f2 = f2.eval(state.x2) - np.asarray(prev_f2, dtype=float)
-    r = state.primal_residual
-    if r is None:
-        r = f1.eval(state.x1) + f2.eval(state.x2)
+    r = f1.eval(state.x1) + f2.eval(state.x2)
     bound = state.rho * eps * float(np.sum(np.abs(delta_f2))) - float(state.y @ r)
     gap = float(p_current) - ref.p_star
     return bound, gap
@@ -97,12 +95,6 @@ def vi_matrices(d: int, rho: float) -> ViMatrices:
                   [np.zeros((d, 2 * d)), I / rho]])
     E = np.block([[np.eye(2 * d), np.zeros((2 * d, d))], [rho * B, I]])
     G = C + C.T - E.T @ D @ E
-
-    # Structural identities of the construction.
-    assert np.max(np.abs(C - D @ E)) == 0.0
-    G_expected = np.zeros((3 * d, 3 * d))
-    G_expected[2 * d:, 2 * d:] = I / rho
-    assert np.allclose(G, G_expected, atol=1e-12)
     return ViMatrices(d=d, rho=rho, C=C, D=D, E=E, G=G)
 
 

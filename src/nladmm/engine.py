@@ -71,8 +71,6 @@ class IterateState:
     y: np.ndarray
     rho: float
     k: int = 0
-    primal_residual: np.ndarray | None = None
-    dual_residual: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -175,12 +173,10 @@ def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
         nonlocal f2x2, f2_old
         f2_old = f2x2
         f2x2 = f2.eval(s.x2)
-        s.primal_residual = f1.eval(s.x1) + f2x2
-        return s.primal_residual
+        return f1.eval(s.x1) + f2x2
 
     def dual_norm(s, previous, rho):
-        s.dual_residual = rho * (f1.jacobian(s.x1).T @ (f2x2 - f2_old))
-        return float(np.linalg.norm(s.dual_residual))
+        return float(np.linalg.norm(rho * (f1.jacobian(s.x1).T @ (f2x2 - f2_old))))
 
     blocks = [
         ("x1", lambda s, rho: np.asarray(problem.solve_x1(s.x1, s.x2, s.y, rho), dtype=float)),

@@ -6,14 +6,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from numbers import Real
 from typing import List
 
 import numpy as np
 
 from .errors import DegenerateAllZero, NoCandidate, NonFiniteIterate
 from .terms import CompositeObjective
-
-_MAX_BACKTRACKS = 200
 
 
 def _cbrt(x: float) -> float:
@@ -24,90 +23,52 @@ def _cbrt(x: float) -> float:
 class FistaConfig:
     max_iter: int = 500
     tol: float = 1e-8
-    initial_step: float = 1.0
-    backtracking_factor: float = 0.5
 
     def __post_init__(self):
-        fields = (self.max_iter, self.tol, self.initial_step, self.backtracking_factor)
-        if not all(math.isfinite(v) for v in fields):
+        if not (math.isfinite(self.max_iter) and math.isfinite(self.tol)):
             raise ValueError("FISTA configuration fields must be finite")
-        if self.max_iter < 1 or self.tol <= 0 or self.initial_step <= 0:
+        if self.max_iter < 1 or self.tol <= 0:
             raise ValueError("invalid FISTA configuration")
-        if not 0.0 < self.backtracking_factor < 1.0:
-            raise ValueError("backtracking_factor must lie in (0, 1)")
-
-
-def _backtracked_step(obj: CompositeObjective, z: np.ndarray, step: float,
-                      factor: float):
-    """Proximal gradient step from z with the standard sufficient-decrease
-    backtracking on the smooth part. Returns (new point, accepted step).
-
-    The step shrinks at most _MAX_BACKTRACKS times and never below 1e-18,
-    so a smooth part that returns NaN cannot keep the loop running."""
-    g = obj.smooth.gradient(z)
-    fz = obj.smooth.value(z)
-    for _ in range(_MAX_BACKTRACKS):
-        xn = obj.nonsmooth.prox(z - step * g, step)
-        diff = xn - z
-        quad = fz + g @ diff + (diff @ diff) / (2.0 * step)
-        if obj.smooth.value(xn) <= quad + 1e-12 * (1.0 + abs(quad)):
-            return xn, step
-        step *= factor
-        if not step >= 1e-18:
-            break
-    return xn, step
 
 
 def fista(obj: CompositeObjective, x0: np.ndarray,
           cfg: FistaConfig = FistaConfig(),
           lipschitz: float | None = None) -> np.ndarray:
-    """Accelerated proximal gradient (Beck & Teboulle 2009).
+    """Accelerated proximal gradient (Beck & Teboulle 2009) with the fixed
+    step 1/L.
 
-    Without ``lipschitz`` the step backtracks from ``cfg.initial_step`` and
-    function-value restart keeps the returned point no worse than x0.
-
-    With ``lipschitz`` = L, an upper bound on the Lipschitz constant of the
-    smooth gradient (callers pass the declared ``obj.smooth.lipschitz``),
-    every step is 1/L: no backtracking and no objective values inside the
-    loop. Momentum restarts when it points against the generalized
-    gradient, (z - x_new)·(x_new - x) > 0 (O'Donoghue & Candès 2015), and
-    x0 is returned if the result has a larger composite objective, so the
-    result is never worse than x0 on either path.
+    ``lipschitz`` = L bounds the Lipschitz constant of the smooth gradient
+    (callers pass the declared ``obj.smooth.lipschitz``); a missing,
+    non-finite or non-positive L raises ValueError. No objective values are
+    taken inside the loop. Momentum restarts when it points against the
+    generalized gradient, (z - x_new)·(x_new - x) > 0 (O'Donoghue & Candès
+    2015), and x0 is returned if the result has a larger composite
+    objective, so the result is never worse than x0.
     """
-    if lipschitz is not None and not (math.isfinite(lipschitz) and lipschitz > 0):
-        raise ValueError(f"lipschitz must be finite and positive, got {lipschitz}")
+    if not (isinstance(lipschitz, Real) and math.isfinite(lipschitz) and lipschitz > 0):
+        raise ValueError(f"lipschitz must be finite and positive, got {lipschitz!r}")
     x = np.asarray(x0, dtype=float).copy()
     fx = obj.value(x)
     z = x
     t = 1.0
-    step = cfg.initial_step if lipschitz is None else 1.0 / lipschitz
+    step = 1.0 / lipschitz
 
     for _ in range(cfg.max_iter):
-        if lipschitz is None:
-            xn, step = _backtracked_step(obj, z, step, cfg.backtracking_factor)
-            fn = obj.value(xn)
-            if fn > fx:
-                # Momentum overshot: restart from the current best iterate.
-                xn, step = _backtracked_step(obj, x, step, cfg.backtracking_factor)
-                fn = obj.value(xn)
-                t = 1.0
-            fx = min(fn, fx)
-        else:
-            xn = obj.nonsmooth.prox(z - step * obj.smooth.gradient(z), step)
+        xn = obj.nonsmooth.prox(z - step * obj.smooth.gradient(z), step)
         d = xn - x
         dd = float(d @ d)
         # A NaN or Inf in xn makes dd non-finite; the full check runs only
         # then, since finite iterates far apart can overflow dd as well.
         if not math.isfinite(dd) and not np.all(np.isfinite(xn)):
             raise NonFiniteIterate("non-finite iterate in accelerated proximal gradient")
-        if lipschitz is not None and (z - xn) @ d > 0.0:
+        if (z - xn) @ d > 0.0:
             t = 1.0
         tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
         z = xn + ((t - 1.0) / tn) * d
         x, t = xn, tn
         if math.sqrt(dd) <= cfg.tol:
             break
-    if lipschitz is not None and obj.value(x) > fx:
+    if obj.value(x) > fx:
         return np.asarray(x0, dtype=float).copy()
     return x
 
@@ -155,7 +116,8 @@ def cubic_real_roots(a: float, b: float, c: float, d: float) -> CubicRealRoots:
     case. Uses the closed form (trigonometric branch when all three roots
     are real) followed by a Newton polish per root. A nonzero ``a`` with
     27a^3 below the normal float range raises NoCandidate: the closed form
-    divides by 27a^3, which has underflowed.
+    divides by 27a^3, which has underflowed. So does a cubic whose depressed
+    coefficients overflow.
     """
     if a == 0.0 and b == 0.0 and c == 0.0 and d == 0.0:
         raise DegenerateAllZero("all cubic coefficients are zero")
@@ -179,10 +141,16 @@ def cubic_real_roots(a: float, b: float, c: float, d: float) -> CubicRealRoots:
         p = (3.0 * a * c - b * b) / (3.0 * a * a)
         q = (2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a ** 3)
         shift = -b / (3.0 * a)
-        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-        # Rounding can push a repeated root across the disc = 0 boundary, so
-        # the boundary case is detected with a relative tolerance.
-        scale = (q / 2.0) ** 2 + abs(p / 3.0) ** 3
+        try:
+            disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+            # Rounding can push a repeated root across the disc = 0 boundary,
+            # so the boundary case is detected with a relative tolerance.
+            scale = (q / 2.0) ** 2 + abs(p / 3.0) ** 3
+        except OverflowError:
+            scale = math.inf
+        if not math.isfinite(scale):
+            raise NoCandidate(f"cubic coefficients ({a!r}, {b!r}, {c!r}, {d!r}) "
+                              "overflow the closed form")
         if abs(disc) <= 1e-12 * scale:
             if p == 0.0:
                 roots = [shift]  # triple root

@@ -148,20 +148,18 @@ class MaxOpState:
 
 def update_q(loss: CompositeObjective, data: BagDataset, t: np.ndarray,
              y1: np.ndarray, rho: float,
-             cfg: FistaConfig | None = None) -> np.ndarray:
+             cfg: FistaConfig = FistaConfig()) -> np.ndarray:
     """Approximate argmin_q loss(q) + (rho/2)||q - max t + y1/rho||^2, with
-    the fixed step 1/(L + rho) when the loss declares its constant L (1/4
-    for the logistic loss); otherwise the step backtracks from 1/rho."""
+    the fixed step 1/(L + rho) for the constant L the loss declares (1/4
+    for the logistic loss); a loss that declares none raises ValueError."""
     center = data.bag_max(t) - y1 / rho
     obj = with_quadratic(loss, rho, center)
-    if cfg is None:
-        cfg = FistaConfig(initial_step=1.0 / rho)
     return fista(obj, center, cfg, lipschitz=obj.smooth.lipschitz)
 
 
 def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
                 y2: np.ndarray, rho: float,
-                cfg: FistaConfig | None = None,
+                cfg: FistaConfig = FistaConfig(),
                 beta0: np.ndarray | None = None) -> np.ndarray:
     """Approximate argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2,
     by FISTA with the fixed step 1/(rho lambda_max(X'X))."""
@@ -181,8 +179,7 @@ def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
     smooth = SmoothTerm(value=value, gradient=gradient, lipschitz=rho * max(lmax, 1e-12))
     obj = CompositeObjective(smooth, reg)
     start = np.zeros(X.shape[1]) if beta0 is None else beta0
-    return fista(obj, start, FistaConfig() if cfg is None else cfg,
-                 lipschitz=obj.smooth.lipschitz)
+    return fista(obj, start, cfg, lipschitz=obj.smooth.lipschitz)
 
 
 def t_update_bag(psi: float, phi: np.ndarray) -> np.ndarray:

@@ -97,7 +97,8 @@ def sphere_update_x(loss: CompositeObjective, w: np.ndarray, y2: np.ndarray,
                     rho: float, cfg: FistaConfig = FistaConfig(),
                     x0: np.ndarray | None = None) -> np.ndarray:
     """Approximate argmin_x loss(x) + (rho/2)||w - x + y2/rho||^2, with the
-    fixed step 1/(L + rho) when the loss declares its constant L."""
+    fixed step 1/(L + rho) for the constant L the loss declares; a loss that
+    declares none raises ValueError."""
     center = w + y2 / rho
     obj = with_quadratic(loss, rho, center)
     return fista(obj, center if x0 is None else x0, cfg, lipschitz=obj.smooth.lipschitz)

@@ -18,7 +18,8 @@ import numpy as np
 @dataclass(frozen=True)
 class SmoothTerm:
     """``lipschitz``, when known, bounds the Lipschitz constant of the
-    gradient; callers pass it to ``fista`` for a fixed step."""
+    gradient; callers pass it to ``fista``, whose step is 1/lipschitz and
+    which raises ValueError without it."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]

@@ -29,15 +29,15 @@ def _affine(shift, dim=1):
 
 class TestErrorBound:
     def test_hand_value(self):
-        """rho=1, eps=2 (forced), ||delta f2||_1 = 3, y.r = -1 -> bound 7."""
+        """rho=1, eps=2 (forced), ||delta f2||_1 = 3, r = -2 + 1 = -1 and
+        y.r = -1 -> bound 7."""
         f1 = _identity()
         f2 = _identity()
         ref = OptimumReference(x1_star=np.zeros(1), x2_star=np.zeros(1),
                                y_star=np.zeros(1), p_star=0.0,
                                epsilon=lambda k: 2.0)
-        state = IterateState(x1=np.array([0.5]), x2=np.array([1.0]),
-                             y=np.array([1.0]), rho=1.0, k=3,
-                             primal_residual=np.array([-1.0]))
+        state = IterateState(x1=np.array([-2.0]), x2=np.array([1.0]),
+                             y=np.array([1.0]), rho=1.0, k=3)
         bound, gap = error_bound(state, p_current=4.0, prev_f2=np.array([-2.0]),
                                  ref=ref, f1=f1, f2=f2)
         assert bound == pytest.approx(7.0)  # 1*2*3 - (1 * -1)
@@ -49,8 +49,7 @@ class TestErrorBound:
         ref = OptimumReference(x1_star=np.array([1.0]), x2_star=np.zeros(1),
                                y_star=np.zeros(1), p_star=0.0)
         state = IterateState(x1=np.array([3.0]), x2=np.array([0.0]),
-                             y=np.array([0.0]), rho=2.0, k=0,
-                             primal_residual=np.array([0.0]))
+                             y=np.array([0.0]), rho=2.0, k=0)
         bound, _ = error_bound(state, 0.0, prev_f2=np.array([-1.0]),
                                ref=ref, f1=f1, f2=f2)
         # eps = |3 - 1| = 2; delta f2 = 1; bound = 2*2*1 - 0 = 4
@@ -109,6 +108,16 @@ class TestViMatrices:
         assert np.allclose(mats.G, mats.G.T)
         assert float(np.min(np.linalg.eigvalsh(mats.G))) >= -1e-10
         assert np.array_equal(mats.C, mats.D @ mats.E)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_rho_inexact_reciprocal(self, d):
+        """At rho = 49, (1/rho) * rho != 1 in floating point, so C = DE
+        holds only to rounding; G is still diag(0, 0, I/rho)."""
+        mats = vi_matrices(d=d, rho=49.0)
+        assert np.allclose(mats.C, mats.D @ mats.E, rtol=0.0, atol=1e-15)
+        eig = np.sort(np.linalg.eigvalsh(mats.G))
+        expected = np.r_[np.zeros(2 * d), np.full(d, 1.0 / 49.0)]
+        assert np.allclose(eig, expected, rtol=0.0, atol=1e-15)
 
     def test_invalid(self):
         with pytest.raises(ValueError):

@@ -105,26 +105,30 @@ class TestDualUpdate:
 
 
 class TestResiduals:
-    """The residuals solve leaves in the state and the norms in its trace:
-    r = f1(x1) + f2(x2) and s = rho J1(x1)' (f2(x2) - f2(x2_old))."""
+    """The residual norms of the trace, r = f1(x1) + f2(x2) and
+    s = rho J1(x1)' (f2(x2) - f2(x2_old)), and r recomputed from the final
+    state, which the dual step y + rho r also recovers."""
 
     def test_hand_values(self):
         # f1 = 2x, f2 = z - 1; x=1, z_new=0.5, z_old=2.
         f1 = linear_constraint([[2.0]])
         f2 = affine_constraint(np.eye(1), [-1.0])
         result = _one_iteration(f1, f2, [1.0], [2.0], [0.5], [0.0], 3.0)
-        assert np.allclose(result.state.primal_residual, [1.5])  # 2*1 + (0.5 - 1)
-        assert np.allclose(result.state.dual_residual, [-9.0])   # 3 * 2 * (-0.5 - 1.0)
+        s = result.state
+        r = f1.eval(s.x1) + f2.eval(s.x2)
+        assert np.allclose(r, [1.5])  # 2*1 + (0.5 - 1)
+        assert np.allclose(s.y / 3.0, r)
         assert result.trace[0].r_norm == pytest.approx(1.5)
-        assert result.trace[0].s_norm == pytest.approx(9.0)
+        assert result.trace[0].s_norm == pytest.approx(9.0)  # |3 * 2 * (-0.5 - 1.0)|
 
     def test_zero_when_stationary(self):
         f1 = linear_constraint(np.eye(2))
         f2 = affine_constraint(-np.eye(2), [0.0, 0.0])
         x = [0.3, -0.4]
         result = _one_iteration(f1, f2, x, x, x, [0.0, 0.0], 5.0)
-        assert np.allclose(result.state.primal_residual, 0.0)
-        assert np.allclose(result.state.dual_residual, 0.0)
+        s = result.state
+        assert np.allclose(f1.eval(s.x1) + f2.eval(s.x2), 0.0)
+        assert np.array_equal(s.y, [0.0, 0.0])
         assert result.trace[0].r_norm == 0.0 and result.trace[0].s_norm == 0.0
 
 
@@ -262,7 +266,8 @@ class TestSolve:
 
 def _run_sphere(stop):
     loss = CompositeObjective(SmoothTerm(value=lambda x: -float(x[0]),
-                                         gradient=lambda x: np.array([-1.0, 0.0])),
+                                         gradient=lambda x: np.array([-1.0, 0.0]),
+                                         lipschitz=0.0),
                               zero_prox())
     init = sphere.SphereState(x=np.array([0.6, 0.8]), w=np.array([0.6, 0.8]),
                               y1=0.0, y2=np.zeros(2), rho=5.0)

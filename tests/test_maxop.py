@@ -3,10 +3,15 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import expit
 
-from helpers import bag_subproblem_oracle, bag_subproblem_value, record_lipschitz
+from helpers import (
+    bag_subproblem_oracle,
+    bag_subproblem_value,
+    lasso_cd_oracle,
+    record_lipschitz,
+)
 from nladmm import datagen, maxop
 from nladmm.engine import RhoSchedule, StopCriteria
-from nladmm.inner import FistaConfig, fista
+from nladmm.inner import FistaConfig
 from nladmm.terms import (
     CompositeObjective,
     SmoothTerm,
@@ -162,8 +167,8 @@ class TestBagDataset:
 class TestBlockUpdates:
     def test_update_q_zero_loss_returns_center(self):
         data = maxop.BagDataset.from_bags([1.0], [np.eye(2)])
-        zero = CompositeObjective(SmoothTerm(value=lambda q: 0.0,
-                                             gradient=np.zeros_like), zero_prox())
+        zero = CompositeObjective(SmoothTerm(value=lambda q: 0.0, gradient=np.zeros_like,
+                                             lipschitz=0.0), zero_prox())
         t = np.array([2.0, 5.0])
         y1 = np.array([1.0])
         q = maxop.update_q(zero, data, t, y1, rho=2.0,
@@ -197,24 +202,15 @@ class TestBlockUpdates:
         assert used == [0.25 + rho]
         assert np.allclose(q, self._q_oracle(data, t, y1, rho), atol=1e-7)
 
-    def test_update_q_undeclared_loss_backtracks(self, monkeypatch):
-        """A loss that declares no constant still gets the backtracking
-        q-update, which evaluates the smooth value inside the loop."""
-        used = record_lipschitz(monkeypatch, maxop)
+    def test_update_q_undeclared_loss_raises(self):
+        """A loss that declares no constant has no step: the q-update
+        raises instead of guessing one."""
         data, t, y1, rho = self._q_subproblem()
         logistic = logistic_loss(data.labels)
-        calls = []
-
-        def value(q):
-            calls.append(1)
-            return logistic.value(q)
-
-        loss = CompositeObjective(SmoothTerm(value=value, gradient=logistic.gradient),
+        loss = CompositeObjective(SmoothTerm(value=logistic.value, gradient=logistic.gradient),
                                   zero_prox())
-        q = maxop.update_q(loss, data, t, y1, rho)
-        assert used == [None]
-        assert len(calls) > 2
-        assert np.allclose(q, self._q_oracle(data, t, y1, rho), atol=1e-7)
+        with pytest.raises(ValueError, match="lipschitz"):
+            maxop.update_q(loss, data, t, y1, rho)
 
     def test_update_beta_least_squares(self):
         rng = np.random.default_rng(8)
@@ -234,10 +230,11 @@ class TestBlockUpdates:
                                  cfg=FistaConfig(tol=1e-14, max_iter=5000))
         assert np.allclose(beta, [2.0, 0.0, 0.0, 0.0], atol=1e-6)
 
-    @pytest.mark.parametrize("reg", [zero_prox(), l1_term(0.5)], ids=["none", "l1"])
-    def test_update_beta_matches_backtracking_oracle(self, reg):
-        """The fixed-step beta-update reaches the minimizer that backtracking
-        FISTA on an independently built objective reaches."""
+    @pytest.mark.parametrize("reg, lam", [(zero_prox(), 0.0), (l1_term(0.5), 0.5)],
+                             ids=["none", "l1"])
+    def test_update_beta_matches_coordinate_descent_oracle(self, reg, lam):
+        """The fixed-step beta-update reaches the minimizer that coordinate
+        descent on the same lasso finds."""
         data, _ = datagen.generate_bags(6, 3, 3, seed=5)
         rng = np.random.default_rng(9)
         t = rng.standard_normal(data.X.shape[0])
@@ -246,11 +243,7 @@ class TestBlockUpdates:
         beta = maxop.update_beta(reg, data, t, y2, rho,
                                  cfg=FistaConfig(tol=1e-14, max_iter=5000))
         X, b = data.X, t + y2 / rho
-        obj = CompositeObjective(
-            SmoothTerm(value=lambda v: 0.5 * rho * float((X @ v - b) @ (X @ v - b)),
-                       gradient=lambda v: rho * X.T @ (X @ v - b)),
-            reg)
-        oracle = fista(obj, np.zeros(3), FistaConfig(tol=1e-14, max_iter=20000))
+        oracle = lasso_cd_oracle(rho * X.T @ X, rho * X.T @ b, lam)
         assert np.allclose(beta, oracle, atol=1e-6)
 
     def test_update_beta_lipschitz_bound(self, monkeypatch):

@@ -1,5 +1,7 @@
 """Every module of the package except ``__init__`` uses each name it
-imports. ``__init__`` re-exports names, so it is left out."""
+imports (``__init__`` re-exports names, so it is left out), and no module
+has an ``assert`` statement: ``python -O`` strips them, so a check the
+package relies on raises a typed error instead."""
 
 import ast
 from pathlib import Path
@@ -47,3 +49,11 @@ def test_no_unused_imports(module):
     tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     unused = sorted(set(_imported(tree)) - _used(tree))
     assert not unused, f"{module} imports names it never uses: {unused}"
+
+
+def test_no_assert_statements():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements in the package: {found}"

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import record_lipschitz, sphere_penalty_oracle, sphere_penalty_value
+from helpers import (
+    lasso_cd_oracle,
+    record_lipschitz,
+    sphere_penalty_oracle,
+    sphere_penalty_value,
+)
 from nladmm import datagen, sphere
 from nladmm.engine import RhoSchedule, StopCriteria
-from nladmm.inner import FistaConfig, fista
-from nladmm.terms import CompositeObjective, SmoothTerm, l1_term, logistic_loss, zero_prox
+from nladmm.inner import FistaConfig
+from nladmm.terms import CompositeObjective, SmoothTerm, logistic_loss, zero_prox
 
 
 def stationarity_residual(w, v, alpha):
@@ -73,8 +78,8 @@ class TestSphereUpdates:
 
     def test_update_x_quadratic_only(self):
         """With zero loss the x update returns the pull center w + y2/rho."""
-        loss = CompositeObjective(SmoothTerm(value=lambda x: 0.0,
-                                             gradient=np.zeros_like), zero_prox())
+        loss = CompositeObjective(SmoothTerm(value=lambda x: 0.0, gradient=np.zeros_like,
+                                             lipschitz=0.0), zero_prox())
         w = np.array([0.3, -0.4])
         y2 = np.array([0.1, 0.2])
         x = sphere.sphere_update_x(loss, w, y2, rho=2.0,
@@ -83,21 +88,22 @@ class TestSphereUpdates:
 
     def test_update_x_declared_step(self, monkeypatch):
         """The x-update steps with the loss's declared constant plus rho,
-        and backtracks (no constant) for a loss that declares none."""
+        and raises for a loss that declares none."""
         used = record_lipschitz(monkeypatch, sphere)
         w, y2 = np.array([0.3, -0.4]), np.array([0.1, 0.2])
         declared = CompositeObjective(logistic_loss(np.array([1.0, 0.0])), zero_prox())
         sphere.sphere_update_x(declared, w, y2, rho=2.0)
         plain = CompositeObjective(SmoothTerm(value=lambda x: 0.0,
                                               gradient=np.zeros_like), zero_prox())
-        sphere.sphere_update_x(plain, w, y2, rho=2.0)
+        with pytest.raises(ValueError, match="lipschitz"):
+            sphere.sphere_update_x(plain, w, y2, rho=2.0)
         assert used == [0.25 + 2.0, None]
 
     def test_sphere_solve_linear_loss(self):
         """min -x1 over the unit sphere: the solution is e1."""
         loss = CompositeObjective(
             SmoothTerm(value=lambda x: -float(x[0]),
-                       gradient=lambda x: np.array([-1.0, 0.0])),
+                       gradient=lambda x: np.array([-1.0, 0.0]), lipschitz=0.0),
             zero_prox())
         problem = sphere.SphereProblem(loss=loss, dim=2)
         init = sphere.SphereState(x=np.array([0.6, 0.8]), w=np.array([0.6, 0.8]),
@@ -181,23 +187,16 @@ class TestOneBitPieces:
                 rng.standard_normal(m), rng.standard_normal(n))
 
     @pytest.mark.parametrize("rho", [0.5, 2.0, 1000.0])
-    def test_update_w_matches_backtracking_oracle(self, rho):
-        """The fixed-step w-update reaches the minimizer that backtracking
-        FISTA on an independently built objective reaches."""
+    def test_update_w_matches_coordinate_descent_oracle(self, rho):
+        """The fixed-step w-update reaches the minimizer that coordinate
+        descent on the same lasso finds."""
         Phi, y_sign, z, x, y2, y3 = self._w_subproblem(12)
         w = sphere.onebit_update_w(z, x, y2, y3, rho, Phi, y_sign,
                                    cfg=FistaConfig(tol=1e-14, max_iter=5000))
         M = y_sign[:, None] * Phi
         b, c = z - y2 / rho, x - y3 / rho
-
-        def value(v):
-            return 0.5 * rho * float((M @ v - b) @ (M @ v - b) + (v - c) @ (v - c))
-
-        obj = CompositeObjective(
-            SmoothTerm(value=value,
-                       gradient=lambda v: rho * (M.T @ (M @ v - b) + v - c)),
-            l1_term(1.0))
-        oracle = fista(obj, c, FistaConfig(tol=1e-14, max_iter=20000))
+        oracle = lasso_cd_oracle(rho * (M.T @ M + np.eye(M.shape[1])),
+                                 rho * (M.T @ b + c), 1.0)
         assert np.allclose(w, oracle, atol=1e-6)
 
     def test_update_w_lipschitz_bound(self, monkeypatch):
