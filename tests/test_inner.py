@@ -285,7 +285,10 @@ class TestFista:
         assert np.array_equal(x, np.zeros(2))
 
     @pytest.mark.parametrize("kw", [dict(max_iter=0), dict(tol=0.0),
-                                    dict(tol=math.nan), dict(tol=math.inf)])
+                                    dict(max_iter=-1), dict(tol=-1e-3),
+                                    dict(tol=math.nan), dict(tol=math.inf),
+                                    dict(max_iter=math.nan),
+                                    dict(max_iter=math.inf)])
     def test_invalid_config(self, kw):
         with pytest.raises(ValueError):
             FistaConfig(**kw)
