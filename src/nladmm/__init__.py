@@ -12,7 +12,7 @@ from .engine import (
     TraceRow,
     solve,
 )
-from .inner import CubicRealRoots, FistaConfig, cubic_real_roots, fista
+from .inner import FistaConfig, cubic_real_roots, fista
 from .terms import (
     CompositeObjective,
     ConstraintTerm,
@@ -29,7 +29,6 @@ __all__ = [
     "StopCriteria",
     "TraceRow",
     "solve",
-    "CubicRealRoots",
     "FistaConfig",
     "cubic_real_roots",
     "fista",

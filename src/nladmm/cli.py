@@ -58,14 +58,22 @@ def _schedule(args) -> RhoSchedule:
     return RhoSchedule.increment(args.rho0, args.rho_delta)
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """argparse type for an integer of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int, _nonnegative_int = _int_at_least(1), _int_at_least(0)
 
 
 def _finite_float(positive: bool):
@@ -117,7 +125,7 @@ def build_parser() -> _Parser:
     p.add_argument("--m", type=_positive_int, default=64, help="number of measurements")
     p.add_argument("--k", type=_positive_int, default=16, help="signal sparsity")
     p.add_argument("--lambda", type=_positive_float, default=10.0, dest="lam")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
 
     p = sub.add_parser("multi-instance", help="max-rule multi-instance learning")
     _add_common(p, rho0=0.1, max_iter=1000)
@@ -126,13 +134,13 @@ def build_parser() -> _Parser:
     p.add_argument("--instances", type=_positive_int, default=5)
     p.add_argument("--features", type=_positive_int, default=4)
     p.add_argument("--lambda", type=_positive_float, default=1.0, dest="lam")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
 
     p = sub.add_parser("generate-bags", help="write a synthetic bag dataset CSV")
     p.add_argument("--bags", type=_positive_int, default=20)
     p.add_argument("--instances", type=_positive_int, default=5)
     p.add_argument("--features", type=_positive_int, default=4)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--output", required=True)
     return parser
 

@@ -25,13 +25,12 @@ def generate_onebit(n: int, m: int, k: int, seed: int,
     return OneBitCsProblem(Phi=Phi, y_sign=signs, lam=lam), x_true
 
 
-def generate_bags(n_bags: int, n_instances: int, n_features: int,
-                  seed: int, margin: float = 20.0):
-    """Balanced bags separable with a margin under the max rule.
+def generate_bags(n_bags: int, n_instances: int, n_features: int, seed: int):
+    """Balanced bags separable with a margin of 20 under the max rule.
 
     A unit Gaussian weight vector beta* scores each instance; half the bags
     are positive. Negative bags have every instance score pushed below
-    -margin, positive bags get one instance pushed above +margin, so the
+    -20, positive bags get one instance pushed above +20, so the
     label always equals [max instance score > 0]. The wide margin keeps the
     bag scores on a scale where an l1 penalty of order one is a mild
     regularizer rather than a hard zeroing of the weights.
@@ -39,8 +38,6 @@ def generate_bags(n_bags: int, n_instances: int, n_features: int,
     Returns (dataset, true weights)."""
     if n_bags < 1 or n_instances < 1 or n_features < 1:
         raise ValueError("sizes must be positive")
-    if margin <= 0:
-        raise ValueError("margin must be positive")
     rng = np.random.default_rng(seed)
     beta_star = rng.standard_normal(n_features)
     beta_star /= np.linalg.norm(beta_star)
@@ -50,10 +47,10 @@ def generate_bags(n_bags: int, n_instances: int, n_features: int,
         X = rng.standard_normal((n_instances, n_features))
         scores = X @ beta_star
         if labels[i] == 0.0:
-            slack = margin + rng.exponential(1.0, n_instances)
+            slack = 20.0 + rng.exponential(1.0, n_instances)
             X = X - np.outer(scores + slack, beta_star)
         else:
             j = int(rng.integers(n_instances))
-            X[j] = X[j] + (margin + rng.exponential(1.0) - scores[j]) * beta_star
+            X[j] = X[j] + (20.0 + rng.exponential(1.0) - scores[j]) * beta_star
         instances.append(X)
     return BagDataset.from_bags(labels, instances), beta_star

@@ -5,7 +5,7 @@ the variational-inequality contraction value."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -17,20 +17,18 @@ from .terms import ConstraintTerm
 @dataclass(frozen=True)
 class OptimumReference:
     """A known optimum of the constrained problem, used to evaluate the
-    theoretical bounds. ``epsilon`` may override the per-iteration sup-norm
-    bound on the f1 gap; by default it is computed from ``x1_star``."""
+    theoretical bounds."""
 
     x1_star: np.ndarray
     x2_star: np.ndarray
     y_star: np.ndarray
     p_star: float
-    epsilon: Optional[Callable[[int], float]] = None
 
 
 def check_reference_feasible(ref: OptimumReference, f1: ConstraintTerm,
-                             f2: ConstraintTerm, tol: float = 1e-8) -> None:
+                             f2: ConstraintTerm) -> None:
     viol = np.linalg.norm(f1.eval(ref.x1_star) + f2.eval(ref.x2_star))
-    if viol > tol:
+    if viol > 1e-8:
         raise ValueError(f"reference optimum is infeasible: ||f1+f2|| = {viol:.3e}")
 
 
@@ -45,10 +43,7 @@ def error_bound(state: IterateState, p_current: float, prev_f2: np.ndarray,
     """
     if ref is None:
         raise MissingReference("error bound needs a known optimum")
-    if ref.epsilon is not None:
-        eps = float(ref.epsilon(state.k))
-    else:
-        eps = float(np.max(np.abs(f1.eval(state.x1) - f1.eval(ref.x1_star))))
+    eps = float(np.max(np.abs(f1.eval(state.x1) - f1.eval(ref.x1_star))))
     delta_f2 = f2.eval(state.x2) - np.asarray(prev_f2, dtype=float)
     r = f1.eval(state.x1) + f2.eval(state.x2)
     bound = state.rho * eps * float(np.sum(np.abs(delta_f2))) - float(state.y @ r)
@@ -150,7 +145,7 @@ def diagnose_result(result: SolveResult, ref: OptimumReference,
         e = rho * b + c
         vi_norm = rho * float(b @ b) + float(e @ e) / rho
         state = IterateState(x1=x1_history[i + 1], x2=x2_history[i + 1], y=ys[i + 1],
-                             rho=rho, k=tr.k)
+                             rho=rho)
         bound, gap = error_bound(state, tr.objective, f2_prev, ref, f1, f2)
         V = lyapunov(state, ref, f2)
         flags = "increase" if rows and vi_norm > rows[-1].vi_norm + 1e-10 else ""

@@ -14,7 +14,8 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from numbers import Integral
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -60,8 +61,8 @@ class StopCriteria:
     def __post_init__(self):
         if not all(math.isfinite(t) and t > 0 for t in (self.tol_primal, self.tol_dual)):
             raise ValueError("tolerances must be finite and positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass
@@ -70,7 +71,6 @@ class IterateState:
     x2: np.ndarray
     y: np.ndarray
     rho: float
-    k: int = 0
 
 
 @dataclass(frozen=True)
@@ -104,9 +104,10 @@ class Problem:
     solve_x2: BlockSolver
 
 
-@dataclass
-class SolveResult:
-    state: IterateState
+class SolveResult(NamedTuple):
+    """What every solver returns: its final state, the trace, and whether it converged."""
+
+    state: object
     trace: List[TraceRow]
     converged: bool
 
@@ -118,16 +119,17 @@ def _require_finite(v, what: str, trace, exc=NonFiniteIterate):
 
 def iterate(init, blocks: Sequence[Tuple[str, Callable]],
             constraints: Sequence[Tuple[str, Callable]], dual_norm: Callable,
-            objective: Callable, schedule: RhoSchedule, stop: StopCriteria):
+            objective: Callable, schedule: RhoSchedule,
+            stop: StopCriteria) -> SolveResult:
     """The outer loop of every solver, run on a copy of the state ``init``.
 
     Iteration k fixes rho = schedule.at(k), sets each (field, update) of
     ``blocks`` in order to update(state, rho), and steps the dual field of
     each (dual, residual) of ``constraints`` by rho * residual(state). The
     primal norm is sqrt(sum_i r_i . r_i), the dual one
-    dual_norm(state, previous, rho). Returns (state, trace, converged). A
-    non-finite block raises SubproblemFailure naming it, a non-finite dual
-    or norm NonFiniteIterate; both carry the trace so far.
+    dual_norm(state, previous, rho). A non-finite rho (before any block runs),
+    dual or norm raises NonFiniteIterate, a non-finite block SubproblemFailure
+    naming it; both carry the trace so far.
     """
     state = copy.copy(init)
     for name, _ in list(blocks) + list(constraints):
@@ -137,6 +139,8 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
     trace: List[TraceRow] = []
     for k in range(stop.max_iter):
         rho = schedule.at(k)
+        if not math.isfinite(rho):
+            raise NonFiniteIterate(f"penalty rho is {rho} at iteration {k}", trace=trace)
         previous = copy.copy(state)
         for name, update in blocks:
             value = update(state, rho)
@@ -156,8 +160,8 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
         trace.append(TraceRow(k=k, objective=objective(state), r_norm=r_norm,
                               s_norm=s_norm, rho=rho))
         if r_norm <= stop.tol_primal and s_norm <= stop.tol_dual:
-            return state, trace, True
-    return state, trace, False
+            return SolveResult(state, trace, True)
+    return SolveResult(state, trace, False)
 
 
 def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
@@ -182,8 +186,5 @@ def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
         ("x1", lambda s, rho: np.asarray(problem.solve_x1(s.x1, s.x2, s.y, rho), dtype=float)),
         ("x2", lambda s, rho: np.asarray(problem.solve_x2(s.x1, s.x2, s.y, rho), dtype=float)),
     ]
-    state, trace, converged = iterate(
-        init, blocks, [("y", primal)], dual_norm,
-        lambda s: float(problem.F1(s.x1) + problem.F2(s.x2)), schedule, stop)
-    state.k = len(trace)
-    return SolveResult(state=state, trace=trace, converged=converged)
+    return iterate(init, blocks, [("y", primal)], dual_norm,
+                   lambda s: float(problem.F1(s.x1) + problem.F2(s.x2)), schedule, stop)

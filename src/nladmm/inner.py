@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from numbers import Real
+from numbers import Integral, Real
 from typing import List
 
 import numpy as np
@@ -25,10 +25,9 @@ class FistaConfig:
     tol: float = 1e-8
 
     def __post_init__(self):
-        if not (math.isfinite(self.max_iter) and math.isfinite(self.tol)):
-            raise ValueError("FISTA configuration fields must be finite")
-        if self.max_iter < 1 or self.tol <= 0:
-            raise ValueError("invalid FISTA configuration")
+        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1
+                and math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"invalid {self!r}: need an integer max_iter >= 1, tol > 0")
 
 
 def fista(obj: CompositeObjective, x0: np.ndarray,
@@ -80,11 +79,6 @@ def gram_lmax(A: np.ndarray) -> tuple[np.ndarray, float]:
     return G, float(np.linalg.eigvalsh(G)[-1])
 
 
-@dataclass(frozen=True)
-class CubicRealRoots:
-    roots: List[float]
-
-
 def _polish_root(a: float, b: float, c: float, d: float, r: float) -> float:
     # A few Newton steps remove the floating-point error of the closed form.
     # Steps are only accepted while they shrink the residual, so a nearly
@@ -109,7 +103,7 @@ def _polish_root(a: float, b: float, c: float, d: float, r: float) -> float:
     return r
 
 
-def cubic_real_roots(a: float, b: float, c: float, d: float) -> CubicRealRoots:
+def cubic_real_roots(a: float, b: float, c: float, d: float) -> List[float]:
     """All real roots of a*t^3 + b*t^2 + c*t + d = 0, ascending.
 
     Degenerate leading coefficients fall back to the quadratic / linear
@@ -175,4 +169,4 @@ def cubic_real_roots(a: float, b: float, c: float, d: float) -> CubicRealRoots:
     for r in polished:
         if not deduped or abs(r - deduped[-1]) > 1e-12 * max(1.0, abs(r)):
             deduped.append(r)
-    return CubicRealRoots(roots=deduped)
+    return deduped

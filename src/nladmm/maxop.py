@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .engine import RhoSchedule, StopCriteria, iterate
+from .engine import RhoSchedule, SolveResult, StopCriteria, iterate
 from .inner import FistaConfig, fista, gram_lmax
 from .terms import CompositeObjective, ProxTerm, with_quadratic, SmoothTerm
 
@@ -158,11 +158,10 @@ def update_q(loss: CompositeObjective, data: BagDataset, t: np.ndarray,
 
 
 def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
-                y2: np.ndarray, rho: float,
-                cfg: FistaConfig = FistaConfig(),
-                beta0: np.ndarray | None = None) -> np.ndarray:
-    """Approximate argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2,
-    by FISTA with the fixed step 1/(rho lambda_max(X'X))."""
+                y2: np.ndarray, rho: float, beta0: np.ndarray,
+                cfg: FistaConfig = FistaConfig()) -> np.ndarray:
+    """Approximate argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2
+    from beta0, by FISTA with the fixed step 1/(rho lambda_max(X'X))."""
     X = data.X
     b = t + y2 / rho
     XtX, lmax = data.gram
@@ -178,8 +177,7 @@ def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
     # The floor keeps the step finite when every feature is zero.
     smooth = SmoothTerm(value=value, gradient=gradient, lipschitz=rho * max(lmax, 1e-12))
     obj = CompositeObjective(smooth, reg)
-    start = np.zeros(X.shape[1]) if beta0 is None else beta0
-    return fista(obj, start, cfg, lipschitz=obj.smooth.lipschitz)
+    return fista(obj, beta0, cfg, lipschitz=obj.smooth.lipschitz)
 
 
 def t_update_bag(psi: float, phi: np.ndarray) -> np.ndarray:
@@ -240,13 +238,14 @@ def t_update_bags(data: BagDataset, psi: np.ndarray, phi: np.ndarray) -> np.ndar
 
 
 def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
-                init: MaxOpState, schedule: RhoSchedule, stop: StopCriteria):
+                init: MaxOpState, schedule: RhoSchedule,
+                stop: StopCriteria) -> SolveResult:
     """Cycle q (proximal gradient), beta (proximal gradient), t (exact per
     bag, all bags in one pass), then the two dual ascent steps, with
     combined residual norms."""
     blocks = [
         ("q", lambda s, rho: update_q(loss, data, s.t, s.y1, rho)),
-        ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, beta0=s.beta)),
+        ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, s.beta)),
         ("t", lambda s, rho: t_update_bags(data, s.q + s.y1 / rho,
                                            data.X @ s.beta - s.y2 / rho)),
     ]

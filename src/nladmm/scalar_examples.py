@@ -10,7 +10,7 @@ Both have known optima (objective 0.5 at (0.25, 0.25), and -sqrt(2) at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List
 
 import numpy as np
@@ -26,25 +26,6 @@ EXAMPLE_SQRT = "example1"
 EXAMPLE_CIRCLE = "example2"
 
 _SQRT_EPS = 1e-12  # designated finite Jacobian element at the sqrt boundary
-
-
-@dataclass(frozen=True)
-class ScalarExampleProblem:
-    which: str
-    x_star: float
-    z_star: float
-    p_star: float
-    y_star: float
-
-
-def example_problem(which: str) -> ScalarExampleProblem:
-    if which == EXAMPLE_SQRT:
-        return ScalarExampleProblem(which, 0.25, 0.25, 0.5, -1.0)
-    if which == EXAMPLE_CIRCLE:
-        s = -math.sqrt(2.0) / 2.0
-        # The saddle dual maximizes -y - 1/(2y) over y > 0, i.e. y* = +sqrt(2)/2.
-        return ScalarExampleProblem(which, s, s, -math.sqrt(2.0), -s)
-    raise ValueError(f"unknown example {which!r}")
 
 
 def example1_block_update(c: float, rho: float) -> float:
@@ -67,7 +48,7 @@ def example2_block_update(c: float, rho: float) -> float:
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    roots = cubic_real_roots(2.0 * rho, 0.0, 2.0 * rho * c, 1.0).roots
+    roots = cubic_real_roots(2.0 * rho, 0.0, 2.0 * rho * c, 1.0)
     if not roots:
         raise NoCandidate("stationarity cubic has no real root")
 
@@ -96,45 +77,41 @@ def _square_constraint(offset: float) -> ConstraintTerm:
 
 
 def build_example(which: str) -> Problem:
-    """Assemble the generic-problem description with exact block solvers."""
-    lin = lambda v: float(v[0])
+    """Assemble the generic-problem description with exact block solvers.
+
+    Both examples have f1 = g and f2 = g - 1 for one scalar map g, so each
+    block minimizes x + (rho/2)(g(x) + c)^2 with c = g(other) - 1 + y/rho.
+    """
     if which == EXAMPLE_SQRT:
-        f1 = _sqrt_constraint(0.0)
-        f2 = _sqrt_constraint(-1.0)
-
-        def solve_x1(x1, x2, y, rho):
-            c = math.sqrt(max(float(x2[0]), 0.0)) - 1.0 + float(y[0]) / rho
-            return np.array([example1_block_update(c, rho)])
-
-        def solve_x2(x1, x2, y, rho):
-            c = math.sqrt(max(float(x1[0]), 0.0)) - 1.0 + float(y[0]) / rho
-            return np.array([example1_block_update(c, rho)])
-
+        term, update = _sqrt_constraint, example1_block_update
+        g = lambda v: math.sqrt(max(v, 0.0))
     elif which == EXAMPLE_CIRCLE:
-        f1 = _square_constraint(0.0)
-        f2 = _square_constraint(-1.0)
-
-        def solve_x1(x1, x2, y, rho):
-            c = float(x2[0]) ** 2 - 1.0 + float(y[0]) / rho
-            return np.array([example2_block_update(c, rho)])
-
-        def solve_x2(x1, x2, y, rho):
-            c = float(x1[0]) ** 2 - 1.0 + float(y[0]) / rho
-            return np.array([example2_block_update(c, rho)])
-
+        term, update = _square_constraint, example2_block_update
+        g = lambda v: v ** 2
     else:
         raise ValueError(f"unknown example {which!r}")
 
-    return Problem(F1=lin, F2=lin, f1=f1, f2=f2,
+    def solve_x1(x1, x2, y, rho):
+        return np.array([update(g(float(x2[0])) - 1.0 + float(y[0]) / rho, rho)])
+
+    def solve_x2(x1, x2, y, rho):
+        return np.array([update(g(float(x1[0])) - 1.0 + float(y[0]) / rho, rho)])
+
+    lin = lambda v: float(v[0])
+    return Problem(F1=lin, F2=lin, f1=term(0.0), f2=term(-1.0),
                    solve_x1=solve_x1, solve_x2=solve_x2)
 
 
 def example_reference(which: str) -> OptimumReference:
-    ex = example_problem(which)
-    return OptimumReference(x1_star=np.array([ex.x_star]),
-                            x2_star=np.array([ex.z_star]),
-                            y_star=np.array([ex.y_star]),
-                            p_star=ex.p_star)
+    if which == EXAMPLE_SQRT:
+        x, y, p = 0.25, -1.0, 0.5
+    elif which == EXAMPLE_CIRCLE:
+        # The saddle dual maximizes -y - 1/(2y) over y > 0, i.e. y* = +sqrt(2)/2.
+        x, y, p = -math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0, -math.sqrt(2.0)
+    else:
+        raise ValueError(f"unknown example {which!r}")
+    return OptimumReference(x1_star=np.array([x]), x2_star=np.array([x]),
+                            y_star=np.array([y]), p_star=p)
 
 
 @dataclass
@@ -160,8 +137,7 @@ def run_example(which: str, schedule: RhoSchedule, max_iter: int = 30,
             return out
         return inner
 
-    wrapped = Problem(F1=problem.F1, F2=problem.F2, f1=problem.f1, f2=problem.f2,
-                      solve_x1=wrap(problem.solve_x1, x1_hist),
+    wrapped = replace(problem, solve_x1=wrap(problem.solve_x1, x1_hist),
                       solve_x2=wrap(problem.solve_x2, x2_hist))
     init = IterateState(x1=np.array([float(x0)]), x2=np.array([float(z0)]),
                         y=np.array([float(y0)]), rho=schedule.at(0))

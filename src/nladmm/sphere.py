@@ -17,16 +17,10 @@ from typing import List
 
 import numpy as np
 
-from .engine import RhoSchedule, StopCriteria, iterate
+from .engine import RhoSchedule, SolveResult, StopCriteria, iterate
 from .errors import NoCandidate
 from .inner import FistaConfig, cubic_real_roots, fista, gram_lmax
 from .terms import CompositeObjective, l1_term, with_quadratic, SmoothTerm
-
-
-@dataclass(frozen=True)
-class SphereProblem:
-    loss: CompositeObjective
-    dim: int
 
 
 @dataclass
@@ -73,7 +67,7 @@ def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:
 
     us: List[float] = []
     for rhs in (m, -m):
-        us.extend(r for r in cubic_real_roots(2.0, 0.0, b, -rhs).roots
+        us.extend(r for r in cubic_real_roots(2.0, 0.0, b, -rhs)
                   if r >= -1e-12)
 
     best_w, best_obj = None, np.inf
@@ -94,29 +88,22 @@ def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def sphere_update_x(loss: CompositeObjective, w: np.ndarray, y2: np.ndarray,
-                    rho: float, cfg: FistaConfig = FistaConfig(),
-                    x0: np.ndarray | None = None) -> np.ndarray:
-    """Approximate argmin_x loss(x) + (rho/2)||w - x + y2/rho||^2, with the
-    fixed step 1/(L + rho) for the constant L the loss declares; a loss that
-    declares none raises ValueError."""
-    center = w + y2 / rho
-    obj = with_quadratic(loss, rho, center)
-    return fista(obj, center if x0 is None else x0, cfg, lipschitz=obj.smooth.lipschitz)
+                    rho: float, x0: np.ndarray,
+                    cfg: FistaConfig = FistaConfig()) -> np.ndarray:
+    """Approximate argmin_x loss(x) + (rho/2)||w - x + y2/rho||^2 from x0,
+    with the fixed step 1/(L + rho) for the constant L the loss declares; a
+    loss that declares none raises ValueError."""
+    obj = with_quadratic(loss, rho, w + y2 / rho)
+    return fista(obj, x0, cfg, lipschitz=obj.smooth.lipschitz)
 
 
-def sphere_update_w(x_new: np.ndarray, y1: float, y2: np.ndarray,
-                    rho: float) -> np.ndarray:
-    """Exact minimizer of ||w - x + y2/rho||^2 + (||w||^2 - 1 + y1/rho)^2."""
-    return sphere_penalty_min(x_new - y2 / rho, y1 / rho)
-
-
-def sphere_solve(problem: SphereProblem, init: SphereState,
-                 schedule: RhoSchedule, stop: StopCriteria):
-    """Alternate the loss-side pull and the exact sphere-penalty update,
-    with scalar and vector duals for the two constraints."""
+def sphere_solve(loss: CompositeObjective, init: SphereState,
+                 schedule: RhoSchedule, stop: StopCriteria) -> SolveResult:
+    """Alternate the loss-side pull and the exact w-update, the minimizer of
+    ||w - x + y2/rho||^2 + (||w||^2 - 1 + y1/rho)^2, with one dual per constraint."""
     blocks = [
-        ("x", lambda s, rho: sphere_update_x(problem.loss, s.w, s.y2, rho, x0=s.x)),
-        ("w", lambda s, rho: sphere_update_w(s.x, s.y1, s.y2, rho)),
+        ("x", lambda s, rho: sphere_update_x(loss, s.w, s.y2, rho, s.x)),
+        ("w", lambda s, rho: sphere_penalty_min(s.x - s.y2 / rho, s.y1 / rho)),
     ]
     constraints = [("y1", lambda s: float(s.w @ s.w) - 1.0), ("y2", lambda s: s.w - s.x)]
 
@@ -126,7 +113,7 @@ def sphere_solve(problem: SphereProblem, init: SphereState,
         return float(np.sqrt(s1 * s1 + s2 @ s2))
 
     return iterate(init, blocks, constraints, dual_norm,
-                   lambda s: problem.loss.value(s.x), schedule, stop)
+                   lambda s: loss.value(s.x), schedule, stop)
 
 
 @dataclass(frozen=True)
@@ -165,27 +152,24 @@ class OneBitCsState:
 
 
 def onebit_update_z(w: np.ndarray, y2: np.ndarray, rho: float, lam: float,
-                    Phi: np.ndarray, y_sign: np.ndarray) -> np.ndarray:
+                    M: np.ndarray) -> np.ndarray:
     """Per-coordinate exact minimizer of
-    (lam/2) min(z,0)^2 + (rho/2)(z - a)^2 with a = Y Phi w + y2/rho."""
-    a = (y_sign[:, None] * Phi) @ w + y2 / rho
+    (lam/2) min(z,0)^2 + (rho/2)(z - a)^2 with a = M w + y2/rho, M = Y Phi."""
+    a = M @ w + y2 / rho
     return np.where(a >= 0.0, a, rho * a / (lam + rho))
 
 
 def onebit_update_w(z: np.ndarray, x: np.ndarray, y2: np.ndarray,
-                    y3: np.ndarray, rho: float, Phi: np.ndarray,
-                    y_sign: np.ndarray, cfg: FistaConfig = FistaConfig(),
-                    w0: np.ndarray | None = None,
-                    gram: tuple[np.ndarray, float] | None = None) -> np.ndarray:
-    """Approximate argmin_w ||w||_1 + (rho/2)||Y Phi w - z + y2/rho||^2
-    + (rho/2)||w - x + y3/rho||^2 via the accelerated proximal method.
+                    y3: np.ndarray, rho: float, M: np.ndarray,
+                    gram: tuple[np.ndarray, float], w0: np.ndarray,
+                    cfg: FistaConfig = FistaConfig()) -> np.ndarray:
+    """Approximate argmin_w ||w||_1 + (rho/2)||M w - z + y2/rho||^2
+    + (rho/2)||w - x + y3/rho||^2 from w0 via the accelerated proximal
+    method, with M = Y Phi and ``gram`` = ``gram_lmax(M)``.
 
     The smooth part's gradient is Lipschitz with constant
-    rho (lambda_max(M'M) + 1), M = Y Phi, so FISTA takes the fixed step
-    1/L. ``gram`` is (M'M, lambda_max(M'M)); ``onebit_solve`` computes it
-    once per solve, and it is computed here when omitted."""
-    M = y_sign[:, None] * Phi
-    MtM, lmax = gram_lmax(M) if gram is None else gram
+    rho (lambda_max(M'M) + 1), so FISTA takes the fixed step 1/L."""
+    MtM, lmax = gram
     b = z - y2 / rho
     Mtb = M.T @ b
     c = x - y3 / rho
@@ -200,22 +184,19 @@ def onebit_update_w(z: np.ndarray, x: np.ndarray, y2: np.ndarray,
 
     smooth = SmoothTerm(value=value, gradient=gradient, lipschitz=rho * (lmax + 1.0))
     obj = CompositeObjective(smooth, l1_term(1.0))
-    start = c if w0 is None else w0
-    return fista(obj, start, cfg, lipschitz=obj.smooth.lipschitz)
+    return fista(obj, w0, cfg, lipschitz=obj.smooth.lipschitz)
 
 
 def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,
-                 schedule: RhoSchedule, stop: StopCriteria):
+                 schedule: RhoSchedule, stop: StopCriteria) -> SolveResult:
     """Three-block cycle: sphere-penalized x (closed form), clipped z
     (closed form), sparse w (proximal gradient), then the dual ascent steps."""
-    Phi, y_sign, lam = problem.Phi, problem.y_sign, problem.lam
     M = problem.signed_matrix
     gram = gram_lmax(M)
     blocks = [
         ("x", lambda s, rho: sphere_penalty_min(s.w + s.y3 / rho, s.y1 / rho)),
-        ("z", lambda s, rho: onebit_update_z(s.w, s.y2, rho, lam, Phi, y_sign)),
-        ("w", lambda s, rho: onebit_update_w(s.z, s.x, s.y2, s.y3, rho, Phi, y_sign,
-                                             w0=s.w, gram=gram)),
+        ("z", lambda s, rho: onebit_update_z(s.w, s.y2, rho, problem.lam, M)),
+        ("w", lambda s, rho: onebit_update_w(s.z, s.x, s.y2, s.y3, rho, M, gram, s.w)),
     ]
     constraints = [("y1", lambda s: float(s.x @ s.x) - 1.0),
                    ("y2", lambda s: M @ s.w - s.z),

@@ -39,7 +39,7 @@ def test_criterion_1_example_convergence():
     worst_p, worst_r = 0.0, 0.0
     ok = True
     for which in (se.EXAMPLE_SQRT, se.EXAMPLE_CIRCLE):
-        ref = se.example_problem(which)
+        ref = se.example_reference(which)
         for name, schedule in SCHEDULES.items():
             run = se.run_example(which, schedule, max_iter=30)
             last = run.result.trace[-1]

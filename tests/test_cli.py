@@ -94,12 +94,15 @@ class TestUsageErrors:
         ("onebit-cs", "--n"), ("onebit-cs", "--m"), ("onebit-cs", "--k"),
         ("multi-instance", "--bags"), ("multi-instance", "--instances"),
         ("multi-instance", "--features"), ("generate-bags", "--bags"),
-        ("generate-bags", "--instances"), ("generate-bags", "--features")])
+        ("generate-bags", "--instances"), ("generate-bags", "--features"),
+        ("onebit-cs", "--seed"), ("multi-instance", "--seed"), ("generate-bags", "--seed")])
     def test_size_not_positive(self, subcommand, flag, tmp_path, capsys):
+        """Sizes must be at least 1 and seeds at least 0."""
+        value, least = ("-1", 0) if flag == "--seed" else ("0", 1)
         with pytest.raises(SystemExit) as e:
-            cli.main([subcommand, flag, "0", "--output", str(tmp_path / "out.csv")])
+            cli.main([subcommand, flag, value, "--output", str(tmp_path / "out.csv")])
         assert e.value.code == 64
-        assert f"argument {flag}: must be at least 1" in capsys.readouterr().err
+        assert f"argument {flag}: must be at least {least}" in capsys.readouterr().err
 
 
 class TestExampleSubcommands:

@@ -29,15 +29,14 @@ def _affine(shift, dim=1):
 
 class TestErrorBound:
     def test_hand_value(self):
-        """rho=1, eps=2 (forced), ||delta f2||_1 = 3, r = -2 + 1 = -1 and
-        y.r = -1 -> bound 7."""
+        """rho=1, eps = |-2 - 0| = 2, ||delta f2||_1 = 3, r = -2 + 1 = -1
+        and y.r = -1 -> bound 7."""
         f1 = _identity()
         f2 = _identity()
         ref = OptimumReference(x1_star=np.zeros(1), x2_star=np.zeros(1),
-                               y_star=np.zeros(1), p_star=0.0,
-                               epsilon=lambda k: 2.0)
+                               y_star=np.zeros(1), p_star=0.0)
         state = IterateState(x1=np.array([-2.0]), x2=np.array([1.0]),
-                             y=np.array([1.0]), rho=1.0, k=3)
+                             y=np.array([1.0]), rho=1.0)
         bound, gap = error_bound(state, p_current=4.0, prev_f2=np.array([-2.0]),
                                  ref=ref, f1=f1, f2=f2)
         assert bound == pytest.approx(7.0)  # 1*2*3 - (1 * -1)
@@ -49,7 +48,7 @@ class TestErrorBound:
         ref = OptimumReference(x1_star=np.array([1.0]), x2_star=np.zeros(1),
                                y_star=np.zeros(1), p_star=0.0)
         state = IterateState(x1=np.array([3.0]), x2=np.array([0.0]),
-                             y=np.array([0.0]), rho=2.0, k=0)
+                             y=np.array([0.0]), rho=2.0)
         bound, _ = error_bound(state, 0.0, prev_f2=np.array([-1.0]),
                                ref=ref, f1=f1, f2=f2)
         # eps = |3 - 1| = 2; delta f2 = 1; bound = 2*2*1 - 0 = 4

@@ -13,7 +13,7 @@ from nladmm.engine import (
     StopCriteria,
     solve,
 )
-from nladmm.errors import DimensionMismatch, SubproblemFailure
+from nladmm.errors import DimensionMismatch, NonFiniteIterate, SubproblemFailure
 from nladmm.terms import (
     CompositeObjective,
     ConstraintTerm,
@@ -64,7 +64,8 @@ class TestStopCriteria:
 
     @pytest.mark.parametrize("kw", [dict(tol_primal=0.0), dict(tol_dual=-1.0),
                                     dict(max_iter=0), dict(tol_primal=np.nan),
-                                    dict(tol_dual=np.nan), dict(tol_primal=np.inf)])
+                                    dict(tol_dual=np.nan), dict(tol_primal=np.inf),
+                                    dict(max_iter=2.5), dict(max_iter=np.nan)])
     def test_invalid(self, kw):
         with pytest.raises(ValueError):
             StopCriteria(**kw)
@@ -209,9 +210,7 @@ class TestSolve:
         assert len(result.trace) == 7
         assert [row.k for row in result.trace] == list(range(7))
         # No iterate histories are kept: the diagnostics rebuild them.
-        assert [f.name for f in dataclasses.fields(SolveResult)] == [
-            "state", "trace", "converged"]
-        assert result.state.k == 7
+        assert SolveResult._fields == ("state", "trace", "converged")
 
     def test_increment_schedule_recorded(self):
         problem = self._linear_problem()
@@ -234,6 +233,23 @@ class TestSolve:
         init = IterateState(x1=np.zeros(1), x2=np.zeros(1), y=np.zeros(2), rho=1.0)
         with pytest.raises(DimensionMismatch):
             solve(problem, init, RhoSchedule.constant(1.0), StopCriteria(max_iter=5))
+
+    def test_overflowing_rho_raises_before_blocks(self):
+        """rho = 1 + k 1e308 is finite for k = 0 and 1 and overflows at
+        k = 2, where the loop stops before any block runs."""
+        seen = []
+
+        def block(s, rho):
+            seen.append(rho)
+            return np.zeros(1)
+
+        init = IterateState(x1=np.zeros(1), x2=np.zeros(1), y=np.zeros(1), rho=1.0)
+        with pytest.raises(NonFiniteIterate, match="rho is inf at iteration 2") as e:
+            engine.iterate(init, [("x1", block), ("x2", block)], [("y", lambda s: s.x1)],
+                           lambda s, old, rho: 1.0, lambda s: 0.0,
+                           RhoSchedule(1.0, 1e308), StopCriteria(max_iter=5))
+        assert seen == [1.0, 1.0, 1e308, 1e308]
+        assert len(e.value.trace) == 2
 
     def test_update_identity_along_run(self):
         """w^{k+1} = w^k - E (w^k - w~^k) with the diagnostics matrices, on
@@ -271,8 +287,7 @@ def _run_sphere(stop):
                               zero_prox())
     init = sphere.SphereState(x=np.array([0.6, 0.8]), w=np.array([0.6, 0.8]),
                               y1=0.0, y2=np.zeros(2), rho=5.0)
-    return sphere.sphere_solve(sphere.SphereProblem(loss=loss, dim=2), init,
-                               RhoSchedule.constant(5.0), stop)
+    return sphere.sphere_solve(loss, init, RhoSchedule.constant(5.0), stop)
 
 
 def _run_onebit(stop):
@@ -294,7 +309,7 @@ def _run_maxop(stop):
 
 class TestApplicationSolvers:
     @pytest.mark.parametrize("run, module, attr, block", [
-        (_run_sphere, sphere, "sphere_update_w", "w"),
+        (_run_sphere, sphere, "sphere_penalty_min", "w"),
         (_run_onebit, sphere, "onebit_update_w", "w"),
         (_run_maxop, maxop, "t_update_bags", "t"),
     ], ids=["sphere_solve", "onebit_solve", "maxop_solve"])
@@ -305,3 +320,15 @@ class TestApplicationSolvers:
                             lambda *a, **kw: np.full_like(original(*a, **kw), np.nan))
         with pytest.raises(SubproblemFailure, match=f"in {block} block update"):
             run(StopCriteria(max_iter=1))
+
+    @pytest.mark.parametrize("run", [_run_sphere, _run_onebit, _run_maxop],
+                             ids=["sphere_solve", "onebit_solve", "maxop_solve"])
+    def test_returns_solve_result(self, run):
+        """Every application solver returns the engine's SolveResult, which
+        unpacks as (state, trace, converged)."""
+        result = run(StopCriteria(max_iter=3))
+        assert isinstance(result, SolveResult)
+        state, trace, converged = result
+        assert state is result.state and trace is result.trace
+        assert converged is result.converged is False
+        assert [row.k for row in trace] == [0, 1, 2]

@@ -42,29 +42,29 @@ def _time_limit(seconds: int):
 
 class TestCubicRealRoots:
     def test_three_distinct(self):
-        r = cubic_real_roots(1.0, -6.0, 11.0, -6.0).roots
+        r = cubic_real_roots(1.0, -6.0, 11.0, -6.0)
         assert np.allclose(r, [1.0, 2.0, 3.0], atol=1e-10)
 
     def test_triple_root(self):
-        assert cubic_real_roots(1.0, 0.0, 0.0, 0.0).roots == [0.0]
+        assert cubic_real_roots(1.0, 0.0, 0.0, 0.0) == [0.0]
 
     def test_single_real(self):
-        r = cubic_real_roots(1.0, 0.0, 0.0, -1.0).roots
+        r = cubic_real_roots(1.0, 0.0, 0.0, -1.0)
         assert np.allclose(r, [1.0], atol=1e-12)
 
     def test_repeated_pair(self):
         # (t - 1)^2 (t - 3) = t^3 - 5t^2 + 7t - 3
-        r = cubic_real_roots(1.0, -5.0, 7.0, -3.0).roots
+        r = cubic_real_roots(1.0, -5.0, 7.0, -3.0)
         assert np.allclose(r, [1.0, 3.0], atol=1e-7)
 
     def test_quadratic_fallback(self):
-        assert np.allclose(cubic_real_roots(0.0, 1.0, -3.0, 2.0).roots, [1.0, 2.0])
-        assert cubic_real_roots(0.0, 1.0, 0.0, 1.0).roots == []  # t^2 + 1
-        assert np.allclose(cubic_real_roots(0.0, 1.0, -2.0, 1.0).roots, [1.0])
+        assert np.allclose(cubic_real_roots(0.0, 1.0, -3.0, 2.0), [1.0, 2.0])
+        assert cubic_real_roots(0.0, 1.0, 0.0, 1.0) == []  # t^2 + 1
+        assert np.allclose(cubic_real_roots(0.0, 1.0, -2.0, 1.0), [1.0])
 
     def test_linear_fallback(self):
-        assert np.allclose(cubic_real_roots(0.0, 0.0, 2.0, -5.0).roots, [2.5])
-        assert cubic_real_roots(0.0, 0.0, 0.0, 5.0).roots == []
+        assert np.allclose(cubic_real_roots(0.0, 0.0, 2.0, -5.0), [2.5])
+        assert cubic_real_roots(0.0, 0.0, 0.0, 5.0) == []
 
     def test_all_zero_raises(self):
         with pytest.raises(DegenerateAllZero):
@@ -88,7 +88,7 @@ class TestCubicRealRoots:
     @pytest.mark.parametrize("a", [1e-10, 1e-110])
     def test_small_leading_coefficient(self, a):
         # a t^3 + (t - 1)(t - 2): roots near 1 and 2, and one near -1/a.
-        r = cubic_real_roots(a, 1.0, -3.0, 2.0).roots
+        r = cubic_real_roots(a, 1.0, -3.0, 2.0)
         assert len(r) == 3
         assert np.allclose(r[1:], [1.0, 2.0], atol=1e-6)
 
@@ -114,7 +114,7 @@ class TestCubicRealRoots:
                 c = a * (q - r0 * p)
                 d = -a * r0 * q
                 expected = np.array([r0])
-            got = cubic_real_roots(a, b, c, d).roots
+            got = cubic_real_roots(a, b, c, d)
             for r in expected:
                 assert min(abs(g - r) for g in got) <= 1e-6 * max(1.0, abs(r))
             # every reported root really is a root
@@ -288,7 +288,7 @@ class TestFista:
                                     dict(max_iter=-1), dict(tol=-1e-3),
                                     dict(tol=math.nan), dict(tol=math.inf),
                                     dict(max_iter=math.nan),
-                                    dict(max_iter=math.inf)])
+                                    dict(max_iter=math.inf), dict(max_iter=2.5)])
     def test_invalid_config(self, kw):
         with pytest.raises(ValueError):
             FistaConfig(**kw)

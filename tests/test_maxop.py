@@ -218,7 +218,7 @@ class TestBlockUpdates:
         data = maxop.BagDataset.from_bags([1.0], [X])
         t = rng.standard_normal(6)
         beta = maxop.update_beta(zero_prox(), data, t, np.zeros(6), rho=1.0,
-                                 cfg=FistaConfig(tol=1e-14, max_iter=5000))
+                                 beta0=np.zeros(3), cfg=FistaConfig(tol=1e-14, max_iter=5000))
         expected, *_ = np.linalg.lstsq(X, t, rcond=None)
         assert np.allclose(beta, expected, atol=1e-6)
 
@@ -227,7 +227,7 @@ class TestBlockUpdates:
         data = maxop.BagDataset.from_bags([1.0], [X])
         t = np.array([3.0, -0.2, 0.0, 1.0])
         beta = maxop.update_beta(l1_term(1.0), data, t, np.zeros(4), rho=1.0,
-                                 cfg=FistaConfig(tol=1e-14, max_iter=5000))
+                                 beta0=np.zeros(4), cfg=FistaConfig(tol=1e-14, max_iter=5000))
         assert np.allclose(beta, [2.0, 0.0, 0.0, 0.0], atol=1e-6)
 
     @pytest.mark.parametrize("reg, lam", [(zero_prox(), 0.0), (l1_term(0.5), 0.5)],
@@ -240,7 +240,7 @@ class TestBlockUpdates:
         t = rng.standard_normal(data.X.shape[0])
         y2 = rng.standard_normal(data.X.shape[0])
         rho = 0.1
-        beta = maxop.update_beta(reg, data, t, y2, rho,
+        beta = maxop.update_beta(reg, data, t, y2, rho, np.zeros(3),
                                  cfg=FistaConfig(tol=1e-14, max_iter=5000))
         X, b = data.X, t + y2 / rho
         oracle = lasso_cd_oracle(rho * X.T @ X, rho * X.T @ b, lam)
@@ -253,7 +253,7 @@ class TestBlockUpdates:
         data, _ = datagen.generate_bags(6, 3, 3, seed=5)
         gram = data.gram
         t = np.ones(data.X.shape[0])
-        maxop.update_beta(l1_term(1.0), data, t, np.zeros_like(t), 0.3)
+        maxop.update_beta(l1_term(1.0), data, t, np.zeros_like(t), 0.3, np.zeros(3))
         bound = 0.3 * np.linalg.norm(data.X, 2) ** 2
         assert used[0] >= bound * (1.0 - 1e-12)
         assert used[0] == pytest.approx(bound, rel=1e-9)

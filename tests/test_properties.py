@@ -110,7 +110,7 @@ def test_cubic_real_roots_against_numpy(case):
     report a complex pair with a tiny imaginary part as two real roots."""
     (a, b, c, d), known = case
     assume(any(v != 0.0 for v in (a, b, c, d)))
-    roots = cubic_real_roots(a, b, c, d).roots
+    roots = cubic_real_roots(a, b, c, d)
     assert roots == sorted(roots)
     size = abs(a) + abs(b) + abs(c) + abs(d)
     for r in roots:

@@ -11,21 +11,21 @@ from nladmm.engine import RhoSchedule
 
 class TestKnownOptima:
     def test_example1(self):
-        p = se.example_problem(se.EXAMPLE_SQRT)
-        assert p.x_star == pytest.approx(0.25)
+        p = se.example_reference(se.EXAMPLE_SQRT)
+        assert p.x1_star[0] == pytest.approx(0.25)
         assert p.p_star == pytest.approx(0.5)
-        assert p.y_star == pytest.approx(-1.0)
+        assert p.y_star[0] == pytest.approx(-1.0)
 
     def test_example2(self):
-        p = se.example_problem(se.EXAMPLE_CIRCLE)
-        assert p.x_star == pytest.approx(-math.sqrt(2.0) / 2.0)
+        p = se.example_reference(se.EXAMPLE_CIRCLE)
+        assert p.x1_star[0] == pytest.approx(-math.sqrt(2.0) / 2.0)
         assert p.p_star == pytest.approx(-math.sqrt(2.0))
         # The dual maximizes -y - 1/(2y) over y > 0.
-        assert p.y_star == pytest.approx(math.sqrt(2.0) / 2.0)
+        assert p.y_star[0] == pytest.approx(math.sqrt(2.0) / 2.0)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):
-            se.example_problem("example3")
+            se.example_reference("example3")
 
     @pytest.mark.parametrize("which", [se.EXAMPLE_SQRT, se.EXAMPLE_CIRCLE])
     def test_references_feasible(self, which):
@@ -35,8 +35,8 @@ class TestKnownOptima:
 
     def test_example2_dual_is_stationary(self):
         """At the optimum, d/dx [x + y * x^2] = 1 + 2 y* x* = 0."""
-        p = se.example_problem(se.EXAMPLE_CIRCLE)
-        assert 1.0 + 2.0 * p.y_star * p.x_star == pytest.approx(0.0, abs=1e-12)
+        p = se.example_reference(se.EXAMPLE_CIRCLE)
+        assert 1.0 + 2.0 * p.y_star[0] * p.x1_star[0] == pytest.approx(0.0, abs=1e-12)
 
 
 class TestBlockUpdates:
@@ -107,7 +107,7 @@ class TestRunExample:
                                           RhoSchedule.increment(1.0, 0.1)])
     def test_converges_within_30(self, which, schedule):
         run = se.run_example(which, schedule)
-        ref = se.example_problem(which)
+        ref = se.example_reference(which)
         last = run.result.trace[-1]
         assert len(run.result.trace) <= 30
         assert abs(last.objective - ref.p_star) <= 1e-3

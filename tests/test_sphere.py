@@ -9,7 +9,7 @@ from helpers import (
 )
 from nladmm import datagen, sphere
 from nladmm.engine import RhoSchedule, StopCriteria
-from nladmm.inner import FistaConfig
+from nladmm.inner import FistaConfig, gram_lmax
 from nladmm.terms import CompositeObjective, SmoothTerm, logistic_loss, zero_prox
 
 
@@ -70,19 +70,13 @@ class TestSpherePenaltyMin:
 
 
 class TestSphereUpdates:
-    def test_update_w_wraps_penalty_min(self):
-        x = np.array([2.5, 0.0])
-        w = sphere.sphere_update_w(x, y1=0.0, y2=np.zeros(2), rho=1.0)
-        direct = sphere.sphere_penalty_min(x, 0.0)
-        assert np.allclose(w, direct)
-
     def test_update_x_quadratic_only(self):
         """With zero loss the x update returns the pull center w + y2/rho."""
         loss = CompositeObjective(SmoothTerm(value=lambda x: 0.0, gradient=np.zeros_like,
                                              lipschitz=0.0), zero_prox())
         w = np.array([0.3, -0.4])
         y2 = np.array([0.1, 0.2])
-        x = sphere.sphere_update_x(loss, w, y2, rho=2.0,
+        x = sphere.sphere_update_x(loss, w, y2, rho=2.0, x0=w + y2 / 2.0,
                                    cfg=FistaConfig(tol=1e-12))
         assert np.allclose(x, w + y2 / 2.0, atol=1e-8)
 
@@ -92,11 +86,11 @@ class TestSphereUpdates:
         used = record_lipschitz(monkeypatch, sphere)
         w, y2 = np.array([0.3, -0.4]), np.array([0.1, 0.2])
         declared = CompositeObjective(logistic_loss(np.array([1.0, 0.0])), zero_prox())
-        sphere.sphere_update_x(declared, w, y2, rho=2.0)
+        sphere.sphere_update_x(declared, w, y2, rho=2.0, x0=w)
         plain = CompositeObjective(SmoothTerm(value=lambda x: 0.0,
                                               gradient=np.zeros_like), zero_prox())
         with pytest.raises(ValueError, match="lipschitz"):
-            sphere.sphere_update_x(plain, w, y2, rho=2.0)
+            sphere.sphere_update_x(plain, w, y2, rho=2.0, x0=w)
         assert used == [0.25 + 2.0, None]
 
     def test_sphere_solve_linear_loss(self):
@@ -105,11 +99,10 @@ class TestSphereUpdates:
             SmoothTerm(value=lambda x: -float(x[0]),
                        gradient=lambda x: np.array([-1.0, 0.0]), lipschitz=0.0),
             zero_prox())
-        problem = sphere.SphereProblem(loss=loss, dim=2)
         init = sphere.SphereState(x=np.array([0.6, 0.8]), w=np.array([0.6, 0.8]),
                                   y1=0.0, y2=np.zeros(2), rho=5.0)
         state, trace, converged = sphere.sphere_solve(
-            problem, init, RhoSchedule.constant(5.0),
+            loss, init, RhoSchedule.constant(5.0),
             StopCriteria(tol_primal=1e-8, tol_dual=1e-8, max_iter=2000))
         assert converged
         assert np.allclose(state.w, [1.0, 0.0], atol=1e-4)
@@ -136,11 +129,8 @@ class TestOneBitPieces:
 
     def test_update_z_closed_form(self):
         # a >= 0 passes through; a < 0 shrinks by rho/(lam+rho).
-        Phi = np.eye(2)
-        y_sign = np.array([1.0, 1.0])
         w = np.array([2.0, -1.0])
-        z = sphere.onebit_update_z(w, y2=np.zeros(2), rho=1000.0, lam=10.0,
-                                   Phi=Phi, y_sign=y_sign)
+        z = sphere.onebit_update_z(w, y2=np.zeros(2), rho=1000.0, lam=10.0, M=np.eye(2))
         assert z[0] == pytest.approx(2.0)
         assert z[1] == pytest.approx(1000.0 * (-1.0) / 1010.0)
 
@@ -151,8 +141,7 @@ class TestOneBitPieces:
             a = float(rng.uniform(-3, 3))
             lam = float(rng.uniform(0.5, 20.0))
             rho = float(rng.uniform(0.5, 50.0))
-            z = sphere.onebit_update_z(np.array([a]), np.zeros(1), rho, lam,
-                                       np.eye(1), np.array([1.0]))
+            z = sphere.onebit_update_z(np.array([a]), np.zeros(1), rho, lam, np.eye(1))
             oracle = golden_section_min(
                 lambda s: 0.5 * lam * min(s, 0.0) ** 2 + 0.5 * rho * (s - a) ** 2,
                 -6.0, 6.0, tol=1e-10)
@@ -169,9 +158,9 @@ class TestOneBitPieces:
         y2 = rng.standard_normal(m)
         y3 = rng.standard_normal(n)
         rho = 2.0
-        w = sphere.onebit_update_w(z, x, y2, y3, rho, Phi, y_sign,
-                                   cfg=FistaConfig(tol=1e-14, max_iter=5000))
         M = y_sign[:, None] * Phi
+        w = sphere.onebit_update_w(z, x, y2, y3, rho, M, gram_lmax(M), x - y3 / rho,
+                                   cfg=FistaConfig(tol=1e-14, max_iter=5000))
         grad = rho * (M.T @ (M @ w - (z - y2 / rho)) + (w - (x - y3 / rho)))
         from nladmm.terms import soft_threshold
         step = 1e-3
@@ -191,9 +180,9 @@ class TestOneBitPieces:
         """The fixed-step w-update reaches the minimizer that coordinate
         descent on the same lasso finds."""
         Phi, y_sign, z, x, y2, y3 = self._w_subproblem(12)
-        w = sphere.onebit_update_w(z, x, y2, y3, rho, Phi, y_sign,
-                                   cfg=FistaConfig(tol=1e-14, max_iter=5000))
         M = y_sign[:, None] * Phi
+        w = sphere.onebit_update_w(z, x, y2, y3, rho, M, gram_lmax(M), x - y3 / rho,
+                                   cfg=FistaConfig(tol=1e-14, max_iter=5000))
         b, c = z - y2 / rho, x - y3 / rho
         oracle = lasso_cd_oracle(rho * (M.T @ M + np.eye(M.shape[1])),
                                  rho * (M.T @ b + c), 1.0)
@@ -204,8 +193,8 @@ class TestOneBitPieces:
         L = rho (||M||_2^2 + 1), the exact constant of its gradient."""
         used = record_lipschitz(monkeypatch, sphere)
         Phi, y_sign, z, x, y2, y3 = self._w_subproblem(13)
-        sphere.onebit_update_w(z, x, y2, y3, 3.0, Phi, y_sign)
         M = y_sign[:, None] * Phi
+        sphere.onebit_update_w(z, x, y2, y3, 3.0, M, gram_lmax(M), x)
         bound = 3.0 * (np.linalg.norm(M, 2) ** 2 + 1.0)
         assert used[0] >= bound * (1.0 - 1e-12)
         assert used[0] == pytest.approx(bound, rel=1e-9)
