@@ -26,11 +26,8 @@ class NonFiniteIterate(SolverError):
 
 
 class NoCandidate(SolverError):
-    """No admissible candidate survived a closed-form update (numerical breakdown)."""
-
-
-class DegenerateAllZero(SolverError):
-    """All cubic coefficients are zero; the root set is undefined."""
+    """A closed-form update broke down numerically: its cubic's discriminant
+    overflowed or is NaN."""
 
 
 class MissingReference(SolverError):

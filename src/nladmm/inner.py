@@ -4,14 +4,13 @@ cubic solver."""
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import List
 
 import numpy as np
 
-from .errors import DegenerateAllZero, NoCandidate, NonFiniteIterate
+from .errors import NoCandidate, NonFiniteIterate
 from .terms import CompositeObjective
 
 
@@ -37,14 +36,17 @@ def fista(obj: CompositeObjective, x0: np.ndarray,
     step 1/L.
 
     ``lipschitz`` = L bounds the Lipschitz constant of the smooth gradient
-    (callers pass the declared ``obj.smooth.lipschitz``); a missing,
-    non-finite or non-positive L raises ValueError. No objective values are
-    taken inside the loop. Momentum restarts when it points against the
+    (callers pass the declared ``obj.smooth.lipschitz``); a missing or
+    non-positive L raises ValueError, a NaN or Inf one (a declared constant
+    that overflowed) NonFiniteIterate. No objective values are taken inside
+    the loop. Momentum restarts when it points against the
     generalized gradient, (z - x_new)·(x_new - x) > 0 (O'Donoghue & Candès
     2015), and x0 is returned if the result has a larger composite
     objective, so the result is never worse than x0.
     """
-    if not (isinstance(lipschitz, Real) and math.isfinite(lipschitz) and lipschitz > 0):
+    if isinstance(lipschitz, Real) and not math.isfinite(lipschitz):
+        raise NonFiniteIterate(f"lipschitz constant is {lipschitz!r}, so there is no step")
+    if not (isinstance(lipschitz, Real) and lipschitz > 0):
         raise ValueError(f"lipschitz must be finite and positive, got {lipschitz!r}")
     x = np.asarray(x0, dtype=float).copy()
     fx = obj.value(x)
@@ -79,92 +81,60 @@ def gram_lmax(A: np.ndarray) -> tuple[np.ndarray, float]:
     return G, float(np.linalg.eigvalsh(G)[-1])
 
 
-def _polish_root(a: float, b: float, c: float, d: float, r: float) -> float:
+def _polish_root(p: float, q: float, r: float) -> float:
     # A few Newton steps remove the floating-point error of the closed form.
     # Steps are only accepted while they shrink the residual, so a nearly
     # vanishing derivative (repeated roots) cannot throw the estimate away.
     def poly(t: float) -> float:
-        return ((a * t + b) * t + c) * t + d
+        return (t * t + p) * t + q
 
-    p = poly(r)
+    f = poly(r)
     for _ in range(8):
-        dp = (3.0 * a * r + 2.0 * b) * r + c
-        if dp == 0.0:
+        df = 3.0 * r * r + p
+        if df == 0.0:
             break
-        rn = r - p / dp
+        rn = r - f / df
         if not math.isfinite(rn):
             break
-        pn = poly(rn)
-        if abs(pn) >= abs(p):
+        fn = poly(rn)
+        if abs(fn) >= abs(f):
             break
-        r, p = rn, pn
-        if p == 0.0:
+        r, f = rn, fn
+        if f == 0.0:
             break
     return r
 
 
-def cubic_real_roots(a: float, b: float, c: float, d: float) -> List[float]:
-    """All real roots of a*t^3 + b*t^2 + c*t + d = 0, ascending.
+def cubic_real_roots(p: float, q: float) -> List[float]:
+    """All real roots of the depressed cubic t^3 + p*t + q = 0, ascending.
 
-    Degenerate leading coefficients fall back to the quadratic / linear
-    case. Uses the closed form (trigonometric branch when all three roots
-    are real) followed by a Newton polish per root. A nonzero ``a`` with
-    27a^3 below the normal float range raises NoCandidate: the closed form
-    divides by 27a^3, which has underflowed. So does a cubic whose depressed
-    coefficients overflow.
+    Uses the closed form (trigonometric branch when all three roots are
+    real) followed by a Newton polish per root. A discriminant that
+    overflows or is NaN raises NoCandidate naming (p, q).
     """
-    if a == 0.0 and b == 0.0 and c == 0.0 and d == 0.0:
-        raise DegenerateAllZero("all cubic coefficients are zero")
-    if a != 0.0 and abs(27.0 * a ** 3) < sys.float_info.min:
-        raise NoCandidate(f"leading cubic coefficient {a!r} is too small: 27a^3 underflows")
-
-    if a == 0.0:
-        if b == 0.0:
-            roots = [] if c == 0.0 else [-d / c]
-        else:
-            disc = c * c - 4.0 * b * d
-            if disc < 0.0:
-                roots = []
-            elif disc == 0.0:
-                roots = [-c / (2.0 * b)]
-            else:
-                sq = math.sqrt(disc)
-                roots = [(-c - sq) / (2.0 * b), (-c + sq) / (2.0 * b)]
+    try:
+        disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
+        # Rounding can push a repeated root across the disc = 0 boundary,
+        # so the boundary case is detected with a relative tolerance.
+        scale = (q / 2.0) ** 2 + abs(p / 3.0) ** 3
+    except OverflowError:
+        scale = math.inf
+    if not math.isfinite(scale):
+        raise NoCandidate(f"cubic t^3 + p*t + q with (p, q) = ({p!r}, {q!r}): "
+                          "the discriminant overflows or is NaN")
+    if abs(disc) <= 1e-12 * scale:
+        # A triple root, or one simple root and one double root.
+        roots = [0.0] if p == 0.0 else [3.0 * q / p, -3.0 * q / (2.0 * p)]
+    elif disc > 0.0:
+        sq = math.sqrt(disc)
+        roots = [_cbrt(-q / 2.0 + sq) + _cbrt(-q / 2.0 - sq)]
     else:
-        # Depressed cubic t = s - b/(3a):  s^3 + p s + q = 0.
-        p = (3.0 * a * c - b * b) / (3.0 * a * a)
-        q = (2.0 * b ** 3 - 9.0 * a * b * c + 27.0 * a * a * d) / (27.0 * a ** 3)
-        shift = -b / (3.0 * a)
-        try:
-            disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
-            # Rounding can push a repeated root across the disc = 0 boundary,
-            # so the boundary case is detected with a relative tolerance.
-            scale = (q / 2.0) ** 2 + abs(p / 3.0) ** 3
-        except OverflowError:
-            scale = math.inf
-        if not math.isfinite(scale):
-            raise NoCandidate(f"cubic coefficients ({a!r}, {b!r}, {c!r}, {d!r}) "
-                              "overflow the closed form")
-        if abs(disc) <= 1e-12 * scale:
-            if p == 0.0:
-                roots = [shift]  # triple root
-            else:
-                # One simple root and one double root.
-                roots = [3.0 * q / p + shift, -3.0 * q / (2.0 * p) + shift]
-        elif disc > 0.0:
-            sq = math.sqrt(disc)
-            s = _cbrt(-q / 2.0 + sq) + _cbrt(-q / 2.0 - sq)
-            roots = [s + shift]
-        else:
-            # Three real roots (casus irreducibilis): trigonometric form.
-            m = 2.0 * math.sqrt(-p / 3.0)
-            arg = 3.0 * q / (p * m)
-            arg = min(1.0, max(-1.0, arg))
-            theta = math.acos(arg)
-            roots = [m * math.cos((theta - 2.0 * math.pi * j) / 3.0) + shift
-                     for j in range(3)]
+        # Three real roots (casus irreducibilis): trigonometric form.
+        m = 2.0 * math.sqrt(-p / 3.0)
+        theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m))))
+        roots = [m * math.cos((theta - 2.0 * math.pi * j) / 3.0) for j in range(3)]
 
-    polished = sorted(_polish_root(a, b, c, d, r) for r in roots)
+    polished = sorted(_polish_root(p, q, r) for r in roots)
     deduped: List[float] = []
     for r in polished:
         if not deduped or abs(r - deduped[-1]) > 1e-12 * max(1.0, abs(r)):

@@ -18,7 +18,6 @@ import numpy as np
 from . import engine
 from .diagnostics import OptimumReference
 from .engine import IterateState, Problem, RhoSchedule, StopCriteria
-from .errors import NoCandidate
 from .inner import cubic_real_roots
 from .terms import ConstraintTerm
 
@@ -43,26 +42,22 @@ def example1_block_update(c: float, rho: float) -> float:
 def example2_block_update(c: float, rho: float) -> float:
     """Global argmin over R of x + (rho/2)(x^2 + c)^2.
 
-    Stationary points solve 2 rho x^3 + 2 rho c x + 1 = 0; every real root
-    is scored and the best (smallest on ties) returned.
+    Stationary points solve x^3 + c x + 1/(2 rho) = 0; every real root is
+    scored and the best (smallest on ties) returned.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    roots = cubic_real_roots(2.0 * rho, 0.0, 2.0 * rho * c, 1.0)
-    if not roots:
-        raise NoCandidate("stationarity cubic has no real root")
+    roots = cubic_real_roots(c, 0.5 / rho)
 
     def objective(x):
         return x + 0.5 * rho * (x * x + c) ** 2
 
-    best = min(roots, key=lambda x: (objective(x), x))
-    return best
+    return min(roots, key=lambda x: (objective(x), x))
 
 
 def _sqrt_constraint(offset: float) -> ConstraintTerm:
     # sqrt(x) + offset; the subgradient at 0 is taken one-sided.
     return ConstraintTerm(
-        dim_in=1, dim_out=1,
         eval=lambda x: np.sqrt(np.maximum(x, 0.0)) + offset,
         jacobian=lambda x: np.array([[0.5 / math.sqrt(max(float(x[0]), _SQRT_EPS))]]),
     )
@@ -70,7 +65,6 @@ def _sqrt_constraint(offset: float) -> ConstraintTerm:
 
 def _square_constraint(offset: float) -> ConstraintTerm:
     return ConstraintTerm(
-        dim_in=1, dim_out=1,
         eval=lambda x: x * x + offset,
         jacobian=lambda x: np.array([[2.0 * float(x[0])]]),
     )

@@ -13,12 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
 from .engine import RhoSchedule, SolveResult, StopCriteria, iterate
-from .errors import NoCandidate
 from .inner import FistaConfig, cubic_real_roots, fista, gram_lmax
 from .terms import CompositeObjective, l1_term, with_quadratic, SmoothTerm
 
@@ -41,50 +39,21 @@ def _sphere_penalty_objective(w: np.ndarray, v: np.ndarray, alpha: float) -> flo
 def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:
     """Global minimizer of ||w - v||^2 + (||w||^2 - 1 + alpha)^2 over R^n.
 
-    Candidate norms u >= 0 solve 2u^3 + (2*alpha - 1)u = +-||v||; each
-    consistent candidate w = v / (2u^2 - 1 + 2*alpha) is scored by the
-    objective and the best one returned.
+    A stationary point is w = (sigma*u) v/||v|| for a sign sigma = +-1 and
+    a root u >= 0 of u^3 + (alpha - 1/2)u - sigma*||v||/2; each candidate is
+    scored by the objective and the best one returned. For v = 0 the
+    direction is free and the first basis vector is used.
     """
     v = np.asarray(v, dtype=float)
     m = float(np.linalg.norm(v))
-    b = 2.0 * alpha - 1.0
-
-    if m < 1e-12:
-        # Degenerate: the direction of w is free. Candidates are u = 0 and,
-        # when it exists, the positive root of 2u^2 + b = 0; pick the best
-        # and return it along the first basis vector for reproducibility.
-        best_u, best_obj = 0.0, _sphere_penalty_objective(np.zeros_like(v), v, alpha)
-        if b < 0.0:
-            u = np.sqrt(-b / 2.0)
-            w = np.zeros_like(v)
-            w[0] = u
-            obj = _sphere_penalty_objective(w, v, alpha)
-            if obj < best_obj:
-                best_u, best_obj = u, obj
-        out = np.zeros_like(v)
-        out[0] = best_u
-        return out
-
-    us: List[float] = []
-    for rhs in (m, -m):
-        us.extend(r for r in cubic_real_roots(2.0, 0.0, b, -rhs)
-                  if r >= -1e-12)
-
-    best_w, best_obj = None, np.inf
-    for u in us:
-        u = max(u, 0.0)
-        den = 2.0 * u * u - 1.0 + 2.0 * alpha
-        if abs(den) < 1e-12:
-            continue
-        w = v / den
-        if abs(np.linalg.norm(w) - u) > 1e-8 * (1.0 + u):
-            continue
-        obj = _sphere_penalty_objective(w, v, alpha)
-        if obj < best_obj:
-            best_w, best_obj = w, obj
-    if best_w is None:
-        raise NoCandidate("no admissible cubic root produced a consistent minimizer")
-    return best_w
+    if m > 0.0:
+        direction = v / m
+    else:
+        direction = np.zeros_like(v)
+        direction[0] = 1.0
+    candidates = [(sigma * u) * direction for sigma in (1.0, -1.0)
+                  for u in cubic_real_roots(alpha - 0.5, -0.5 * sigma * m) if u >= 0.0]
+    return min(candidates, key=lambda w: _sphere_penalty_objective(w, v, alpha))
 
 
 def sphere_update_x(loss: CompositeObjective, w: np.ndarray, y2: np.ndarray,

@@ -34,10 +34,8 @@ class ProxTerm:
 
 @dataclass(frozen=True)
 class ConstraintTerm:
-    """Nonlinear map R^dim_in -> R^dim_out with a Jacobian."""
+    """Nonlinear map R^n -> R^m with its m-by-n Jacobian."""
 
-    dim_in: int
-    dim_out: int
     eval: Callable[[np.ndarray], np.ndarray]
     jacobian: Callable[[np.ndarray], np.ndarray]
 
@@ -116,9 +114,4 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
 
 def linear_constraint(A: np.ndarray) -> ConstraintTerm:
     A = np.asarray(A, dtype=float)
-    return ConstraintTerm(
-        dim_in=A.shape[1],
-        dim_out=A.shape[0],
-        eval=lambda x: A @ x,
-        jacobian=lambda x: A,
-    )
+    return ConstraintTerm(eval=lambda x: A @ x, jacobian=lambda x: A)

@@ -240,8 +240,7 @@ def test_criterion_9_classic_admm_reduction():
 
     # Engine formulation: f1 = Ax, f2 = Bz - c.
     f1 = linear_constraint(A)
-    f2 = ConstraintTerm(dim_in=n, dim_out=n, eval=lambda z: B @ z - c,
-                        jacobian=lambda z: B)
+    f2 = ConstraintTerm(eval=lambda z: B @ z - c, jacobian=lambda z: B)
 
     def solve_x1(x1, x2, y, rho_k):
         r = B @ x2 - c

@@ -158,11 +158,12 @@ class TestExampleSubcommands:
         assert all(r["gap"] <= r["bound"] + 1e-8 for r in rows)
 
     def test_example2_tiny_rho0_exit_1(self, capsys):
-        """At rho0 = 1e-160 the stationarity cubic's 27a^3 underflows; the
-        solve fails with the CLI's error line, not a traceback."""
+        """At rho0 = 1e-160 the stationarity cubic's constant term 1/(2 rho)
+        squares past the float range; the solve fails with the CLI's error
+        line, not a traceback."""
         assert cli.main(["example2", "--rho0", "1e-160"]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: solver failed:") and "underflows" in err
+        assert err.startswith("error: solver failed:") and "overflows" in err
 
 
 class TestOnebitSubcommand:
@@ -182,6 +183,25 @@ class TestOnebitSubcommand:
                          "--max-iter", "5"])
         assert code == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestHugeRho:
+    """rho = rho0 + 1e308 is finite, but the step constants built from it
+    overflow in the 1-bit CS w-update and the multi-instance beta-update."""
+
+    HUGE = ["--rho-schedule", "increment", "--rho-delta", "1e308", "--max-iter", "3"]
+
+    @pytest.mark.parametrize("subcommand", [["onebit-cs", "--n", "32", "--m", "16", "--k", "4"],
+                                            ["multi-instance"]],
+                             ids=["onebit-cs", "multi-instance"])
+    def test_overflowing_step_constant_exit_1(self, subcommand, capsys):
+        assert cli.main(subcommand + self.HUGE) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver failed:") and "lipschitz" in err
+
+    def test_example2_runs_to_stopping_test(self):
+        """The monic stationarity cubic takes 1/(2 rho), never 2 rho."""
+        assert cli.main(["example2"] + self.HUGE) in (0, 2)
 
 
 class TestBagSubcommands:

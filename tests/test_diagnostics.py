@@ -22,9 +22,7 @@ def _identity(dim=1):
 
 
 def _affine(shift, dim=1):
-    return ConstraintTerm(dim_in=dim, dim_out=dim,
-                          eval=lambda x: x + shift,
-                          jacobian=lambda x: np.eye(dim))
+    return ConstraintTerm(eval=lambda x: x + shift, jacobian=lambda x: np.eye(dim))
 
 
 class TestErrorBound:

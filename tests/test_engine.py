@@ -28,9 +28,7 @@ from nladmm.terms import (
 def affine_constraint(A, c):
     A = np.asarray(A, dtype=float)
     c = np.asarray(c, dtype=float)
-    return ConstraintTerm(dim_in=A.shape[1], dim_out=A.shape[0],
-                          eval=lambda x: A @ x + c,
-                          jacobian=lambda x: A)
+    return ConstraintTerm(eval=lambda x: A @ x + c, jacobian=lambda x: A)
 
 
 class TestRhoSchedule:
@@ -141,8 +139,8 @@ class TestJacobians:
         for x in points:
             x = np.asarray(x, dtype=float)
             J = term.jacobian(x)
-            assert J.shape == (term.dim_out, term.dim_in)
-            for j in range(term.dim_in):
+            assert J.shape == (term.eval(x).size, x.size)
+            for j in range(x.size):
                 e = np.zeros_like(x)
                 e[j] = h
                 fd = (term.eval(x + e) - term.eval(x - e)) / (2 * h)

@@ -4,13 +4,14 @@ minimizer against the grid-plus-polish oracle.
 
 Targets and psi come mostly from a coarse grid, so ties inside a bag and
 between psi and the targets are frequent; bag sizes run 1 to 8, so
-single-instance bags occur in most examples. Cubics are drawn both from
-free coefficients and from products of (t - r_i) with roots on a
-half-integer grid, so repeated roots occur often.
+single-instance bags occur in most examples. Depressed cubics are drawn
+both from free coefficients and from products of (t - r_i) with roots
+summing to zero, two of them on a half-integer grid, so repeated roots
+occur often. Sphere inputs include norms from 1e-14 to 1e-6.
 """
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from helpers import sphere_penalty_oracle, sphere_penalty_value
 from nladmm import datagen, maxop
@@ -72,26 +73,23 @@ def test_maxop_solve_matches_per_bag_loop(monkeypatch):
     assert state.rho == ref_state.rho
 
 
-COEFFS = st.one_of(st.just(0.0), st.floats(0.1, 10.0), st.floats(-10.0, -0.1))
+SIZES = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+COEFFS = st.one_of(st.just(0.0), SIZES, SIZES.map(lambda x: -x))
 GRID_ROOTS = st.sampled_from([-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0])
 
 
 @st.composite
 def cubics(draw):
-    """((a, b, c, d), known real roots or None): free coefficients, or the
-    expansion of a (t - r1)(t - r2)(t - r3) with roots on a half-integer
-    grid, which is exact in floating point, so repeated roots stay exact.
-
-    Free coefficients are 0 or between 0.1 and 10 in size: with a leading
-    coefficient far below the others the solver loses roots (see
-    ``test_inner.TestCubicRealRoots::test_small_leading_coefficient``)."""
+    """((p, q), known real roots or None) of t^3 + p t + q: free
+    coefficients, each 0 or between 1e-3 and 1e3 in size, or the expansion
+    of (t - r1)(t - r2)(t - r3) with r1, r2 on a half-integer grid and
+    r3 = -r1 - r2, which is exact in floating point, so repeated roots
+    stay exact."""
     if draw(st.booleans()):
-        return tuple(draw(COEFFS) for _ in range(4)), None
-    r = [draw(GRID_ROOTS) for _ in range(3)]
-    a = draw(st.sampled_from([-3.0, -1.0, 0.5, 1.0, 2.0]))
-    coeffs = (a, -a * (r[0] + r[1] + r[2]),
-              a * (r[0] * r[1] + r[0] * r[2] + r[1] * r[2]), -a * r[0] * r[1] * r[2])
-    return coeffs, r
+        return (draw(COEFFS), draw(COEFFS)), None
+    r1, r2 = draw(GRID_ROOTS), draw(GRID_ROOTS)
+    r3 = -r1 - r2
+    return (r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3), [r1, r2, r3]
 
 
 def _near(u, v):
@@ -108,15 +106,14 @@ def test_cubic_real_roots_against_numpy(case):
     1e-3 away from the others is returned, and so is every known root.
     Clustered roots of ``numpy.roots`` are not required: there it can
     report a complex pair with a tiny imaginary part as two real roots."""
-    (a, b, c, d), known = case
-    assume(any(v != 0.0 for v in (a, b, c, d)))
-    roots = cubic_real_roots(a, b, c, d)
+    (p, q), known = case
+    roots = cubic_real_roots(p, q)
     assert roots == sorted(roots)
-    size = abs(a) + abs(b) + abs(c) + abs(d)
+    size = 1.0 + abs(p) + abs(q)
     for r in roots:
-        residual = abs(((a * r + b) * r + c) * r + d)
+        residual = abs((r * r + p) * r + q)
         assert residual <= 1e-12 * size * max(1.0, abs(r)) ** 3
-    reference = np.roots([a, b, c, d])
+    reference = np.roots([1.0, 0.0, p, q])
     for r in roots:
         assert any(_near(r, z) for z in reference), (roots, reference)
     for i, z in enumerate(reference):
@@ -128,15 +125,21 @@ def test_cubic_real_roots_against_numpy(case):
         assert any(_near(z, r) for r in roots), (roots, known)
 
 
+@st.composite
+def sphere_inputs(draw):
+    """v with entries in [-3, 3], or that v scaled to a norm between 1e-14
+    and 1e-6."""
+    v = np.array(draw(st.lists(st.floats(-3.0, 3.0, allow_nan=False),
+                               min_size=1, max_size=4)))
+    m = np.linalg.norm(v)
+    if m > 0.0 and draw(st.booleans()):
+        v = v * (10.0 ** draw(st.floats(-14.0, -6.0)) / m)
+    return v
+
+
 @settings(max_examples=150, deadline=None)
-@given(st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=4),
-       st.floats(-2.0, 2.0, allow_nan=False))
+@given(sphere_inputs(), st.floats(-2.0, 2.0, allow_nan=False))
 def test_sphere_penalty_min_no_worse_than_oracle(v, alpha):
-    """Inputs with 0 < ||v|| < 1e-7 are left out: there the minimizer loses
-    its best candidate (see ``test_sphere.TestSpherePenaltyMin::
-    test_tiny_input_keeps_best_candidate``)."""
-    v = np.array(v)
-    assume(not 0.0 < np.linalg.norm(v) < 1e-7)
     w = sphere_penalty_min(v, alpha)
     best = sphere_penalty_oracle(v, alpha)
     assert sphere_penalty_value(w, v, alpha) <= best + 1e-9 * (1.0 + abs(best))

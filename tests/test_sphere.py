@@ -27,8 +27,6 @@ class TestSpherePenaltyMin:
         expected[0] = 1.0 / np.sqrt(2.0)
         assert np.allclose(w, expected, atol=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="known defect: for 1e-12 <= ||v|| <= ~1e-8 the "
-                       "norm-root candidate fails the consistency check")
     def test_tiny_input_keeps_best_candidate(self):
         v = np.array([1e-12])
         w = sphere.sphere_penalty_min(v, 0.0)
