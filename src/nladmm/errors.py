@@ -2,7 +2,12 @@
 
 
 class SolverError(Exception):
-    """Base class for all solver failures."""
+    """Base class for all solver failures; ``trace`` holds the rows a solve
+    recorded before it failed, if any."""
+
+    def __init__(self, message, trace=None):
+        super().__init__(message)
+        self.trace = trace if trace is not None else []
 
 
 class DimensionMismatch(SolverError):
@@ -12,17 +17,9 @@ class DimensionMismatch(SolverError):
 class SubproblemFailure(SolverError):
     """An inner subproblem solver returned a non-finite point."""
 
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace if trace is not None else []
-
 
 class NonFiniteIterate(SolverError):
     """NaN or Inf detected in an iterate; the solve is aborted."""
-
-    def __init__(self, message, trace=None):
-        super().__init__(message)
-        self.trace = trace if trace is not None else []
 
 
 class NoCandidate(SolverError):

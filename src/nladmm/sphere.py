@@ -1,8 +1,7 @@
-"""Solvers for losses minimized over the unit sphere ||x||^2 = 1, via an
-auxiliary copy variable, plus the three-block 1-bit compressive sensing
-instantiation.
+"""1-bit compressive sensing on the unit sphere ||x||^2 = 1: a three-block
+splitting whose sphere-side block has an exact closed form.
 
-The key primitive is the exact minimizer of
+That block's primitive is the exact minimizer of
 
     ||w - v||^2 + (||w||^2 - 1 + alpha)^2
 
@@ -18,16 +17,7 @@ import numpy as np
 
 from .engine import RhoSchedule, SolveResult, StopCriteria, iterate
 from .inner import FistaConfig, cubic_real_roots, fista, gram_lmax
-from .terms import CompositeObjective, l1_term, with_quadratic, SmoothTerm
-
-
-@dataclass
-class SphereState:
-    x: np.ndarray
-    w: np.ndarray
-    y1: float  # dual of ||w||^2 - 1 = 0 (a single scalar equation)
-    y2: np.ndarray  # dual of w - x = 0
-    rho: float
+from .terms import CompositeObjective, l1_term, SmoothTerm
 
 
 def _sphere_penalty_objective(w: np.ndarray, v: np.ndarray, alpha: float) -> float:
@@ -54,35 +44,6 @@ def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:
     candidates = [(sigma * u) * direction for sigma in (1.0, -1.0)
                   for u in cubic_real_roots(alpha - 0.5, -0.5 * sigma * m) if u >= 0.0]
     return min(candidates, key=lambda w: _sphere_penalty_objective(w, v, alpha))
-
-
-def sphere_update_x(loss: CompositeObjective, w: np.ndarray, y2: np.ndarray,
-                    rho: float, x0: np.ndarray,
-                    cfg: FistaConfig = FistaConfig()) -> np.ndarray:
-    """Approximate argmin_x loss(x) + (rho/2)||w - x + y2/rho||^2 from x0,
-    with the fixed step 1/(L + rho) for the constant L the loss declares; a
-    loss that declares none raises ValueError."""
-    obj = with_quadratic(loss, rho, w + y2 / rho)
-    return fista(obj, x0, cfg, lipschitz=obj.smooth.lipschitz)
-
-
-def sphere_solve(loss: CompositeObjective, init: SphereState,
-                 schedule: RhoSchedule, stop: StopCriteria) -> SolveResult:
-    """Alternate the loss-side pull and the exact w-update, the minimizer of
-    ||w - x + y2/rho||^2 + (||w||^2 - 1 + y1/rho)^2, with one dual per constraint."""
-    blocks = [
-        ("x", lambda s, rho: sphere_update_x(loss, s.w, s.y2, rho, s.x)),
-        ("w", lambda s, rho: sphere_penalty_min(s.x - s.y2 / rho, s.y1 / rho)),
-    ]
-    constraints = [("y1", lambda s: float(s.w @ s.w) - 1.0), ("y2", lambda s: s.w - s.x)]
-
-    def dual_norm(s, old, rho):
-        s1 = rho * (float(s.w @ s.w) - float(old.w @ old.w))
-        s2 = rho * (s.w - old.w)
-        return float(np.sqrt(s1 * s1 + s2 @ s2))
-
-    return iterate(init, blocks, constraints, dual_norm,
-                   lambda s: loss.value(s.x), schedule, stop)
 
 
 @dataclass(frozen=True)
@@ -123,9 +84,12 @@ class OneBitCsState:
 def onebit_update_z(w: np.ndarray, y2: np.ndarray, rho: float, lam: float,
                     M: np.ndarray) -> np.ndarray:
     """Per-coordinate exact minimizer of
-    (lam/2) min(z,0)^2 + (rho/2)(z - a)^2 with a = M w + y2/rho, M = Y Phi."""
-    a = M @ w + y2 / rho
-    return np.where(a >= 0.0, a, rho * a / (lam + rho))
+    (lam/2) min(z,0)^2 + (rho/2)(z - a)^2 with a = M w + y2/rho, M = Y Phi;
+    the shrink rho*a/(lam + rho) is formed only where a < 0, not where it is unused."""
+    z = M @ w + y2 / rho
+    neg = z < 0.0
+    z[neg] = rho * z[neg] / (lam + rho)
+    return z
 
 
 def onebit_update_w(z: np.ndarray, x: np.ndarray, y2: np.ndarray,

@@ -1,7 +1,6 @@
 """Acceptance suite: one test per release criterion, each printing a single
 PASS/FAIL line with the measured margin."""
 
-import math
 import time
 
 import numpy as np

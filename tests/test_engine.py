@@ -17,7 +17,6 @@ from nladmm.errors import DimensionMismatch, NonFiniteIterate, SubproblemFailure
 from nladmm.terms import (
     CompositeObjective,
     ConstraintTerm,
-    SmoothTerm,
     l1_term,
     linear_constraint,
     logistic_loss,
@@ -278,16 +277,6 @@ class TestSolve:
             assert np.allclose(w[k + 1], w[k] - step, atol=1e-10)
 
 
-def _run_sphere(stop):
-    loss = CompositeObjective(SmoothTerm(value=lambda x: -float(x[0]),
-                                         gradient=lambda x: np.array([-1.0, 0.0]),
-                                         lipschitz=0.0),
-                              zero_prox())
-    init = sphere.SphereState(x=np.array([0.6, 0.8]), w=np.array([0.6, 0.8]),
-                              y1=0.0, y2=np.zeros(2), rho=5.0)
-    return sphere.sphere_solve(loss, init, RhoSchedule.constant(5.0), stop)
-
-
 def _run_onebit(stop):
     problem, _ = datagen.generate_onebit(16, 12, 4, seed=0, lam=10.0)
     M = problem.signed_matrix
@@ -307,20 +296,21 @@ def _run_maxop(stop):
 
 class TestApplicationSolvers:
     @pytest.mark.parametrize("run, module, attr, block", [
-        (_run_sphere, sphere, "sphere_penalty_min", "w"),
+        (_run_onebit, sphere, "sphere_penalty_min", "x"),
         (_run_onebit, sphere, "onebit_update_w", "w"),
         (_run_maxop, maxop, "t_update_bags", "t"),
-    ], ids=["sphere_solve", "onebit_solve", "maxop_solve"])
+    ], ids=["onebit_solve_first_block", "onebit_solve", "maxop_solve"])
     def test_nonfinite_block_raises(self, monkeypatch, run, module, attr, block):
-        """A NaN from the last block update of an iteration stops the solve."""
+        """A NaN from the first or the last block update of an iteration
+        stops the solve and names the block."""
         original = getattr(module, attr)
         monkeypatch.setattr(module, attr,
                             lambda *a, **kw: np.full_like(original(*a, **kw), np.nan))
         with pytest.raises(SubproblemFailure, match=f"in {block} block update"):
             run(StopCriteria(max_iter=1))
 
-    @pytest.mark.parametrize("run", [_run_sphere, _run_onebit, _run_maxop],
-                             ids=["sphere_solve", "onebit_solve", "maxop_solve"])
+    @pytest.mark.parametrize("run", [_run_onebit, _run_maxop],
+                             ids=["onebit_solve", "maxop_solve"])
     def test_returns_solve_result(self, run):
         """Every application solver returns the engine's SolveResult, which
         unpacks as (state, trace, converged)."""

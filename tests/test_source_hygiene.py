@@ -1,15 +1,20 @@
-"""Every module of the package except ``__init__`` uses each name it
-imports (``__init__`` re-exports names, so it is left out), and no module
-has an ``assert`` statement: ``python -O`` strips them, so a check the
-package relies on raises a typed error instead."""
+"""Every module of the package except ``__init__`` and every module of the
+tests uses each name it imports (``__init__`` re-exports names, so it is
+left out), and no module of the package has an ``assert`` statement:
+``python -O`` strips them, so a check the package relies on raises a typed
+error instead."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nladmm"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "nladmm"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# Test modules are keyed "tests/<name>", package modules by their bare name.
+SOURCES = {**{name: PACKAGE / name for name in MODULES},
+           **{f"tests/{p.name}": p for p in TESTS.glob("*.py")}}
 
 
 def _imported(tree):
@@ -44,9 +49,9 @@ def test_modules_found():
     assert "engine.py" in MODULES and "cli.py" in MODULES
 
 
-@pytest.mark.parametrize("module", MODULES)
+@pytest.mark.parametrize("module", sorted(SOURCES))
 def test_no_unused_imports(module):
-    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    tree = ast.parse(SOURCES[module].read_text(encoding="utf-8"))
     unused = sorted(set(_imported(tree)) - _used(tree))
     assert not unused, f"{module} imports names it never uses: {unused}"
 
