@@ -1,23 +1,23 @@
-"""1-bit compressive sensing on the unit sphere ||x||^2 = 1: a three-block
-splitting whose sphere-side block has an exact closed form.
-
-That block's primitive is the exact minimizer of
-
-    ||w - v||^2 + (||w||^2 - 1 + alpha)^2
-
-whose stationarity condition reduces to a scalar cubic in ||w||.
+"""1-bit compressive sensing on the unit sphere ||x||^2 = 1: a four-block
+splitting in which every block has a closed form. The sphere-side x-block
+is the exact minimizer of ||w - v||^2 + (||w||^2 - 1 + alpha)^2, a scalar
+cubic in ||w||; z is a per-coordinate clip, the smooth copy v one linear
+solve with a rho-free matrix, and the sparse w a soft threshold.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import inner
 from .engine import RhoSchedule, SolveResult, StopCriteria, iterate
-from .inner import FistaConfig, cubic_real_roots, fista, gram_lmax
-from .terms import CompositeObjective, l1_term, SmoothTerm
+from .inner import cubic_real_roots
+from .terms import soft_threshold
+
+fista = inner.fista  # no block calls it; kept only for the benchmark tracer to wrap
 
 
 def _sphere_penalty_objective(w: np.ndarray, v: np.ndarray, alpha: float) -> float:
@@ -72,6 +72,8 @@ class OneBitCsProblem:
 
 @dataclass
 class OneBitCsState:
+    """Iterates and duals; the smooth copy v of w starts at w, its dual y4 at 0."""
+
     x: np.ndarray
     w: np.ndarray
     z: np.ndarray
@@ -79,65 +81,58 @@ class OneBitCsState:
     y2: np.ndarray
     y3: np.ndarray
     rho: float
+    v: np.ndarray = field(init=False)
+    y4: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.v = np.array(self.w, dtype=float)
+        self.y4 = np.zeros_like(self.v)
 
 
-def onebit_update_z(w: np.ndarray, y2: np.ndarray, rho: float, lam: float,
+def onebit_update_z(v: np.ndarray, y2: np.ndarray, rho: float, lam: float,
                     M: np.ndarray) -> np.ndarray:
     """Per-coordinate exact minimizer of
-    (lam/2) min(z,0)^2 + (rho/2)(z - a)^2 with a = M w + y2/rho, M = Y Phi;
+    (lam/2) min(z,0)^2 + (rho/2)(z - a)^2 with a = M v + y2/rho, M = Y Phi;
     the shrink rho*a/(lam + rho) is formed only where a < 0, not where it is unused."""
-    z = M @ w + y2 / rho
+    z = M @ v + y2 / rho
     neg = z < 0.0
     z[neg] = rho * z[neg] / (lam + rho)
     return z
 
 
-def onebit_update_w(z: np.ndarray, x: np.ndarray, y2: np.ndarray,
-                    y3: np.ndarray, rho: float, M: np.ndarray,
-                    gram: tuple[np.ndarray, float], w0: np.ndarray,
-                    cfg: FistaConfig = FistaConfig()) -> np.ndarray:
-    """Approximate argmin_w ||w||_1 + (rho/2)||M w - z + y2/rho||^2
-    + (rho/2)||w - x + y3/rho||^2 from w0 via the accelerated proximal
-    method, with M = Y Phi and ``gram`` = ``gram_lmax(M)``.
+def onebit_update_v(z: np.ndarray, x: np.ndarray, w: np.ndarray, y2: np.ndarray,
+                    y3: np.ndarray, y4: np.ndarray, rho: float, M: np.ndarray,
+                    K: np.ndarray) -> np.ndarray:
+    """Exact minimizer of the v-terms of the augmented Lagrangian: the solution
+    of (M'M + 2I) v = M'(z - y2/rho) + (x - y3/rho) + (w + y4/rho), K = inv(M'M + 2I)."""
+    return K @ (M.T @ (z - y2 / rho) + (x - y3 / rho) + (w + y4 / rho))
 
-    The smooth part's gradient is Lipschitz with constant
-    rho (lambda_max(M'M) + 1), so FISTA takes the fixed step 1/L."""
-    MtM, lmax = gram
-    b = z - y2 / rho
-    Mtb = M.T @ b
-    c = x - y3 / rho
 
-    def value(w):
-        rz = M @ w - b
-        rx = w - c
-        return 0.5 * rho * float(rz @ rz + rx @ rx)
-
-    def gradient(w):
-        return rho * (MtM @ w - Mtb + w - c)
-
-    smooth = SmoothTerm(value=value, gradient=gradient, lipschitz=rho * (lmax + 1.0))
-    obj = CompositeObjective(smooth, l1_term(1.0))
-    return fista(obj, w0, cfg, lipschitz=obj.smooth.lipschitz)
+def onebit_update_w(v: np.ndarray, y4: np.ndarray, rho: float) -> np.ndarray:
+    """argmin_w ||w||_1 + (rho/2)||w - v + y4/rho||^2: soft(v - y4/rho, 1/rho)."""
+    return soft_threshold(v - y4 / rho, 1.0 / rho)
 
 
 def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,
                  schedule: RhoSchedule, stop: StopCriteria) -> SolveResult:
-    """Three-block cycle: sphere-penalized x (closed form), clipped z
-    (closed form), sparse w (proximal gradient), then the dual ascent steps."""
+    """Blocks x, z, v, w, then dual steps on ||x||^2 = 1, M v = z, v = x and
+    w = v. rho does not enter v's matrix, so it is inverted once per solve."""
     M = problem.signed_matrix
-    gram = gram_lmax(M)
+    K = np.linalg.inv(M.T @ M + 2.0 * np.eye(M.shape[1]))
     blocks = [
-        ("x", lambda s, rho: sphere_penalty_min(s.w + s.y3 / rho, s.y1 / rho)),
-        ("z", lambda s, rho: onebit_update_z(s.w, s.y2, rho, problem.lam, M)),
-        ("w", lambda s, rho: onebit_update_w(s.z, s.x, s.y2, s.y3, rho, M, gram, s.w)),
+        ("x", lambda s, rho: sphere_penalty_min(s.v + s.y3 / rho, s.y1 / rho)),
+        ("z", lambda s, rho: onebit_update_z(s.v, s.y2, rho, problem.lam, M)),
+        ("v", lambda s, rho: onebit_update_v(s.z, s.x, s.w, s.y2, s.y3, s.y4, rho, M, K)),
+        ("w", lambda s, rho: onebit_update_w(s.v, s.y4, rho)),
     ]
     constraints = [("y1", lambda s: float(s.x @ s.x) - 1.0),
-                   ("y2", lambda s: M @ s.w - s.z),
-                   ("y3", lambda s: s.w - s.x)]
+                   ("y2", lambda s: M @ s.v - s.z),
+                   ("y3", lambda s: s.v - s.x),
+                   ("y4", lambda s: s.w - s.v)]
 
     def dual_norm(s, old, rho):
-        dz, dw = s.z - old.z, s.w - old.w
-        return rho * float(np.sqrt(dz @ dz + dw @ dw))
+        dz, dv, dw = s.z - old.z, s.v - old.v, s.w - old.w
+        return rho * float(np.sqrt(dz @ dz + dv @ dv + dw @ dw))
 
     return iterate(init, blocks, constraints, dual_norm,
                    lambda s: problem.objective(s.w, s.z), schedule, stop)

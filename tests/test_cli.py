@@ -185,18 +185,22 @@ class TestOnebitSubcommand:
 
 
 class TestHugeRho:
-    """rho = rho0 + 1e308 is finite, but the step constants built from it
-    overflow in the 1-bit CS w-update and the multi-instance beta-update."""
+    """rho = rho0 + 1e308 is finite at iteration 1. The multi-instance
+    beta-update's step constant built from it overflows there; the 1-bit CS
+    blocks take no step constant, so that solve fails when rho itself
+    overflows at iteration 2."""
 
     HUGE = ["--rho-schedule", "increment", "--rho-delta", "1e308", "--max-iter", "3"]
 
-    @pytest.mark.parametrize("subcommand", [["onebit-cs", "--n", "32", "--m", "16", "--k", "4"],
-                                            ["multi-instance"]],
+    @pytest.mark.parametrize("subcommand, cause",
+                             [(["onebit-cs", "--n", "32", "--m", "16", "--k", "4"],
+                               "penalty rho is inf at iteration 2"),
+                              (["multi-instance"], "lipschitz")],
                              ids=["onebit-cs", "multi-instance"])
-    def test_overflowing_step_constant_exit_1(self, subcommand, capsys):
+    def test_overflowing_step_constant_exit_1(self, subcommand, cause, capsys):
         assert cli.main(subcommand + self.HUGE) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: solver failed:") and "lipschitz" in err
+        assert err.startswith("error: solver failed:") and cause in err
 
     def test_example2_runs_to_stopping_test(self):
         """The monic stationarity cubic takes 1/(2 rho), never 2 rho."""

@@ -1,15 +1,9 @@
 import numpy as np
 import pytest
 
-from helpers import (
-    lasso_cd_oracle,
-    record_lipschitz,
-    sphere_penalty_oracle,
-    sphere_penalty_value,
-)
+from helpers import golden_section_min, sphere_penalty_oracle, sphere_penalty_value
 from nladmm import datagen, sphere
 from nladmm.engine import RhoSchedule, StopCriteria
-from nladmm.inner import FistaConfig, gram_lmax
 
 
 def stationarity_residual(w, v, alpha):
@@ -95,7 +89,6 @@ class TestOneBitPieces:
             assert z[1] == pytest.approx(rho * a / (10.0 + rho))
 
     def test_update_z_matches_scalar_oracle(self):
-        from helpers import golden_section_min
         rng = np.random.default_rng(5)
         for _ in range(100):
             a = float(rng.uniform(-3, 3))
@@ -107,70 +100,66 @@ class TestOneBitPieces:
                 -6.0, 6.0, tol=1e-10)
             assert float(z[0]) == pytest.approx(oracle, abs=1e-6)
 
-    def test_update_w_stationarity(self):
-        """The returned w is a fixed point of its own proximal-gradient map."""
-        rng = np.random.default_rng(11)
-        m, n = 6, 4
-        Phi = rng.standard_normal((m, n))
-        y_sign = np.where(rng.standard_normal(m) >= 0, 1.0, -1.0)
-        z = rng.standard_normal(m)
-        x = rng.standard_normal(n)
-        y2 = rng.standard_normal(m)
-        y3 = rng.standard_normal(n)
-        rho = 2.0
-        M = y_sign[:, None] * Phi
-        w = sphere.onebit_update_w(z, x, y2, y3, rho, M, gram_lmax(M), x - y3 / rho,
-                                   cfg=FistaConfig(tol=1e-14, max_iter=5000))
-        grad = rho * (M.T @ (M @ w - (z - y2 / rho)) + (w - (x - y3 / rho)))
-        from nladmm.terms import soft_threshold
-        step = 1e-3
-        fixed = soft_threshold(w - step * grad, step)
-        assert np.linalg.norm(fixed - w) <= 1e-6
-
-    @staticmethod
-    def _w_subproblem(seed, m=8, n=6):
-        rng = np.random.default_rng(seed)
-        Phi = rng.standard_normal((m, n))
-        y_sign = np.where(rng.standard_normal(m) >= 0, 1.0, -1.0)
-        return (Phi, y_sign, rng.standard_normal(m), rng.standard_normal(n),
-                rng.standard_normal(m), rng.standard_normal(n))
+    @pytest.mark.parametrize("rho", [0.5, 2.0, 1000.0])
+    def test_update_w_matches_golden_section(self, rho):
+        """Each coordinate of the soft threshold minimizes
+        |s| + (rho/2)(s - v_i + y4_i/rho)^2."""
+        rng = np.random.default_rng(14)
+        v = 2.0 * rng.standard_normal(40) / rho
+        y4 = rng.standard_normal(40)
+        w = sphere.onebit_update_w(v, y4, rho)
+        assert 0 < np.count_nonzero(w) < w.size  # both branches of the threshold
+        for wi, vi, yi in zip(w, v, y4):
+            a = vi - yi / rho
+            oracle = golden_section_min(lambda s: abs(s) + 0.5 * rho * (s - a) ** 2,
+                                        -abs(a) - 1.0, abs(a) + 1.0, tol=1e-12)
+            assert float(wi) == pytest.approx(oracle, abs=1e-7)
 
     @pytest.mark.parametrize("rho", [0.5, 2.0, 1000.0])
-    def test_update_w_matches_coordinate_descent_oracle(self, rho):
-        """The fixed-step w-update reaches the minimizer that coordinate
-        descent on the same lasso finds."""
-        Phi, y_sign, z, x, y2, y3 = self._w_subproblem(12)
-        M = y_sign[:, None] * Phi
-        w = sphere.onebit_update_w(z, x, y2, y3, rho, M, gram_lmax(M), x - y3 / rho,
-                                   cfg=FistaConfig(tol=1e-14, max_iter=5000))
-        b, c = z - y2 / rho, x - y3 / rho
-        oracle = lasso_cd_oracle(rho * (M.T @ M + np.eye(M.shape[1])),
-                                 rho * (M.T @ b + c), 1.0)
-        assert np.allclose(w, oracle, atol=1e-6)
+    def test_update_v_zeroes_lagrangian_gradient(self, rho):
+        """The v-block is a stationary point of the augmented Lagrangian in v:
+        M'y2 + rho M'(Mv - z) + y3 + rho (v - x) - y4 - rho (w - v) = 0."""
+        rng = np.random.default_rng(12)
+        M = np.where(rng.standard_normal(8) >= 0, 1.0, -1.0)[:, None] * rng.standard_normal((8, 6))
+        z, y2 = rng.standard_normal(8), rng.standard_normal(8)
+        x, w, y3, y4 = rng.standard_normal((4, 6))
+        K = np.linalg.inv(M.T @ M + 2.0 * np.eye(M.shape[1]))
+        v = sphere.onebit_update_v(z, x, w, y2, y3, y4, rho, M, K)
+        grad = (M.T @ y2 + rho * (M.T @ (M @ v - z)) + y3 + rho * (v - x)
+                - y4 - rho * (w - v))
+        scale = rho * (np.linalg.norm(M, 2) ** 2 + 2.0) * (1.0 + np.linalg.norm(v))
+        assert np.linalg.norm(grad) <= 1e-12 * scale
 
-    def test_update_w_lipschitz_bound(self, monkeypatch):
-        """Every w-update, direct or inside a solve, steps with
-        L = rho (||M||_2^2 + 1), the exact constant of its gradient."""
-        used = record_lipschitz(monkeypatch, sphere)
-        Phi, y_sign, z, x, y2, y3 = self._w_subproblem(13)
-        M = y_sign[:, None] * Phi
-        sphere.onebit_update_w(z, x, y2, y3, 3.0, M, gram_lmax(M), x)
-        bound = 3.0 * (np.linalg.norm(M, 2) ** 2 + 1.0)
-        assert used[0] >= bound * (1.0 - 1e-12)
-        assert used[0] == pytest.approx(bound, rel=1e-9)
+    def test_solve_inverts_once_under_increment(self, monkeypatch):
+        """rho does not enter the v-block's matrix, so a solve whose rho
+        grows every iteration still inverts M'M + 2I exactly once."""
+        inv = np.linalg.inv
+        calls = []
 
+        def counting_inv(a):
+            calls.append(np.shape(a))
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
         problem, _ = datagen.generate_onebit(16, 12, 4, seed=0, lam=10.0)
         M = problem.signed_matrix
         x0 = M.T @ np.ones(12)
         x0 /= np.linalg.norm(x0)
         init = sphere.OneBitCsState(x=x0.copy(), w=x0.copy(), z=M @ x0, y1=0.0,
                                     y2=np.zeros(12), y3=np.zeros(16), rho=50.0)
-        used.clear()
-        sphere.onebit_solve(problem, init, RhoSchedule.constant(50.0),
-                            StopCriteria(max_iter=3))
-        bound = 50.0 * (np.linalg.norm(M, 2) ** 2 + 1.0)
-        assert len(used) == 3
-        assert all(lip >= bound * (1.0 - 1e-12) for lip in used)
+        _, trace, _ = sphere.onebit_solve(problem, init, RhoSchedule.increment(50.0, 5.0),
+                                          StopCriteria(max_iter=5))
+        assert [row.rho for row in trace] == [50.0, 55.0, 60.0, 65.0, 70.0]
+        assert calls == [(16, 16)]
+
+    def test_state_starts_split_copy_at_w(self):
+        """v and y4 are not constructor arguments: v starts as a copy of w,
+        y4 at zero."""
+        w = np.array([1.0, -2.0])
+        s = sphere.OneBitCsState(x=w.copy(), w=w, z=np.zeros(1), y1=0.0,
+                                 y2=np.zeros(1), y3=np.zeros(2), rho=1.0)
+        assert np.array_equal(s.v, w) and s.v is not w
+        assert np.array_equal(s.y4, np.zeros(2))
 
     def test_onebit_solve_small(self):
         problem, x_true = datagen.generate_onebit(16, 12, 4, seed=0, lam=10.0)
