@@ -9,8 +9,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from .engine import IterateState, SolveResult
-from .errors import MissingReference
+from .engine import SolveResult
 from .terms import ConstraintTerm
 
 
@@ -30,35 +29,6 @@ def check_reference_feasible(ref: OptimumReference, f1: ConstraintTerm,
     viol = np.linalg.norm(f1.eval(ref.x1_star) + f2.eval(ref.x2_star))
     if viol > 1e-8:
         raise ValueError(f"reference optimum is infeasible: ||f1+f2|| = {viol:.3e}")
-
-
-def error_bound(state: IterateState, p_current: float, prev_f2: np.ndarray,
-                ref: OptimumReference, f1: ConstraintTerm,
-                f2: ConstraintTerm) -> tuple:
-    """Returns (bound, gap) where gap = p^k - p* and
-
-        bound = rho * eps^k * ||f2(x2^k) - f2(x2^{k-1})||_1 - y^k . r^k
-
-    with eps^k the sup-norm of the f1 gap to the optimum.
-    """
-    if ref is None:
-        raise MissingReference("error bound needs a known optimum")
-    eps = float(np.max(np.abs(f1.eval(state.x1) - f1.eval(ref.x1_star))))
-    delta_f2 = f2.eval(state.x2) - np.asarray(prev_f2, dtype=float)
-    r = f1.eval(state.x1) + f2.eval(state.x2)
-    bound = state.rho * eps * float(np.sum(np.abs(delta_f2))) - float(state.y @ r)
-    gap = float(p_current) - ref.p_star
-    return bound, gap
-
-
-def lyapunov(state: IterateState, ref: OptimumReference,
-             f2: ConstraintTerm) -> float:
-    """rho * ||f2(x2) - f2(x2*)||^2 + (1/rho) * ||y - y*||^2."""
-    if ref is None:
-        raise MissingReference("Lyapunov value needs a known optimum")
-    d2 = f2.eval(state.x2) - f2.eval(ref.x2_star)
-    dy = state.y - np.asarray(ref.y_star, dtype=float)
-    return float(state.rho * (d2 @ d2) + (dy @ dy) / state.rho)
 
 
 @dataclass(frozen=True)
@@ -100,20 +70,6 @@ class DiagnosticsRow:
     gap: float
     lyapunov: float
     vi_norm: float
-    flags: str
-
-
-def recover_duals(result: SolveResult, f1: ConstraintTerm, f2: ConstraintTerm,
-                  x1_history: Sequence[np.ndarray],
-                  x2_history: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """The duals y^0, ..., y^K of a solve, from its final dual y^K backward:
-    y^k = y^{k+1} - rho_k (f1(x1^{k+1}) + f2(x2^{k+1})), undoing the
-    engine's dual steps. The histories are as in ``diagnose_result``."""
-    ys = [np.asarray(result.state.y, dtype=float)]
-    for k in range(len(result.trace) - 1, -1, -1):
-        r = f1.eval(x1_history[k + 1]) + f2.eval(x2_history[k + 1])
-        ys.append(ys[-1] - result.trace[k].rho * r)
-    return ys[::-1]
 
 
 def diagnose_result(result: SolveResult, ref: OptimumReference,
@@ -123,33 +79,48 @@ def diagnose_result(result: SolveResult, ref: OptimumReference,
     """Per-iteration bound/gap/Lyapunov/VI table for a constant-rho solve.
 
     ``x1_history`` / ``x2_history`` are the primal iterates including the
-    initial point (length len(trace) + 1).
+    initial point (length len(trace) + 1). The f1/f2 value of each
+    iterate is evaluated once, and one backward pass rebuilds the duals
+    from the final one, y^k = y^{k+1} - rho r^{k+1} with
+    r^{k+1} = f1(x1^{k+1}) + f2(x2^{k+1}), undoing the engine's dual
+    steps. Row k, on (x1, x2, y)^{k+1}:
+
+        bound    = rho eps ||f2(x2^{k+1}) - f2(x2^k)||_1 - y^{k+1} . r^{k+1}
+        gap      = p^{k+1} - p*
+        lyapunov = rho ||f2(x2^{k+1}) - f2(x2*)||^2 + ||y^{k+1} - y*||^2 / rho
+
+    with eps the sup-norm of f1(x1^{k+1}) - f1(x1*), and vi_norm the
+    variational-inequality value ||E(w^k - w~^k)||_D^2 of ``vi_matrices``.
     """
     rhos = {row.rho for row in result.trace}
     if len(rhos) > 1:
         raise ValueError("diagnostics require a constant penalty parameter")
     rho = result.trace[0].rho
     check_reference_feasible(ref, f1, f2)
-    ys = recover_duals(result, f1, f2, x1_history, x2_history)
+    F1 = [f1.eval(x) for x in x1_history]
+    F2 = [f2.eval(x) for x in x2_history]
+    f1_star = f1.eval(ref.x1_star)
+    f2_star = f2.eval(ref.x2_star)
+    y_star = np.asarray(ref.y_star, dtype=float)
 
     rows = []
-    f2_prev = f2.eval(x2_history[0])
-    for i, tr in enumerate(result.trace):
-        # ||E(w^i - w~^i)||_D^2 of vi_matrices in closed form, with
-        # w = (f1(x1), f2(x2), y): b = f2(x2^i) - f2(x2^{i+1}) and
+    y = np.asarray(result.state.y, dtype=float)
+    for i in range(len(result.trace) - 1, -1, -1):
+        tr = result.trace[i]
+        r = F1[i + 1] + F2[i + 1]
+        # With w = (f1(x1), f2(x2), y), b = f2(x2^i) - f2(x2^{i+1}) and
         # c = -rho (f1(x1^{i+1}) + f2(x2^i)) are the f2 and y parts of
-        # w^i - w~^i, and the value is rho ||b||^2 + ||rho b + c||^2 / rho.
-        f2_next = f2.eval(x2_history[i + 1])
-        b = f2_prev - f2_next
-        c = -rho * (f1.eval(x1_history[i + 1]) + f2_prev)
+        # w^i - w~^i, and the VI value is rho ||b||^2 + ||rho b + c||^2 / rho.
+        b = F2[i] - F2[i + 1]
+        c = -rho * (F1[i + 1] + F2[i])
         e = rho * b + c
         vi_norm = rho * float(b @ b) + float(e @ e) / rho
-        state = IterateState(x1=x1_history[i + 1], x2=x2_history[i + 1], y=ys[i + 1],
-                             rho=rho)
-        bound, gap = error_bound(state, tr.objective, f2_prev, ref, f1, f2)
-        V = lyapunov(state, ref, f2)
-        flags = "increase" if rows and vi_norm > rows[-1].vi_norm + 1e-10 else ""
-        rows.append(DiagnosticsRow(k=tr.k, bound=bound, gap=gap, lyapunov=V,
-                                   vi_norm=vi_norm, flags=flags))
-        f2_prev = f2_next
-    return rows
+        eps = float(np.max(np.abs(F1[i + 1] - f1_star)))
+        bound = rho * eps * float(np.sum(np.abs(b))) - float(y @ r)
+        d2 = F2[i + 1] - f2_star
+        dy = y - y_star
+        rows.append(DiagnosticsRow(k=tr.k, bound=bound, gap=float(tr.objective) - ref.p_star,
+                                   lyapunov=float(rho * (d2 @ d2) + (dy @ dy) / rho),
+                                   vi_norm=vi_norm))
+        y = y - rho * r
+    return rows[::-1]

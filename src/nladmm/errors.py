@@ -25,7 +25,3 @@ class NonFiniteIterate(SolverError):
 class NoCandidate(SolverError):
     """A closed-form update broke down numerically: its cubic's discriminant
     overflowed or is NaN."""
-
-
-class MissingReference(SolverError):
-    """A diagnostic needs a known optimum that was not supplied."""

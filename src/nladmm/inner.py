@@ -74,13 +74,6 @@ def fista(obj: CompositeObjective, x0: np.ndarray,
     return x
 
 
-def gram_lmax(A: np.ndarray) -> tuple[np.ndarray, float]:
-    """A'A and its largest eigenvalue, the Lipschitz constant of the
-    gradient of (1/2)||A x - b||^2."""
-    G = A.T @ A
-    return G, float(np.linalg.eigvalsh(G)[-1])
-
-
 def _polish_root(p: float, q: float, r: float) -> float:
     # A few Newton steps remove the floating-point error of the closed form.
     # Steps are only accepted while they shrink the residual, so a nearly

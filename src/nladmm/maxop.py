@@ -17,8 +17,8 @@ from functools import cached_property
 import numpy as np
 
 from .engine import RhoSchedule, SolveResult, StopCriteria, iterate
-from .inner import FistaConfig, fista, gram_lmax
-from .terms import CompositeObjective, ProxTerm, with_quadratic, SmoothTerm
+from .inner import FistaConfig, fista
+from .terms import CompositeObjective, ProxTerm, SmoothTerm
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,10 @@ class BagDataset:
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, float]:
-        """X'X and its largest eigenvalue, computed on first use."""
-        return gram_lmax(self.X)
+        """X'X and its largest eigenvalue, the Lipschitz constant of the
+        gradient of (1/2)||X beta - b||^2, computed on first use."""
+        G = self.X.T @ self.X
+        return G, float(np.linalg.eigvalsh(G)[-1])
 
     @property
     def n_bags(self) -> int:
@@ -153,8 +155,14 @@ def update_q(loss: CompositeObjective, data: BagDataset, t: np.ndarray,
     the fixed step 1/(L + rho) for the constant L the loss declares (1/4
     for the logistic loss); a loss that declares none raises ValueError."""
     center = data.bag_max(t) - y1 / rho
-    obj = with_quadratic(loss, rho, center)
-    return fista(obj, center, cfg, lipschitz=obj.smooth.lipschitz)
+    f = loss.smooth
+    smooth = SmoothTerm(
+        value=lambda q: f.value(q) + 0.5 * rho * float(np.dot(q - center, q - center)),
+        gradient=lambda q: f.gradient(q) + rho * (q - center),
+        lipschitz=None if f.lipschitz is None else f.lipschitz + rho,
+    )
+    return fista(CompositeObjective(smooth, loss.nonsmooth), center, cfg,
+                 lipschitz=smooth.lipschitz)
 
 
 def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,

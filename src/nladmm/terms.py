@@ -69,34 +69,6 @@ def l1_term(lam: float = 1.0) -> ProxTerm:
     )
 
 
-def quadratic_smooth(weight: float, center: np.ndarray) -> SmoothTerm:
-    """(weight/2) * ||x - center||^2."""
-    c = np.asarray(center, dtype=float)
-    return SmoothTerm(
-        value=lambda x: 0.5 * weight * float(np.dot(x - c, x - c)),
-        gradient=lambda x: weight * (x - c),
-        lipschitz=weight,
-    )
-
-
-def add_smooth(a: SmoothTerm, b: SmoothTerm) -> SmoothTerm:
-    """Sum of two smooth terms; its constant is known when both are."""
-    known = a.lipschitz is not None and b.lipschitz is not None
-    return SmoothTerm(
-        value=lambda x: a.value(x) + b.value(x),
-        gradient=lambda x: a.gradient(x) + b.gradient(x),
-        lipschitz=a.lipschitz + b.lipschitz if known else None,
-    )
-
-
-def with_quadratic(obj: CompositeObjective, weight: float, center: np.ndarray) -> CompositeObjective:
-    """Augment a composite objective with (weight/2)||x - center||^2."""
-    return CompositeObjective(
-        smooth=add_smooth(obj.smooth, quadratic_smooth(weight, center)),
-        nonsmooth=obj.nonsmooth,
-    )
-
-
 def logistic_loss(labels: np.ndarray) -> SmoothTerm:
     """Componentwise log loss sum_i log(1 + exp(q_i)) - labels_i * q_i.
     The sigmoid's slope is at most 1/4, which bounds the gradient's

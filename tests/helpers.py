@@ -9,7 +9,9 @@ updates, and ``lasso_cd_oracle`` solves the l1-regularized quadratic
 subproblems of the FISTA block updates by coordinate descent.
 ``record_lipschitz`` records the Lipschitz constant each FISTA call
 is given, ``record_duals`` the dual each scalar-example solve hands its x1
-block, and ``read_trace`` reads a trace CSV back.
+block, and ``read_trace`` reads a trace CSV back. ``quadratic_term`` is a
+FISTA test objective, and ``diagnostics_oracle`` evaluates the diagnostics
+rows from the engine's own duals, map by map.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from nladmm.errors import SolverError
+from nladmm.terms import SmoothTerm
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GOLDEN_STEPS = 200
@@ -238,3 +241,40 @@ def vi_sequences(f1, f2, x1_history, x2_history, ys, rho: float):
     w_tilde = [np.concatenate([f1s[k + 1], f2s[k + 1], ys[k] + rho * (f1s[k + 1] + f2s[k])])
                for k in range(len(ys) - 1)]
     return w, w_tilde
+
+
+def quadratic_term(weight: float, center: np.ndarray) -> SmoothTerm:
+    """(weight/2) ||x - center||^2, declaring its constant ``weight``."""
+    c = np.asarray(center, dtype=float)
+    return SmoothTerm(value=lambda x: 0.5 * weight * float(np.dot(x - c, x - c)),
+                      gradient=lambda x: weight * (x - c), lipschitz=weight)
+
+
+def diagnostics_oracle(trace, ref, f1, f2, x1_history, x2_history, ys) -> list:
+    """(bound, gap, lyapunov, vi_norm) of each trace row k, on
+    (x1, x2, y)^{k+1} with y^0, ..., y^K the duals the engine used
+    (``record_duals`` plus ``result.state.y``), each map evaluated afresh:
+
+        bound    = rho eps ||f2(x2^{k+1}) - f2(x2^k)||_1 - y^{k+1} . r^{k+1}
+        gap      = p^{k+1} - p*
+        lyapunov = rho ||f2(x2^{k+1}) - f2(x2*)||^2 + ||y^{k+1} - y*||^2 / rho
+        vi_norm  = rho ||b||^2 + ||rho b + c||^2 / rho
+
+    with eps = ||f1(x1^{k+1}) - f1(x1*)||_inf, r = f1(x1) + f2(x2),
+    b = f2(x2^k) - f2(x2^{k+1}) and c = -rho (f1(x1^{k+1}) + f2(x2^k))."""
+    rows = []
+    for k, tr in enumerate(trace):
+        x1, x2, y, rho = x1_history[k + 1], x2_history[k + 1], ys[k + 1], tr.rho
+        eps = float(np.max(np.abs(f1.eval(x1) - f1.eval(ref.x1_star))))
+        delta_f2 = f2.eval(x2) - f2.eval(x2_history[k])
+        r = f1.eval(x1) + f2.eval(x2)
+        bound = rho * eps * float(np.sum(np.abs(delta_f2))) - float(y @ r)
+        d2 = f2.eval(x2) - f2.eval(ref.x2_star)
+        dy = y - np.asarray(ref.y_star, dtype=float)
+        b = f2.eval(x2_history[k]) - f2.eval(x2)
+        c = -rho * (f1.eval(x1) + f2.eval(x2_history[k]))
+        e = rho * b + c
+        rows.append((bound, float(tr.objective) - ref.p_star,
+                     float(rho * (d2 @ d2) + (dy @ dy) / rho),
+                     rho * float(b @ b) + float(e @ e) / rho))
+    return rows

@@ -5,7 +5,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import InvalidBracket, golden_section_min
+from helpers import InvalidBracket, golden_section_min, quadratic_term
 from nladmm.errors import NoCandidate, NonFiniteIterate
 from nladmm.inner import (
     FistaConfig,
@@ -15,12 +15,9 @@ from nladmm.inner import (
 from nladmm.terms import (
     CompositeObjective,
     SmoothTerm,
-    add_smooth,
     l1_term,
     logistic_loss,
-    quadratic_smooth,
     soft_threshold,
-    with_quadratic,
     zero_prox,
 )
 
@@ -167,20 +164,20 @@ class TestFista:
     def test_quadratic_exact_center(self):
         rng = np.random.default_rng(0)
         c = rng.standard_normal(5)
-        obj = CompositeObjective(quadratic_smooth(2.0, c), zero_prox())
+        obj = CompositeObjective(quadratic_term(2.0, c), zero_prox())
         x = fista(obj, np.zeros(5), FistaConfig(tol=1e-12), lipschitz=obj.smooth.lipschitz)
         assert np.allclose(x, c, atol=1e-8)
 
     def test_scalar_lasso(self):
         # min 0.5 (x - 3)^2 + |x|  ->  x = 2
-        obj = CompositeObjective(quadratic_smooth(1.0, np.array([3.0])), l1_term(1.0))
+        obj = CompositeObjective(quadratic_term(1.0, np.array([3.0])), l1_term(1.0))
         x = fista(obj, np.zeros(1), FistaConfig(tol=1e-12), lipschitz=obj.smooth.lipschitz)
         assert x[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_lasso_vector_vs_soft_threshold(self):
         rng = np.random.default_rng(1)
         c = rng.standard_normal(8) * 2.0
-        obj = CompositeObjective(quadratic_smooth(1.0, c), l1_term(0.5))
+        obj = CompositeObjective(quadratic_term(1.0, c), l1_term(0.5))
         x = fista(obj, np.zeros(8), FistaConfig(tol=1e-12), lipschitz=1.0)
         assert np.allclose(x, soft_threshold(c, 0.5), atol=1e-8)
 
@@ -214,7 +211,7 @@ class TestFista:
     def test_known_lipschitz_evaluates_objective_twice(self):
         calls = []
         c = np.array([1.0, -2.0, 0.5])
-        quad = quadratic_smooth(3.0, c)
+        quad = quadratic_term(3.0, c)
 
         def value(x):
             calls.append(1)
@@ -236,18 +233,19 @@ class TestFista:
         """There is no step rule without a finite, positive L; None is the
         default, so an omitted constant raises too. A NaN or Inf L (a
         declared constant that overflowed) is a solver failure."""
-        obj = CompositeObjective(quadratic_smooth(1.0, np.ones(2)), zero_prox())
+        obj = CompositeObjective(quadratic_term(1.0, np.ones(2)), zero_prox())
         with pytest.raises(error, match="lipschitz"):
             fista(obj, np.zeros(2), lipschitz=lipschitz)
 
     def test_logistic_plus_quadratic(self):
         """Scalar: log(1 + e^q) - q + 0.5 (q - 1)^2; solution where
         sigmoid(q) - 1 + q - 1 = 0, i.e. q + sigmoid(q) = 2."""
-        from nladmm.terms import logistic_loss, with_quadratic
-        loss = CompositeObjective(logistic_loss(np.array([1.0])), zero_prox())
-        obj = with_quadratic(loss, 1.0, np.array([1.0]))
-        q = fista(obj, np.zeros(1), FistaConfig(tol=1e-12, max_iter=2000),
-                  lipschitz=obj.smooth.lipschitz)
+        loss, quad = logistic_loss(np.array([1.0])), quadratic_term(1.0, np.array([1.0]))
+        obj = CompositeObjective(
+            SmoothTerm(value=lambda q: loss.value(q) + quad.value(q),
+                       gradient=lambda q: loss.gradient(q) + quad.gradient(q)),
+            zero_prox())
+        q = fista(obj, np.zeros(1), FistaConfig(tol=1e-12, max_iter=2000), lipschitz=1.25)
         root = float(q[0])
         assert root + 1.0 / (1.0 + math.exp(-root)) == pytest.approx(2.0, abs=1e-6)
 
@@ -261,8 +259,9 @@ class TestFista:
     def test_overflowing_step_is_not_non_finite(self):
         """From 1e200 the first step has a finite length whose square
         overflows; only a NaN or Inf in the iterate itself may raise."""
-        obj = CompositeObjective(quadratic_smooth(1.0, np.zeros(2)), zero_prox())
-        x = fista(obj, np.full(2, 1e200), lipschitz=1.0)
+        obj = CompositeObjective(quadratic_term(1.0, np.zeros(2)), zero_prox())
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            x = fista(obj, np.full(2, 1e200), lipschitz=1.0)
         assert np.array_equal(x, np.zeros(2))
 
     @pytest.mark.parametrize("kw", [dict(max_iter=0), dict(tol=0.0),
@@ -278,7 +277,7 @@ class TestFista:
 class TestDeclaredLipschitz:
     def test_logistic_and_quadratic(self):
         assert logistic_loss(np.array([0.0, 1.0])).lipschitz == 0.25
-        assert quadratic_smooth(3.5, np.zeros(2)).lipschitz == 3.5
+        assert quadratic_term(3.5, np.zeros(2)).lipschitz == 3.5
 
     def test_logistic_bound_holds(self):
         """||g(a) - g(b)|| <= (1/4) ||a - b|| on random pairs."""
@@ -288,20 +287,6 @@ class TestDeclaredLipschitz:
             a, b = rng.standard_normal(6) * 3.0, rng.standard_normal(6) * 3.0
             diff = np.linalg.norm(term.gradient(a) - term.gradient(b))
             assert diff <= term.lipschitz * np.linalg.norm(a - b) * (1.0 + 1e-12)
-
-    def test_add_smooth_sums(self):
-        total = add_smooth(logistic_loss(np.ones(2)), quadratic_smooth(2.0, np.zeros(2)))
-        assert total.lipschitz == 2.25
-        loss = CompositeObjective(logistic_loss(np.ones(2)), zero_prox())
-        assert with_quadratic(loss, 0.1, np.zeros(2)).smooth.lipschitz == 0.25 + 0.1
-
-    @pytest.mark.parametrize("undeclared", ["left", "right", "both"])
-    def test_add_smooth_unknown_if_either_unknown(self, undeclared):
-        plain = SmoothTerm(value=lambda x: 0.0, gradient=np.zeros_like)
-        known = quadratic_smooth(1.0, np.zeros(2))
-        a = plain if undeclared in ("left", "both") else known
-        b = plain if undeclared in ("right", "both") else known
-        assert add_smooth(a, b).lipschitz is None
 
 
 class TestL1Term:
