@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .engine import RhoSchedule, SolveResult, StopCriteria, iterate
-from .inner import FistaConfig, fista
+from .inner import FistaConfig, fista, lasso_active_set
 from .terms import CompositeObjective, ProxTerm, SmoothTerm
 
 
@@ -41,11 +41,13 @@ class BagDataset:
             raise ValueError("offsets inconsistent with the instance stack")
 
     @cached_property
-    def gram(self) -> tuple[np.ndarray, float]:
-        """X'X and its largest eigenvalue, the Lipschitz constant of the
-        gradient of (1/2)||X beta - b||^2, computed on first use."""
+    def gram(self) -> tuple[np.ndarray, float, float]:
+        """X'X with its smallest and largest eigenvalues, computed on first
+        use; the largest is the Lipschitz constant of the gradient of
+        (1/2)||X beta - b||^2."""
         G = self.X.T @ self.X
-        return G, float(np.linalg.eigvalsh(G)[-1])
+        eigs = np.linalg.eigvalsh(G)
+        return G, float(eigs[0]), float(eigs[-1])
 
     @property
     def n_bags(self) -> int:
@@ -168,12 +170,20 @@ def update_q(loss: CompositeObjective, data: BagDataset, t: np.ndarray,
 def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
                 y2: np.ndarray, rho: float, beta0: np.ndarray,
                 cfg: FistaConfig = FistaConfig()) -> np.ndarray:
-    """Approximate argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2
-    from beta0, by FISTA with the fixed step 1/(rho lambda_max(X'X))."""
+    """argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2 from beta0.
+
+    When reg declares its l1 weight lam and X'X is numerically positive
+    definite (lambda_min > 1e-10 lambda_max), this is the lasso
+    (1/2) beta'X'X beta - (X'b)'beta + (lam/rho)||beta||_1, solved exactly
+    by ``lasso_active_set``. Otherwise, for rank-deficient X or an
+    undeclared reg, it is approximated by FISTA with the fixed step
+    1/(rho lambda_max(X'X)). The path depends only on reg and the data."""
     X = data.X
     b = t + y2 / rho
-    XtX, lmax = data.gram
+    XtX, lmin, lmax = data.gram
     Xtb = X.T @ b
+    if reg.l1_weight is not None and lmin > 1e-10 * lmax:
+        return lasso_active_set(XtX, Xtb, reg.l1_weight / rho, beta0, "beta block")
 
     def value(beta):
         r = X @ beta - b
@@ -248,9 +258,9 @@ def t_update_bags(data: BagDataset, psi: np.ndarray, phi: np.ndarray) -> np.ndar
 def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
                 init: MaxOpState, schedule: RhoSchedule,
                 stop: StopCriteria) -> SolveResult:
-    """Cycle q (proximal gradient), beta (proximal gradient), t (exact per
-    bag, all bags in one pass), then the two dual ascent steps, with
-    combined residual norms."""
+    """Cycle q (proximal gradient), beta (an exact lasso solve, or proximal
+    gradient for rank-deficient X), t (exact per bag, all bags in one
+    pass), then the two dual ascent steps, with combined residual norms."""
     blocks = [
         ("q", lambda s, rho: update_q(loss, data, s.t, s.y1, rho)),
         ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, s.beta)),
@@ -261,9 +271,12 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
                    ("y2", lambda s: s.t - data.X @ s.beta)]
 
     def dual_norm(s, old, rho):
-        s1 = rho * (data.bag_max(old.t) - data.bag_max(s.t))
-        s2 = s.t - old.t  # deliberately unscaled, mirroring the r2 dual line
-        return float(np.sqrt(s1 @ s1 + s2 @ s2))
+        # At a huge rho this overflows, and the engine raises NonFiniteIterate
+        # on the Inf; numpy need not warn first.
+        with np.errstate(over="ignore"):
+            s1 = rho * (data.bag_max(old.t) - data.bag_max(s.t))
+            s2 = s.t - old.t  # deliberately unscaled, mirroring the r2 dual line
+            return float(np.sqrt(s1 @ s1 + s2 @ s2))
 
     return iterate(init, blocks, constraints, dual_norm,
                    lambda s: float(loss.value(s.q) + reg.value(s.beta)), schedule, stop)

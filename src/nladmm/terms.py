@@ -28,8 +28,12 @@ class SmoothTerm:
 
 @dataclass(frozen=True)
 class ProxTerm:
+    """``l1_weight``, when known, declares the term to be l1_weight * ||.||_1
+    (0.0 for the zero term), which lets a caller solve a lasso exactly."""
+
     value: Callable[[np.ndarray], float]
     prox: Callable[[np.ndarray, float], np.ndarray]
+    l1_weight: float | None = None
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,7 @@ def soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
 
 
 def zero_prox() -> ProxTerm:
-    return ProxTerm(value=lambda x: 0.0, prox=lambda v, step: v)
+    return ProxTerm(value=lambda x: 0.0, prox=lambda v, step: v, l1_weight=0.0)
 
 
 def l1_term(lam: float = 1.0) -> ProxTerm:
@@ -66,6 +70,7 @@ def l1_term(lam: float = 1.0) -> ProxTerm:
     return ProxTerm(
         value=lambda x: lam * float(np.sum(np.abs(x))),
         prox=lambda v, step: soft_threshold(v, lam * step),
+        l1_weight=lam,
     )
 
 

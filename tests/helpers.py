@@ -5,8 +5,12 @@ subproblem oracle enumerates averaging-block sizes and polishes with
 coordinate descent, the sphere-penalty oracle reduces to one scalar
 variable and combines a dense grid with a derivative-free polish, and
 ``golden_section_min`` is a bracketed scalar minimizer for the scalar block
-updates, and ``lasso_cd_oracle`` solves the l1-regularized quadratic
-subproblems of the FISTA block updates by coordinate descent.
+updates, ``lasso_cd_oracle`` solves the l1-regularized quadratic
+subproblems of the block updates by coordinate descent, and
+``lasso_brute_force`` by trying every sign pattern; ``lasso_kkt_violation``
+measures how far a point is from optimal for such a subproblem, and
+``fista_update_beta`` is the FISTA-only multi-instance beta-update that the
+fallback path of ``maxop.update_beta`` must reproduce bit for bit.
 ``record_lipschitz`` records the Lipschitz constant each FISTA call
 is given, ``record_duals`` the dual each scalar-example solve hands its x1
 block, and ``read_trace`` reads a trace CSV back. ``quadratic_term`` is a
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import itertools
 import math
 from typing import Callable, List
 
@@ -25,7 +30,8 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from nladmm.errors import SolverError
-from nladmm.terms import SmoothTerm
+from nladmm.inner import FistaConfig, fista
+from nladmm.terms import CompositeObjective, SmoothTerm
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GOLDEN_STEPS = 200
@@ -194,6 +200,65 @@ def lasso_cd_oracle(Q: np.ndarray, c: np.ndarray, lam: float,
         if moved <= 1e-15 * (1.0 + float(np.max(np.abs(x)))):
             return x
     raise RuntimeError("coordinate descent did not converge")
+
+
+def lasso_brute_force(G: np.ndarray, c: np.ndarray, mu: float) -> np.ndarray:
+    """argmin_x (1/2) x'Gx - c'x + mu ||x||_1 for symmetric positive definite
+    G and p <= 5, by enumeration: for each of the 3^p sign patterns theta,
+    the stationary point of the quadratic with those signs fixed (zero off
+    the support), kept if its signs are theta; the lowest objective wins.
+    The minimizer is one of these points, so no iteration is involved."""
+    G = np.asarray(G, dtype=float)
+    c = np.asarray(c, dtype=float)
+    if c.size > 5:
+        raise ValueError("brute force is for p <= 5")
+    best, best_value = None, math.inf
+    for theta in itertools.product((-1.0, 0.0, 1.0), repeat=c.size):
+        theta = np.array(theta)
+        support = np.flatnonzero(theta)
+        x = np.zeros(c.size)
+        x[support] = np.linalg.solve(G[np.ix_(support, support)],
+                                     c[support] - mu * theta[support])
+        if np.array_equal(np.sign(x), theta):
+            value = 0.5 * float(x @ G @ x) - float(c @ x) + mu * float(np.abs(x).sum())
+            if value < best_value:
+                best, best_value = x, value
+    return best
+
+
+def lasso_kkt_violation(G: np.ndarray, c: np.ndarray, mu: float, x: np.ndarray) -> float:
+    """Largest violation of the optimality conditions of (1/2) x'Gx - c'x
+    + mu ||x||_1, with g = Gx - c: |g_j + mu sign(x_j)| where x_j != 0 and
+    |g_j| - mu where x_j = 0, relative to ||c||_inf + mu + max|G| ||x||_1,
+    the size of the terms that g + mu sign(x) sums. The scale is at least
+    the smallest normal float: below it, x = c/G can underflow to zero."""
+    g = G @ x - c
+    nz = x != 0.0
+    worst = max(float(np.max(np.abs(g[nz] + mu * np.sign(x[nz])), initial=0.0)),
+                float(np.max(np.abs(g[~nz]) - mu, initial=0.0)))
+    scale = float(np.max(np.abs(c), initial=0.0)) + mu + float(np.max(np.abs(G))) * float(
+        np.abs(x).sum())
+    return worst / max(scale, float(np.finfo(float).tiny))
+
+
+def fista_update_beta(reg, data, t, y2, rho, beta0, cfg=FistaConfig()):
+    """The multi-instance beta-update by FISTA alone, with the fixed step
+    1/(rho lambda_max(X'X)), in the same floating-point operations as the
+    fallback path of ``maxop.update_beta``."""
+    X = data.X
+    b = t + y2 / rho
+    XtX, _, lmax = data.gram
+    Xtb = X.T @ b
+
+    def value(beta):
+        r = X @ beta - b
+        return 0.5 * rho * float(r @ r)
+
+    def gradient(beta):
+        return rho * (XtX @ beta - Xtb)
+
+    smooth = SmoothTerm(value=value, gradient=gradient, lipschitz=rho * max(lmax, 1e-12))
+    return fista(CompositeObjective(smooth, reg), beta0, cfg, lipschitz=smooth.lipschitz)
 
 
 def record_lipschitz(monkeypatch, module) -> list:

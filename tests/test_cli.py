@@ -184,23 +184,42 @@ class TestOnebitSubcommand:
         assert "error" in capsys.readouterr().err
 
 
+def _write_duplicated_column_bags(path):
+    """generate-bags output with a fifth feature column that copies the
+    first, so X'X is singular."""
+    assert cli.main(["generate-bags", "--seed", "1", "--output", str(path)]) == 0
+    lines = [line.split(",") for line in path.read_text().splitlines()]
+    lines[0].append("f5")
+    for fields in lines[1:]:
+        fields.append(fields[2])
+    path.write_text("\n".join(",".join(fields) for fields in lines) + "\n")
+
+
 class TestHugeRho:
-    """rho = rho0 + 1e308 is finite at iteration 1. The multi-instance
-    beta-update's step constant built from it overflows there; the 1-bit CS
-    blocks take no step constant, so that solve fails when rho itself
-    overflows at iteration 2."""
+    """rho = rho0 + 1e308 is finite at iteration 1. There the multi-instance
+    dual norm overflows; on rank-deficient features the beta-update is
+    FISTA's, and its step constant built from rho overflows first. The
+    1-bit CS blocks take no step constant, so that solve fails when rho
+    itself overflows at iteration 2."""
 
     HUGE = ["--rho-schedule", "increment", "--rho-delta", "1e308", "--max-iter", "3"]
 
     @pytest.mark.parametrize("subcommand, cause",
                              [(["onebit-cs", "--n", "32", "--m", "16", "--k", "4"],
                                "penalty rho is inf at iteration 2"),
-                              (["multi-instance"], "lipschitz")],
+                              (["multi-instance"], "non-finite values in residual norms")],
                              ids=["onebit-cs", "multi-instance"])
     def test_overflowing_step_constant_exit_1(self, subcommand, cause, capsys):
         assert cli.main(subcommand + self.HUGE) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: solver failed:") and cause in err
+
+    def test_rank_deficient_multi_instance_exit_1(self, tmp_path, capsys):
+        data = tmp_path / "dup.csv"
+        _write_duplicated_column_bags(data)
+        assert cli.main(["multi-instance", "--input", str(data)] + self.HUGE) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: solver failed:") and "lipschitz" in err
 
     def test_example2_runs_to_stopping_test(self):
         """The monic stationarity cubic takes 1/(2 rho), never 2 rho."""
@@ -237,6 +256,14 @@ class TestBagSubcommands:
         assert code in (0, 2)
         rows = read_trace(out)
         assert len(rows) <= 200
+        assert "max_rule_gap" in capsys.readouterr().out
+
+    def test_multi_instance_duplicated_column(self, tmp_path, capsys):
+        """A copied feature column makes X'X singular; the solve takes the
+        FISTA beta-update and runs to its iteration cap."""
+        data = tmp_path / "dup.csv"
+        _write_duplicated_column_bags(data)
+        assert cli.main(["multi-instance", "--input", str(data), "--max-iter", "100"]) in (0, 2)
         assert "max_rule_gap" in capsys.readouterr().out
 
     def test_multi_instance_nan_input_exit_1(self, tmp_path):

@@ -5,15 +5,24 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from helpers import InvalidBracket, golden_section_min, quadratic_term
-from nladmm.errors import NoCandidate, NonFiniteIterate
+from helpers import (
+    InvalidBracket,
+    golden_section_min,
+    lasso_brute_force,
+    lasso_kkt_violation,
+    quadratic_term,
+)
+from nladmm import inner
+from nladmm.errors import NoCandidate, NonFiniteIterate, SubproblemFailure
 from nladmm.inner import (
     FistaConfig,
     cubic_real_roots,
     fista,
+    lasso_active_set,
 )
 from nladmm.terms import (
     CompositeObjective,
+    ProxTerm,
     SmoothTerm,
     l1_term,
     logistic_loss,
@@ -274,6 +283,58 @@ class TestFista:
             FistaConfig(**kw)
 
 
+class TestLassoActiveSet:
+    @staticmethod
+    def _problem(rng, p):
+        A = rng.standard_normal((p + 3, p))
+        return A.T @ A, rng.standard_normal(p) * 3.0
+
+    def test_matches_brute_force(self):
+        """Against every sign pattern, from zero and from random warm
+        starts, at weights from 0 (least squares) to above ||c||_inf."""
+        rng = np.random.default_rng(5)
+        for _ in range(150):
+            p = int(rng.integers(1, 6))
+            G, c = self._problem(rng, p)
+            mu = float(rng.choice([0.0, 0.3, 1.0, 3.0])) * float(np.max(np.abs(c)))
+            x0 = rng.standard_normal(p) * (rng.random(p) < 0.5)
+            x = lasso_active_set(G, c, mu, x0)
+            assert np.allclose(x, lasso_brute_force(G, c, mu), rtol=0.0, atol=1e-10)
+            assert lasso_kkt_violation(G, c, mu, x) <= 1e-14
+
+    def test_diagonal_is_soft_threshold(self):
+        c = np.array([3.0, -0.5, 0.0, -2.0])
+        x = lasso_active_set(np.eye(4), c, 1.0, np.array([-1.0, 0.0, 2.0, 0.0]))
+        assert np.array_equal(x, soft_threshold(c, 1.0))
+
+    def test_does_not_modify_start(self):
+        x0 = np.array([1.0, -1.0])
+        lasso_active_set(np.eye(2), np.array([-5.0, 5.0]), 1.0, x0)
+        assert np.array_equal(x0, [1.0, -1.0])
+
+    def test_step_bound_raises(self, monkeypatch):
+        """From zero the diagonal problem takes three steps: two that each
+        activate a coordinate and solve, and one that finds no coordinate
+        left to activate. It is solved within three, and with a bound of
+        two it raises."""
+        G, c = np.diag([1.0, 2.0]), np.array([3.0, -4.0])
+        monkeypatch.setattr(inner, "_max_lasso_steps", lambda p: 3)
+        assert np.array_equal(lasso_active_set(G, c, 1.0, np.zeros(2)), [2.0, -1.5])
+        monkeypatch.setattr(inner, "_max_lasso_steps", lambda p: 2)
+        with pytest.raises(SubproblemFailure, match="^beta block: no lasso solution within 2 "):
+            lasso_active_set(G, c, 1.0, np.zeros(2), "beta block")
+
+    @pytest.mark.parametrize("c, mu, x0", [([1.0, math.nan], 1.0, [0.0, 0.0]),
+                                           ([math.inf, 0.0], 1.0, [0.0, 0.0]),
+                                           ([1.0, 2.0], math.inf, [0.0, 0.0]),
+                                           ([1.0, 2.0], math.nan, [0.0, 0.0]),
+                                           ([1.0, 2.0], 1.0, [math.nan, 1.0])],
+                             ids=["nan-c", "inf-c", "inf-mu", "nan-mu", "nan-x0"])
+    def test_non_finite_input_raises(self, c, mu, x0):
+        with pytest.raises(SubproblemFailure, match="^beta block: non-finite"):
+            lasso_active_set(np.eye(2), np.array(c), mu, np.array(x0), "beta block")
+
+
 class TestDeclaredLipschitz:
     def test_logistic_and_quadratic(self):
         assert logistic_loss(np.array([0.0, 1.0])).lipschitz == 0.25
@@ -297,3 +358,8 @@ class TestL1Term:
 
     def test_l1_weight_zero_allowed(self):
         assert l1_term(0.0).value(np.array([1.0, -2.0])) == 0.0
+
+    def test_declared_l1_weight(self):
+        assert l1_term(0.7).l1_weight == 0.7
+        assert zero_prox().l1_weight == 0.0
+        assert ProxTerm(value=lambda x: 0.0, prox=lambda v, step: v).l1_weight is None

@@ -6,6 +6,8 @@ from scipy.special import expit
 from helpers import (
     bag_subproblem_oracle,
     bag_subproblem_value,
+    fista_update_beta,
+    lasso_brute_force,
     lasso_cd_oracle,
     record_lipschitz,
 )
@@ -14,11 +16,21 @@ from nladmm.engine import RhoSchedule, StopCriteria
 from nladmm.inner import FistaConfig
 from nladmm.terms import (
     CompositeObjective,
+    ProxTerm,
     SmoothTerm,
     l1_term,
     logistic_loss,
     zero_prox,
 )
+
+
+def _rank_deficient(kind: str) -> maxop.BagDataset:
+    """Bags of generate_bags(8, 3, 3) with one feature column made
+    dependent: a copy of another column, twice another column, or zero."""
+    data, _ = datagen.generate_bags(8, 3, 3, seed=6)
+    X = data.X.copy()
+    X[:, 2] = {"duplicate": X[:, 0], "scaled": 2.0 * X[:, 0], "zero": 0.0}[kind]
+    return maxop.BagDataset(labels=data.labels, X=X, offsets=data.offsets)
 
 
 class TestTUpdateBag:
@@ -232,25 +244,46 @@ class TestBlockUpdates:
 
     @pytest.mark.parametrize("reg, lam", [(zero_prox(), 0.0), (l1_term(0.5), 0.5)],
                              ids=["none", "l1"])
-    def test_update_beta_matches_coordinate_descent_oracle(self, reg, lam):
-        """The fixed-step beta-update reaches the minimizer that coordinate
-        descent on the same lasso finds."""
+    def test_update_beta_matches_coordinate_descent_oracle(self, reg, lam, monkeypatch):
+        """On full-rank X the beta-update solves its lasso exactly, with no
+        FISTA call, and lands on the minimizer that coordinate descent on
+        the same lasso finds."""
+        used = record_lipschitz(monkeypatch, maxop)
         data, _ = datagen.generate_bags(6, 3, 3, seed=5)
         rng = np.random.default_rng(9)
         t = rng.standard_normal(data.X.shape[0])
         y2 = rng.standard_normal(data.X.shape[0])
         rho = 0.1
-        beta = maxop.update_beta(reg, data, t, y2, rho, np.zeros(3),
-                                 cfg=FistaConfig(tol=1e-14, max_iter=5000))
+        beta = maxop.update_beta(reg, data, t, y2, rho, np.zeros(3))
         X, b = data.X, t + y2 / rho
         oracle = lasso_cd_oracle(rho * X.T @ X, rho * X.T @ b, lam)
-        assert np.allclose(beta, oracle, atol=1e-6)
+        assert used == []
+        assert np.allclose(beta, oracle, rtol=0.0, atol=1e-10)
+
+    def test_update_beta_matches_brute_force(self):
+        """The exact beta-update against every sign pattern of the lasso,
+        from zero and from random warm starts, at l1 weights that leave
+        all, some or none of the features active."""
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            p = int(rng.integers(1, 6))
+            data, _ = datagen.generate_bags(6, 3, p, seed=trial)
+            t = rng.standard_normal(data.X.shape[0]) * 3.0
+            y2 = rng.standard_normal(data.X.shape[0])
+            rho = float(rng.choice([0.1, 1.0, 10.0]))
+            lam = float(rng.choice([0.0, 0.5, 5.0, 50.0]))
+            beta0 = rng.standard_normal(p) * (rng.random(p) < 0.5)
+            beta = maxop.update_beta(l1_term(lam), data, t, y2, rho, beta0)
+            X, b = data.X, t + y2 / rho
+            oracle = lasso_brute_force(X.T @ X, X.T @ b, lam / rho)
+            assert np.allclose(beta, oracle, rtol=0.0, atol=1e-10)
+            assert np.array_equal(beta == 0.0, oracle == 0.0)
 
     def test_update_beta_lipschitz_bound(self, monkeypatch):
-        """The beta-update steps with L = rho ||X||_2^2 from a Gram matrix
-        computed once per dataset."""
+        """On rank-deficient X the beta-update steps with L = rho ||X||_2^2
+        from a Gram matrix computed once per dataset."""
         used = record_lipschitz(monkeypatch, maxop)
-        data, _ = datagen.generate_bags(6, 3, 3, seed=5)
+        data = _rank_deficient("duplicate")
         gram = data.gram
         t = np.ones(data.X.shape[0])
         maxop.update_beta(l1_term(1.0), data, t, np.zeros_like(t), 0.3, np.zeros(3))
@@ -280,6 +313,41 @@ class TestMaxopSolve:
             RhoSchedule.constant(0.1), StopCriteria(max_iter=50))
         assert trace[-1].objective == pytest.approx(
             loss.value(state.q) + reg.value(state.beta))
+
+
+class TestBetaDispatch:
+    """Solves off the exact beta path never call the exact solver and are
+    those of a FISTA-only beta-update, bit for bit: on rank-deficient X,
+    and for a regularizer that does not declare its l1 weight."""
+
+    @staticmethod
+    def _solve(data, reg):
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        return maxop.maxop_solve(data, loss, reg, maxop.MaxOpState.zeros(data, 0.1),
+                                 RhoSchedule.constant(0.1), StopCriteria(max_iter=60))
+
+    @pytest.mark.parametrize("data, reg", [
+        pytest.param(_rank_deficient("duplicate"), l1_term(1.0), id="duplicate"),
+        pytest.param(_rank_deficient("scaled"), l1_term(1.0), id="scaled"),
+        pytest.param(_rank_deficient("zero"), l1_term(1.0), id="zero"),
+        pytest.param(datagen.generate_bags(8, 3, 3, seed=6)[0],
+                     ProxTerm(value=l1_term(1.0).value, prox=l1_term(1.0).prox),
+                     id="undeclared")])
+    def test_solve_equals_fista_only_solve(self, data, reg, monkeypatch):
+        monkeypatch.setattr(maxop, "lasso_active_set", None)
+        state, trace, converged = self._solve(data, reg)
+        monkeypatch.setattr(maxop, "update_beta", fista_update_beta)
+        ref_state, ref_trace, ref_converged = self._solve(data, reg)
+        assert trace == ref_trace and converged == ref_converged
+        for name in ("q", "beta", "t", "y1", "y2"):
+            assert np.array_equal(getattr(state, name), getattr(ref_state, name))
+
+    def test_full_rank_solve_never_runs_fista_on_beta(self, monkeypatch):
+        """With full-rank X every beta-update is the exact solve: the only
+        FISTA calls are the q-updates, one per outer iteration."""
+        used = record_lipschitz(monkeypatch, maxop)
+        _, trace, _ = self._solve(datagen.generate_bags(8, 3, 3, seed=6)[0], l1_term(1.0))
+        assert used == [0.25 + 0.1] * len(trace)
 
 
 class TestGenerateBags:

@@ -1,22 +1,25 @@
 """Property tests: the all-bags t-update against the per-bag reference,
-the cubic root solver against ``numpy.roots``, and the sphere-penalty
-minimizer against the grid-plus-polish oracle.
+the cubic root solver against ``numpy.roots``, the sphere-penalty
+minimizer against the grid-plus-polish oracle, and the exact lasso solver
+against its optimality conditions.
 
 Targets and psi come mostly from a coarse grid, so ties inside a bag and
 between psi and the targets are frequent; bag sizes run 1 to 8, so
 single-instance bags occur in most examples. Depressed cubics are drawn
 both from free coefficients and from products of (t - r_i) with roots
 summing to zero, two of them on a half-integer grid, so repeated roots
-occur often. Sphere inputs include norms from 1e-14 to 1e-6.
+occur often. Sphere inputs include norms from 1e-14 to 1e-6. Lassos have
+up to 16 features and condition numbers up to 1e6, with exact ties: zero
+entries of c, weights of 0 and of exactly ||c||_inf, and zero warm starts.
 """
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from helpers import sphere_penalty_oracle, sphere_penalty_value
+from helpers import lasso_kkt_violation, sphere_penalty_oracle, sphere_penalty_value
 from nladmm import datagen, maxop
 from nladmm.engine import RhoSchedule, StopCriteria
-from nladmm.inner import cubic_real_roots
+from nladmm.inner import cubic_real_roots, lasso_active_set
 from nladmm.sphere import sphere_penalty_min
 from nladmm.terms import CompositeObjective, l1_term, logistic_loss, zero_prox
 
@@ -143,3 +146,33 @@ def test_sphere_penalty_min_no_worse_than_oracle(v, alpha):
     w = sphere_penalty_min(v, alpha)
     best = sphere_penalty_oracle(v, alpha)
     assert sphere_penalty_value(w, v, alpha) <= best + 1e-9 * (1.0 + abs(best))
+
+
+@st.composite
+def lassos(draw):
+    """(G, c, mu, x0): G = Q diag(e) Q' for a random orthogonal Q, with
+    eigenvalues from 1 to kappa <= 1e6 and the whole matrix scaled by
+    1e-3 to 1e3; c and x0 with entries from VALUES, either possibly all
+    zero; mu 0, ||c||_inf or anything up to 2 ||c||_inf + 1."""
+    p = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q, _ = np.linalg.qr(rng.standard_normal((p, p)))
+    kappa = 10.0 ** draw(st.floats(0.0, 6.0))
+    e = np.concatenate([[1.0, kappa], kappa ** rng.random(max(p - 2, 0))])[:p]
+    G = (q * e) @ q.T * 10.0 ** draw(st.floats(-3.0, 3.0))
+    G = 0.5 * (G + G.T)
+    c = np.array(draw(st.lists(VALUES, min_size=p, max_size=p)))
+    top = float(np.max(np.abs(c)))
+    mu = draw(st.one_of(st.just(0.0), st.just(top), st.floats(0.0, 2.0 * top + 1.0)))
+    x0 = np.array(draw(st.lists(VALUES, min_size=p, max_size=p)))
+    return G, c, mu, x0 * draw(st.sampled_from([0.0, 1.0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lassos())
+def test_lasso_active_set_meets_kkt(case):
+    """The result satisfies the lasso's optimality conditions to 1e-10
+    relative; a run past the step bound would raise instead."""
+    G, c, mu, x0 = case
+    x = lasso_active_set(G, c, mu, x0)
+    assert lasso_kkt_violation(G, c, mu, x) <= 1e-10
