@@ -226,6 +226,25 @@ class TestHugeRho:
         assert cli.main(["example2"] + self.HUGE) in (0, 2)
 
 
+class TestTinyRho:
+    """At a tiny rho the logistic loss's prox starts far out on the
+    sigmoid's tails. Scores below -709, where exp(-q) overflows, give no
+    numpy warning (pytest turns one into an error). At rho0 = 1e-160 the
+    Newton root of the first q-update lies about 360 steps up the tail
+    from the zero start, so its step bound ends the solve."""
+
+    def test_multi_instance_rho0_1e_12(self, capsys):
+        assert cli.main(["multi-instance", "--rho0", "1e-12", "--max-iter", "50"]) in (0, 2)
+        assert "max_rule_gap" in capsys.readouterr().out
+
+    def test_multi_instance_rho0_1e_160(self, capsys):
+        code = cli.main(["multi-instance", "--rho0", "1e-160", "--max-iter", "50"])
+        err = capsys.readouterr().err
+        assert code in (1, 2)
+        if code == 1:
+            assert err.startswith("error: solver failed:") and "Newton steps" in err
+
+
 class TestBagSubcommands:
     def test_generate_bags_deterministic_bytes(self, tmp_path):
         a = tmp_path / "a.csv"

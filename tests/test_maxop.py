@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -7,12 +9,14 @@ from helpers import (
     bag_subproblem_oracle,
     bag_subproblem_value,
     fista_update_beta,
+    fista_update_q,
     lasso_brute_force,
     lasso_cd_oracle,
     record_lipschitz,
 )
-from nladmm import datagen, maxop
+from nladmm import datagen, maxop, terms
 from nladmm.engine import RhoSchedule, StopCriteria
+from nladmm.errors import SubproblemFailure
 from nladmm.inner import FistaConfig
 from nladmm.terms import (
     CompositeObjective,
@@ -183,7 +187,7 @@ class TestBlockUpdates:
                                              lipschitz=0.0), zero_prox())
         t = np.array([2.0, 5.0])
         y1 = np.array([1.0])
-        q = maxop.update_q(zero, data, t, y1, rho=2.0,
+        q = maxop.update_q(zero, data, t, y1, rho=2.0, q0=np.zeros(1),
                            cfg=FistaConfig(tol=1e-12))
         assert q[0] == pytest.approx(5.0 - 0.5, abs=1e-8)
 
@@ -205,24 +209,88 @@ class TestBlockUpdates:
                          for y, c in zip(data.labels, center)])
 
     def test_update_q_declared_step(self, monkeypatch):
-        """The logistic loss declares 1/4, so the q-update steps with
-        L = 1/4 + rho and reaches the per-bag root."""
+        """The logistic loss declares its prox, so the q-update is that
+        prox, with no FISTA call, and reaches the per-bag root."""
         used = record_lipschitz(monkeypatch, maxop)
         data, t, y1, rho = self._q_subproblem()
         loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-        q = maxop.update_q(loss, data, t, y1, rho)
-        assert used == [0.25 + rho]
-        assert np.allclose(q, self._q_oracle(data, t, y1, rho), atol=1e-7)
+        q = maxop.update_q(loss, data, t, y1, rho, np.zeros(data.n_bags))
+        assert used == []
+        oracle = self._q_oracle(data, t, y1, rho)
+        assert np.all(np.abs(q - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
+
+    @pytest.mark.parametrize("rho", [1e-3, 0.1, 1.0, 1e3])
+    @pytest.mark.parametrize("start", ["zero", "center", "near", "far"])
+    def test_update_q_matches_oracle(self, rho, start):
+        """The exact q-update against brentq per bag, from a zero start,
+        the center, a start near the root and one outside the bracket."""
+        data, t, y1, _ = self._q_subproblem()
+        oracle = self._q_oracle(data, t, y1, rho)
+        rng = np.random.default_rng(11)
+        q0 = {"zero": np.zeros(data.n_bags),
+              "center": data.bag_max(t) - y1 / rho,
+              "near": oracle + 1e-3 * rng.standard_normal(data.n_bags),
+              "far": np.full(data.n_bags, 1e6)}[start]
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        q = maxop.update_q(loss, data, t, y1, rho, q0)
+        assert np.all(np.abs(q - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
+
+    def test_logistic_prox_step_bound_raises(self, monkeypatch):
+        """Past its Newton step bound the prox raises instead of returning
+        an unconverged point."""
+        monkeypatch.setattr(terms, "_MAX_NEWTON_STEPS", 2)
+        data, t, y1, rho = self._q_subproblem()
+        prox = logistic_loss(data.labels).prox
+        with pytest.raises(SubproblemFailure, match="no root within 2 Newton steps"):
+            prox(data.bag_max(t) - y1 / rho, rho, np.zeros(data.n_bags))
+
+    @pytest.mark.parametrize("center, rho", [
+        pytest.param(-4.554559740748719, 0.08101137465304825, id="newton-cycle"),
+        pytest.param(-73.41956642486056, 0.037481893111277795, id="root-on-bracket-end")])
+    def test_logistic_prox_hard_starts(self, center, rho, monkeypatch):
+        """Label 1, started at the center. In the first case Newton cycles
+        across the sigmoid's inflection, past 100 steps without bisecting a
+        step that turns back without halving the last; in the second the
+        root rounds onto c + 1/rho, 28 steps without the widened bracket.
+        Both take at most 10."""
+        monkeypatch.setattr(terms, "_MAX_NEWTON_STEPS", 10)
+        c = np.array([center])
+        q = logistic_loss(np.array([1.0])).prox(c, rho, c)[0]
+        assert abs(rho * (q - center) - expit(-q)) <= 1e-15
+
+    @pytest.mark.parametrize("bad", ["center", "start"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_logistic_prox_nonfinite_raises(self, bad, value):
+        """A NaN or Inf center or start raises, with no numpy warning
+        (pytest turns a RuntimeWarning into an error)."""
+        y = np.array([0.0, 1.0, 1.0])
+        center, q0 = np.array([0.5, -1.0, 2.0]), np.zeros(3)
+        {"center": center, "start": q0}[bad][1] = value
+        with pytest.raises(SubproblemFailure, match="non-finite"):
+            logistic_loss(y).prox(center, 0.1, q0)
+
+    def test_logistic_prox_declared_for_binary_labels_only(self):
+        """sigmoid(q) - y is evaluated without cancellation only for labels
+        0 and 1; other labels leave the q-update to FISTA."""
+        assert logistic_loss(np.array([0.0, 1.0, 1.0])).prox is not None
+        assert logistic_loss(np.array([0.0, 0.5])).prox is None
+
+    def test_logistic_gradient_extreme_scores(self):
+        """The sigmoid takes exp(-|q|), so scores far past the float range
+        of exp give 0 and 1 with no overflow warning."""
+        g = logistic_loss(np.zeros(4)).gradient(np.array([-1e4, -700.0, 700.0, 1e4]))
+        assert g[0] == 0.0 and g[1] == pytest.approx(expit(-700.0), rel=1e-15)
+        assert g[2] == g[3] == 1.0
 
     def test_update_q_undeclared_loss_raises(self):
-        """A loss that declares no constant has no step: the q-update
-        raises instead of guessing one."""
+        """A loss that declares neither its prox nor a constant has no
+        step: the q-update raises instead of guessing one."""
         data, t, y1, rho = self._q_subproblem()
         logistic = logistic_loss(data.labels)
         loss = CompositeObjective(SmoothTerm(value=logistic.value, gradient=logistic.gradient),
                                   zero_prox())
         with pytest.raises(ValueError, match="lipschitz"):
-            maxop.update_q(loss, data, t, y1, rho)
+            maxop.update_q(loss, data, t, y1, rho, np.zeros(data.n_bags))
 
     def test_update_beta_least_squares(self):
         rng = np.random.default_rng(8)
@@ -343,11 +411,44 @@ class TestBetaDispatch:
             assert np.array_equal(getattr(state, name), getattr(ref_state, name))
 
     def test_full_rank_solve_never_runs_fista_on_beta(self, monkeypatch):
-        """With full-rank X every beta-update is the exact solve: the only
-        FISTA calls are the q-updates, one per outer iteration."""
+        """With full-rank X every beta-update is the exact lasso solve and
+        every q-update the logistic loss's exact prox: no FISTA call at all."""
         used = record_lipschitz(monkeypatch, maxop)
         _, trace, _ = self._solve(datagen.generate_bags(8, 3, 3, seed=6)[0], l1_term(1.0))
-        assert used == [0.25 + 0.1] * len(trace)
+        assert len(trace) == 60
+        assert used == []
+
+
+def _no_prox(*args):
+    raise AssertionError("the declared prox must not be called")
+
+
+class TestQDispatch:
+    """Solves off the exact q path are those of a FISTA-only q-update, bit
+    for bit: for a loss that declares no prox, and for a loss with a
+    non-zero nonsmooth term, whose declared prox is never called."""
+
+    @pytest.mark.parametrize("kind", ["undeclared", "nonsmooth"])
+    def test_solve_equals_fista_only_solve(self, kind, monkeypatch):
+        data, _ = datagen.generate_bags(8, 3, 3, seed=6)
+        logistic = logistic_loss(data.labels)
+        if kind == "undeclared":
+            loss = CompositeObjective(dataclasses.replace(logistic, prox=None), zero_prox())
+        else:
+            loss = CompositeObjective(dataclasses.replace(logistic, prox=_no_prox),
+                                      l1_term(0.05))
+
+        def solve():
+            return maxop.maxop_solve(data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
+                                     RhoSchedule.constant(0.1), StopCriteria(max_iter=60))
+
+        state, trace, converged = solve()
+        monkeypatch.setattr(maxop, "update_q", fista_update_q)
+        ref_state, ref_trace, ref_converged = solve()
+        assert len(trace) == 60
+        assert trace == ref_trace and converged == ref_converged
+        for name in ("q", "beta", "t", "y1", "y2"):
+            assert np.array_equal(getattr(state, name), getattr(ref_state, name))
 
 
 class TestGenerateBags:

@@ -1,7 +1,8 @@
 """Property tests: the all-bags t-update against the per-bag reference,
 the cubic root solver against ``numpy.roots``, the sphere-penalty
 minimizer against the grid-plus-polish oracle, and the exact lasso solver
-against its optimality conditions.
+against its optimality conditions, and the logistic loss's exact prox
+against its first-order condition.
 
 Targets and psi come mostly from a coarse grid, so ties inside a bag and
 between psi and the targets are frequent; bag sizes run 1 to 8, so
@@ -11,13 +12,18 @@ summing to zero, two of them on a half-integer grid, so repeated roots
 occur often. Sphere inputs include norms from 1e-14 to 1e-6. Lassos have
 up to 16 features and condition numbers up to 1e6, with exact ties: zero
 entries of c, weights of 0 and of exactly ||c||_inf, and zero warm starts.
+Logistic prox inputs have labels 0 and 1, centers up to 1e3 in size, rho
+from 1e-3 to 1e3 and starts at zero, at the center or anywhere in 1e3.
 """
 
+from unittest import mock
+
 import numpy as np
+from scipy.special import expit
 from hypothesis import given, settings, strategies as st
 
 from helpers import lasso_kkt_violation, sphere_penalty_oracle, sphere_penalty_value
-from nladmm import datagen, maxop
+from nladmm import datagen, maxop, terms
 from nladmm.engine import RhoSchedule, StopCriteria
 from nladmm.inner import cubic_real_roots, lasso_active_set
 from nladmm.sphere import sphere_penalty_min
@@ -176,3 +182,38 @@ def test_lasso_active_set_meets_kkt(case):
     G, c, mu, x0 = case
     x = lasso_active_set(G, c, mu, x0)
     assert lasso_kkt_violation(G, c, mu, x) <= 1e-10
+
+
+@st.composite
+def logistic_proxes(draw):
+    """(labels, center, rho, start) for up to 12 bags."""
+    n = draw(st.integers(1, 12))
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    center = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    rho = 10.0 ** draw(st.floats(-3.0, 3.0))
+    start = draw(st.one_of(
+        st.just(np.zeros(n)), st.just(center),
+        st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n).map(np.array)))
+    return y, center, rho, start
+
+
+@settings(max_examples=300, deadline=None)
+@given(logistic_proxes())
+def test_logistic_prox_meets_first_order_condition(case):
+    """The residual l + p of sigmoid(q) - y = l and rho (q - c) = p, with
+    l taken as expit(q) or -expit(-q), is at rounding level: within 8 eps
+    of |l| + |p| + the slope times max(|q|, 1). The result lies in the
+    bracket [c - 1/rho, c + 1/rho] widened by its rounding error,
+    4 eps (|c| + 1/rho), and takes at most 30 Newton steps, about twice
+    the most seen on such inputs; a run past them raises."""
+    y, center, rho, start = case
+    with mock.patch.object(terms, "_MAX_NEWTON_STEPS", 30):
+        q = logistic_loss(y).prox(center, rho, start)
+    loss_term = np.where(y == 1.0, -expit(-q), expit(q))
+    penalty = rho * (q - center)
+    slope = expit(q) * expit(-q) + rho
+    eps = np.finfo(float).eps
+    scale = np.abs(loss_term) + np.abs(penalty) + slope * np.maximum(np.abs(q), 1.0)
+    assert np.all(np.abs(loss_term + penalty) <= 8.0 * eps * scale)
+    half = 1.0 / rho + 4.0 * eps * (np.abs(center) + 1.0 / rho)
+    assert np.all((center - half <= q) & (q <= center + half))
