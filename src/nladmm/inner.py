@@ -35,14 +35,13 @@ def fista(obj: CompositeObjective, x0: np.ndarray,
     """Accelerated proximal gradient (Beck & Teboulle 2009) with the fixed
     step 1/L.
 
-    ``lipschitz`` = L bounds the Lipschitz constant of the smooth gradient
-    (callers pass the declared ``obj.smooth.lipschitz``); a missing or
-    non-positive L raises ValueError, a NaN or Inf one (a declared constant
-    that overflowed) NonFiniteIterate. No objective values are taken inside
-    the loop. Momentum restarts when it points against the
-    generalized gradient, (z - x_new)·(x_new - x) > 0 (O'Donoghue & Candès
-    2015), and x0 is returned if the result has a larger composite
-    objective, so the result is never worse than x0.
+    ``lipschitz`` = L, from the caller, bounds the Lipschitz constant of
+    the smooth gradient; a missing or non-positive L raises ValueError, a
+    NaN or Inf one (a constant that overflowed) NonFiniteIterate. No
+    objective values are taken inside the loop. Momentum restarts when it
+    points against the generalized gradient, (z - x_new)·(x_new - x) > 0
+    (O'Donoghue & Candès 2015), and x0 is returned if the result has a
+    larger composite objective, so the result is never worse than x0.
     """
     if isinstance(lipschitz, Real) and not math.isfinite(lipschitz):
         raise NonFiniteIterate(f"lipschitz constant is {lipschitz!r}, so there is no step")

@@ -165,45 +165,30 @@ class MaxOpState:
 
 
 def update_q(loss: CompositeObjective, data: BagDataset, t: np.ndarray,
-             y1: np.ndarray, rho: float, q0: np.ndarray,
-             cfg: FistaConfig = FistaConfig()) -> np.ndarray:
-    """argmin_q loss(q) + (rho/2)||q - max t + y1/rho||^2.
-
-    When the smooth part declares its exact prox and the nonsmooth part
-    is zero, this is that prox, warm-started at q0 (for the logistic loss,
-    one safeguarded Newton root per bag). Otherwise it is approximated by
-    FISTA from the center with the fixed step 1/(L + rho) for the constant
-    L the loss declares (1/4 for the logistic loss); a loss that declares
-    neither raises ValueError. The path depends only on the loss."""
-    center = data.bag_max(t) - y1 / rho
-    f = loss.smooth
-    if f.prox is not None and loss.nonsmooth.l1_weight == 0.0:
-        return f.prox(center, rho, q0)
-    smooth = SmoothTerm(
-        value=lambda q: f.value(q) + 0.5 * rho * float(np.dot(q - center, q - center)),
-        gradient=lambda q: f.gradient(q) + rho * (q - center),
-        lipschitz=None if f.lipschitz is None else f.lipschitz + rho,
-    )
-    return fista(CompositeObjective(smooth, loss.nonsmooth), center, cfg,
-                 lipschitz=smooth.lipschitz)
+             y1: np.ndarray, rho: float, q0: np.ndarray) -> np.ndarray:
+    """argmin_q loss(q) + (rho/2)||q - max t + y1/rho||^2: the declared
+    prox of the loss's smooth part, warm-started at q0. For the logistic
+    loss that is one monotone Newton root per bag. ``maxop_solve`` takes
+    the same step on the bag maxima it already holds."""
+    return loss.smooth.prox(data.bag_max(t) - y1 / rho, rho, q0)
 
 
 def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
                 y2: np.ndarray, rho: float, beta0: np.ndarray,
                 cfg: FistaConfig = FistaConfig()) -> np.ndarray:
-    """argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2 from beta0.
+    """argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2 from beta0,
+    for reg = lam ||.||_1.
 
-    When reg declares its l1 weight lam and X'X is numerically positive
-    definite (lambda_min > 1e-10 lambda_max), this is the lasso
-    (1/2) beta'X'X beta - (X'b)'beta + (lam/rho)||beta||_1, solved exactly
-    by ``lasso_active_set``. Otherwise, for rank-deficient X or an
-    undeclared reg, it is approximated by FISTA with the fixed step
-    1/(rho lambda_max(X'X)). The path depends only on reg and the data."""
+    When X'X is numerically positive definite (lambda_min > 1e-10
+    lambda_max), this is the lasso (1/2) beta'X'X beta - (X'b)'beta +
+    (lam/rho)||beta||_1, solved exactly by ``lasso_active_set``. For
+    rank-deficient X it is approximated by FISTA with the fixed step
+    1/(rho lambda_max(X'X)). The path depends only on the data."""
     X = data.X
     b = t + y2 / rho
     XtX, lmin, lmax = data.gram
     Xtb = X.T @ b
-    if reg.l1_weight is not None and lmin > 1e-10 * lmax:
+    if lmin > 1e-10 * lmax:
         return lasso_active_set(XtX, Xtb, reg.l1_weight / rho, beta0, "beta block")
 
     def value(beta):
@@ -214,9 +199,8 @@ def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
         return rho * (XtX @ beta - Xtb)
 
     # The floor keeps the step finite when every feature is zero.
-    smooth = SmoothTerm(value=value, gradient=gradient, lipschitz=rho * max(lmax, 1e-12))
-    obj = CompositeObjective(smooth, reg)
-    return fista(obj, beta0, cfg, lipschitz=obj.smooth.lipschitz)
+    return fista(CompositeObjective(SmoothTerm(value=value, gradient=gradient), reg),
+                 beta0, cfg, lipschitz=rho * max(lmax, 1e-12))
 
 
 def t_update_bag(psi: float, phi: np.ndarray) -> np.ndarray:
@@ -274,24 +258,42 @@ def t_update_bags(data: BagDataset, psi: np.ndarray, phi: np.ndarray) -> np.ndar
 def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
                 init: MaxOpState, schedule: RhoSchedule,
                 stop: StopCriteria) -> SolveResult:
-    """Cycle q (an exact per-bag prox, or proximal gradient for a loss
-    that declares none), beta (an exact lasso solve, or proximal
-    gradient for rank-deficient X), t (exact per bag, all bags in one
-    pass), then the two dual ascent steps, with combined residual norms."""
+    """Cycle q (the loss's declared prox, exact per bag), beta (an exact
+    lasso solve, or proximal gradient for rank-deficient X), t (exact per
+    bag, all bags in one pass), then the two dual ascent steps, with
+    combined residual norms.
+
+    The loss must declare its prox and have a zero nonsmooth part, and
+    reg must declare its l1 weight; otherwise ValueError is raised before
+    any iteration."""
+    if loss.smooth.prox is None or loss.nonsmooth.l1_weight != 0.0:
+        raise ValueError("the q-block needs a loss that declares its prox, "
+                         "with a zero nonsmooth part")
+    if reg.l1_weight is None:
+        raise ValueError("the beta-block needs a regularizer that declares its l1 weight")
+    # The bag maxima of t are taken once per iteration, in the y1 residual:
+    # tmax at the current t, tmax_old at the previous one.
+    tmax = data.bag_max(np.asarray(init.t, dtype=float))
+    tmax_old = None
+
+    def r1(s):
+        nonlocal tmax, tmax_old
+        tmax_old, tmax = tmax, data.bag_max(s.t)
+        return s.q - tmax
+
     blocks = [
-        ("q", lambda s, rho: update_q(loss, data, s.t, s.y1, rho, s.q)),
+        ("q", lambda s, rho: loss.smooth.prox(tmax - s.y1 / rho, rho, s.q)),
         ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, s.beta)),
         ("t", lambda s, rho: t_update_bags(data, s.q + s.y1 / rho,
                                            data.X @ s.beta - s.y2 / rho)),
     ]
-    constraints = [("y1", lambda s: s.q - data.bag_max(s.t)),
-                   ("y2", lambda s: s.t - data.X @ s.beta)]
+    constraints = [("y1", r1), ("y2", lambda s: s.t - data.X @ s.beta)]
 
     def dual_norm(s, old, rho):
         # At a huge rho this overflows, and the engine raises NonFiniteIterate
         # on the Inf; numpy need not warn first.
         with np.errstate(over="ignore"):
-            s1 = rho * (data.bag_max(old.t) - data.bag_max(s.t))
+            s1 = rho * (tmax_old - tmax)
             s2 = s.t - old.t  # deliberately unscaled, mirroring the r2 dual line
             return float(np.sqrt(s1 @ s1 + s2 @ s2))
 

@@ -36,6 +36,10 @@ def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:
     """
     v = np.asarray(v, dtype=float)
     m = float(np.linalg.norm(v))
+    if 0.0 < m < 1e-150:
+        # v @ v is subnormal, so m has lost digits: rescale v first.
+        s = float(np.max(np.abs(v)))
+        m = s * float(np.linalg.norm(v / s))
     if m > 0.0:
         direction = v / m
     else:

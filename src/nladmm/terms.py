@@ -19,26 +19,22 @@ from .errors import SubproblemFailure
 
 @dataclass(frozen=True)
 class SmoothTerm:
-    """``lipschitz``, when known, bounds the Lipschitz constant of the
-    gradient; callers pass it to ``fista``, whose step is 1/lipschitz and
-    which raises ValueError without it. ``prox``, when known, is the exact
-    map prox(center, rho, x0) = argmin_x f(x) + (rho/2)||x - center||^2,
-    warm-started at x0, which lets a caller skip ``fista``."""
+    """``prox``, when known, is the exact map prox(center, rho, x0) =
+    argmin_x f(x) + (rho/2)||x - center||^2, warm-started at x0."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float | None = None
     prox: Callable[[np.ndarray, float, np.ndarray], np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
 class ProxTerm:
-    """``l1_weight``, when known, declares the term to be l1_weight * ||.||_1
-    (0.0 for the zero term), which lets a caller solve a lasso exactly."""
+    """``l1_weight`` declares the term to be l1_weight * ||.||_1 (0.0 for
+    the zero term), which lets a caller solve a lasso exactly."""
 
     value: Callable[[np.ndarray], float]
     prox: Callable[[np.ndarray, float], np.ndarray]
-    l1_weight: float | None = None
+    l1_weight: float
 
 
 @dataclass(frozen=True)
@@ -92,25 +88,25 @@ _EPS4 = 4.0 * np.finfo(float).eps
 
 
 def logistic_loss(labels: np.ndarray) -> SmoothTerm:
-    """Componentwise log loss sum_i log(1 + exp(q_i)) - labels_i * q_i.
-    The sigmoid's slope is at most 1/4, which bounds the gradient's
-    Lipschitz constant.
+    """Componentwise log loss sum_i log(1 + exp(q_i)) - labels_i * q_i for
+    labels in {0, 1}; any other label raises ValueError.
 
-    For labels in {0, 1} it declares its prox: per coordinate, the root of
-    the increasing g(q) = sigmoid(q) - y + rho (q - c), which lies in
-    [c - 1/rho, c + 1/rho]; sigmoid(q) - y is sigmoid(q) or -sigmoid(-q),
-    so g has no cancellation. Safeguarded Newton steps run on all
-    coordinates at once from x0. The bracket starts as that interval
-    widened by 4 eps (|c| + 1/rho), as the root can round onto its ends,
-    and shrinks at each evaluation of g. A Newton point on or outside it,
-    or one that turns back without halving the last move (Newton can cycle
-    across the sigmoid's inflection), is replaced by its midpoint. A
-    coordinate is done once its step is below sqrt(4 eps max(|q|, 1)), as
-    the Newton point's error is then about step^2 / 2 (|g''| <= g'), or
-    once g is at the rounding level of rho (q - c); neither test scales
-    with 1/rho. More than 100 steps, or a non-finite center, start or
-    bracket, raise SubproblemFailure."""
+    Its prox solves sigmoid(q) - y + rho (q - c) = 0 per coordinate. With
+    s = 1 - 2y, u = s q and d = s c this is h(u) = sigmoid(u) + rho (u - d)
+    = 0 for either label, as sigmoid(-q) = 1 - sigmoid(q), with the root in
+    [d - 1/rho, d]. h is increasing, convex below 0 and concave above it,
+    so Newton's method started between 0 and the root moves monotonically
+    onto the root. The start is x0 where it lies there (u0 h(u0) <= 0), and
+    clip(0, d - 1/rho, d) elsewhere. All coordinates step at once, and one
+    is done once its step is below sqrt(4 eps max(|u|, 1)), as the Newton
+    point's error is then about step^2 / 2 (|h''| <= h'), or once h is at
+    the rounding level of rho (u - d); neither test scales with 1/rho.
+    More than 100 steps, or a non-finite center, start or d - 1/rho, raise
+    SubproblemFailure."""
     y = np.asarray(labels, dtype=float)
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("logistic loss labels must be 0 or 1")
+    sign = 1.0 - 2.0 * y
 
     def value(q):
         return float(np.sum(np.logaddexp(0.0, q) - y * q))
@@ -119,57 +115,41 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
         t, u = _sigmoid_halves(np.abs(q))
         return np.where(q >= 0.0, t, u) - y
 
-    if not np.all((y == 0.0) | (y == 1.0)):
-        return SmoothTerm(value=value, gradient=gradient, lipschitz=0.25)
-    flip = y == 1.0
-    sign = 1.0 - 2.0 * y
+    def residual(u, d, rho):
+        """h(u), its slope and rho (u - d)."""
+        t, e = _sigmoid_halves(np.abs(u))
+        penalty = rho * (u - d)
+        return np.where(u >= 0.0, t, e) + penalty, t * e + rho, penalty
 
     def prox(center, rho, q0):
-        # At a tiny rho the bracket and a Newton step can overflow: the
-        # first raises below, and the bracket test replaces the second
-        # (whose turn test then divides by inf or by 0).
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            half = 1.0 / rho + _EPS4 * (np.abs(center) + 1.0 / rho)
-            lo, hi = center - half, center + half
-            if not (np.isfinite(lo).all() and np.isfinite(hi).all() and np.isfinite(q0).all()):
+        # 1/rho can overflow at a tiny rho, and u - d for a start far from d:
+        # the first fails the check below, the second the start test.
+        with np.errstate(over="ignore"):
+            d = sign * center
+            low = d - 1.0 / rho
+            if not (np.isfinite(low).all() and np.isfinite(q0).all()):
                 raise SubproblemFailure("logistic prox: non-finite center, start or "
-                                        f"bracket c -+ 1/rho at rho = {rho!r}")
-            q = np.where((q0 > lo) & (q0 < hi), q0, center)
-            back = np.full_like(q, np.inf)  # the last move, as q_old - q_new
-            done = np.zeros(q.shape, dtype=bool)
+                                        f"bracket end c -+ 1/rho at rho = {rho!r}")
+            u = sign * q0
+            h, slope, penalty = residual(u, d, rho)
+            away = u * h > 0.0  # x0 lies beyond the root, or on the far side of 0
+            if away.any():
+                u = np.where(away, np.minimum(np.maximum(0.0, low), d), u)
+                h, slope, penalty = residual(u, d, rho)
+            done = np.zeros(u.shape, dtype=bool)
             for _ in range(_MAX_NEWTON_STEPS):
-                a = np.abs(q)
-                t, u = _sigmoid_halves(a)
-                penalty = rho * (q - center)
-                # sigmoid(q) - y: sigmoid(q) for y = 0, -sigmoid(-q) for y = 1.
-                g = sign * np.where((q >= 0.0) != flip, t, u) + penalty
-                np.copyto(lo, q, where=g < 0.0)
-                np.copyto(hi, q, where=g > 0.0)
-                step = g / (t * u + rho)
-                qn = q - step
-                tol = _EPS4 * np.maximum(a, 1.0)
-                fin = step * step <= tol
-                # -2 < back/step < 0: the step turns back without halving.
-                bisect = (qn <= lo) | (qn >= hi) | (np.abs(back / step + 1.0) < 1.0)
-                if bisect.any():
-                    # A finishing step is kept, or ends on the bracket that
-                    # it would leave. A point that is done, or whose g is at
-                    # the rounding level (Newton steps there are rounding
-                    # noise, and they turn back), stays put.
-                    qn = np.where(fin, np.minimum(np.maximum(qn, lo), hi),
-                                  np.where(bisect, 0.5 * lo + 0.5 * hi, qn))
-                    stay = done | (np.abs(g) <= _EPS4 * np.abs(penalty))
-                    np.copyto(qn, q, where=stay)
-                    fin |= stay | (bisect & (hi - lo <= tol))
+                step = h / slope
+                fin = ((step * step <= _EPS4 * np.maximum(np.abs(u), 1.0))
+                       | (np.abs(h) <= _EPS4 * np.abs(penalty)))
+                u = np.where(done, u, u - step)
                 done |= fin
                 if done.all():
-                    return qn
-                back = q - qn
-                q = qn
+                    return sign * u
+                h, slope, penalty = residual(u, d, rho)
         raise SubproblemFailure(f"logistic prox: no root within {_MAX_NEWTON_STEPS} "
                                 "Newton steps")
 
-    return SmoothTerm(value=value, gradient=gradient, lipschitz=0.25, prox=prox)
+    return SmoothTerm(value=value, gradient=gradient, prox=prox)
 
 
 def linear_constraint(A: np.ndarray) -> ConstraintTerm:

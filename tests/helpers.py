@@ -9,9 +9,9 @@ updates, ``lasso_cd_oracle`` solves the l1-regularized quadratic
 subproblems of the block updates by coordinate descent, and
 ``lasso_brute_force`` by trying every sign pattern; ``lasso_kkt_violation``
 measures how far a point is from optimal for such a subproblem, and
-``fista_update_beta`` and ``fista_update_q`` are the FISTA-only
-multi-instance beta- and q-updates that the fallback paths of
-``maxop.update_beta`` and ``maxop.update_q`` must reproduce bit for bit.
+``fista_update_beta`` is the FISTA-only multi-instance beta-update that
+the rank-deficient path of ``maxop.update_beta`` must reproduce bit for
+bit.
 ``record_lipschitz`` records the Lipschitz constant each FISTA call
 is given, ``record_duals`` the dual each scalar-example solve hands its x1
 block, and ``read_trace`` reads a trace CSV back. ``quadratic_term`` is a
@@ -245,7 +245,7 @@ def lasso_kkt_violation(G: np.ndarray, c: np.ndarray, mu: float, x: np.ndarray) 
 def fista_update_beta(reg, data, t, y2, rho, beta0, cfg=FistaConfig()):
     """The multi-instance beta-update by FISTA alone, with the fixed step
     1/(rho lambda_max(X'X)), in the same floating-point operations as the
-    fallback path of ``maxop.update_beta``."""
+    rank-deficient path of ``maxop.update_beta``."""
     X = data.X
     b = t + y2 / rho
     XtX, _, lmax = data.gram
@@ -258,23 +258,8 @@ def fista_update_beta(reg, data, t, y2, rho, beta0, cfg=FistaConfig()):
     def gradient(beta):
         return rho * (XtX @ beta - Xtb)
 
-    smooth = SmoothTerm(value=value, gradient=gradient, lipschitz=rho * max(lmax, 1e-12))
-    return fista(CompositeObjective(smooth, reg), beta0, cfg, lipschitz=smooth.lipschitz)
-
-
-def fista_update_q(loss, data, t, y1, rho, q0, cfg=FistaConfig()):
-    """The multi-instance q-update by FISTA alone from the center, with the
-    fixed step 1/(L + rho), in the same floating-point operations as the
-    fallback path of ``maxop.update_q``; ``q0`` is not used."""
-    center = data.bag_max(t) - y1 / rho
-    f = loss.smooth
-    smooth = SmoothTerm(
-        value=lambda q: f.value(q) + 0.5 * rho * float(np.dot(q - center, q - center)),
-        gradient=lambda q: f.gradient(q) + rho * (q - center),
-        lipschitz=f.lipschitz + rho,
-    )
-    return fista(CompositeObjective(smooth, loss.nonsmooth), center, cfg,
-                 lipschitz=smooth.lipschitz)
+    return fista(CompositeObjective(SmoothTerm(value=value, gradient=gradient), reg),
+                 beta0, cfg, lipschitz=rho * max(lmax, 1e-12))
 
 
 def record_lipschitz(monkeypatch, module) -> list:
@@ -325,10 +310,11 @@ def vi_sequences(f1, f2, x1_history, x2_history, ys, rho: float):
 
 
 def quadratic_term(weight: float, center: np.ndarray) -> SmoothTerm:
-    """(weight/2) ||x - center||^2, declaring its constant ``weight``."""
+    """(weight/2) ||x - center||^2, whose gradient has Lipschitz constant
+    ``weight``."""
     c = np.asarray(center, dtype=float)
     return SmoothTerm(value=lambda x: 0.5 * weight * float(np.dot(x - c, x - c)),
-                      gradient=lambda x: weight * (x - c), lipschitz=weight)
+                      gradient=lambda x: weight * (x - c))
 
 
 def diagnostics_oracle(trace, ref, f1, f2, x1_history, x2_history, ys) -> list:

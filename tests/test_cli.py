@@ -237,6 +237,12 @@ class TestTinyRho:
         assert cli.main(["multi-instance", "--rho0", "1e-12", "--max-iter", "50"]) in (0, 2)
         assert "max_rule_gap" in capsys.readouterr().out
 
+    def test_multi_instance_rho0_1e_40(self, capsys):
+        """The first root lies about 91 Newton steps up the tail, close to
+        the bound of 100; a prox that needs more there fails."""
+        assert cli.main(["multi-instance", "--rho0", "1e-40", "--max-iter", "50"]) in (0, 2)
+        assert "max_rule_gap" in capsys.readouterr().out
+
     def test_multi_instance_rho0_1e_160(self, capsys):
         code = cli.main(["multi-instance", "--rho0", "1e-160", "--max-iter", "50"])
         err = capsys.readouterr().err

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -9,7 +7,6 @@ from helpers import (
     bag_subproblem_oracle,
     bag_subproblem_value,
     fista_update_beta,
-    fista_update_q,
     lasso_brute_force,
     lasso_cd_oracle,
     record_lipschitz,
@@ -35,6 +32,10 @@ def _rank_deficient(kind: str) -> maxop.BagDataset:
     X = data.X.copy()
     X[:, 2] = {"duplicate": X[:, 0], "scaled": 2.0 * X[:, 0], "zero": 0.0}[kind]
     return maxop.BagDataset(labels=data.labels, X=X, offsets=data.offsets)
+
+
+def _no_iteration(*args):
+    raise AssertionError("the solve must not start iterating")
 
 
 class TestTUpdateBag:
@@ -184,11 +185,10 @@ class TestBlockUpdates:
     def test_update_q_zero_loss_returns_center(self):
         data = maxop.BagDataset.from_bags([1.0], [np.eye(2)])
         zero = CompositeObjective(SmoothTerm(value=lambda q: 0.0, gradient=np.zeros_like,
-                                             lipschitz=0.0), zero_prox())
+                                             prox=lambda center, rho, q0: center), zero_prox())
         t = np.array([2.0, 5.0])
         y1 = np.array([1.0])
-        q = maxop.update_q(zero, data, t, y1, rho=2.0, q0=np.zeros(1),
-                           cfg=FistaConfig(tol=1e-12))
+        q = maxop.update_q(zero, data, t, y1, rho=2.0, q0=np.zeros(1))
         assert q[0] == pytest.approx(5.0 - 0.5, abs=1e-8)
 
     @staticmethod
@@ -258,6 +258,33 @@ class TestBlockUpdates:
         q = logistic_loss(np.array([1.0])).prox(c, rho, c)[0]
         assert abs(rho * (q - center) - expit(-q)) <= 1e-15
 
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    @pytest.mark.parametrize("d, u0", [(-1000.0, -1010.0), (1e6 + 1000.0, 2000.0)],
+                             ids=["below-0", "above-0"])
+    def test_logistic_prox_restart_nearest_zero(self, label, d, u0, monkeypatch):
+        """In the mirrored frame u = s q, d = s c, s = 1 - 2 label, at
+        rho = 1e-6, a start beyond the root restarts at the end of the
+        root's interval [d - 1/rho, d] nearest 0: d below 0, d - 1/rho
+        above it. The sigmoid is flat there, so one step ends it; Newton
+        from 0 would climb its tail about one unit per step."""
+        monkeypatch.setattr(terms, "_MAX_NEWTON_STEPS", 3)
+        s = 1.0 - 2.0 * label
+        q = logistic_loss(np.array([label])).prox(np.array([s * d]), 1e-6, np.array([s * u0]))
+        assert s * q[0] == pytest.approx(min(max(0.0, d - 1e6), d), rel=1e-12)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_logistic_prox_stops_at_rounding_level(self, label):
+        """At rho = 1e-18 and c = 1/rho (mirrored for label 1) the root lies
+        where sigmoid(q) rounds to 1, so its residual is rounding noise and
+        the Newton steps on it are several units long. The prox stops on
+        the size of the residual instead of running to its step bound."""
+        c = np.array([(1.0 - 2.0 * label) / 1e-18])
+        q = logistic_loss(np.array([label])).prox(c, 1e-18, np.zeros(1))
+        loss_term = -expit(-q) if label else expit(q)
+        penalty = 1e-18 * (q - c)
+        eps = np.finfo(float).eps
+        assert abs(loss_term + penalty) <= 8.0 * eps * (abs(loss_term) + abs(penalty))
+
     @pytest.mark.parametrize("bad", ["center", "start"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_logistic_prox_nonfinite_raises(self, bad, value):
@@ -270,10 +297,11 @@ class TestBlockUpdates:
             logistic_loss(y).prox(center, 0.1, q0)
 
     def test_logistic_prox_declared_for_binary_labels_only(self):
-        """sigmoid(q) - y is evaluated without cancellation only for labels
-        0 and 1; other labels leave the q-update to FISTA."""
+        """The prox reflects label 1 onto label 0, so only labels 0 and 1
+        are accepted; any other label raises."""
         assert logistic_loss(np.array([0.0, 1.0, 1.0])).prox is not None
-        assert logistic_loss(np.array([0.0, 0.5])).prox is None
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            logistic_loss(np.array([0.0, 0.5]))
 
     def test_logistic_gradient_extreme_scores(self):
         """The sigmoid takes exp(-|q|), so scores far past the float range
@@ -282,15 +310,17 @@ class TestBlockUpdates:
         assert g[0] == 0.0 and g[1] == pytest.approx(expit(-700.0), rel=1e-15)
         assert g[2] == g[3] == 1.0
 
-    def test_update_q_undeclared_loss_raises(self):
-        """A loss that declares neither its prox nor a constant has no
-        step: the q-update raises instead of guessing one."""
-        data, t, y1, rho = self._q_subproblem()
+    def test_update_q_undeclared_loss_raises(self, monkeypatch):
+        """A loss that declares no prox has no q-update: the solve raises
+        before its first iteration."""
+        monkeypatch.setattr(maxop, "iterate", _no_iteration)
+        data, _ = datagen.generate_bags(8, 3, 3, seed=6)
         logistic = logistic_loss(data.labels)
         loss = CompositeObjective(SmoothTerm(value=logistic.value, gradient=logistic.gradient),
                                   zero_prox())
-        with pytest.raises(ValueError, match="lipschitz"):
-            maxop.update_q(loss, data, t, y1, rho, np.zeros(data.n_bags))
+        with pytest.raises(ValueError, match="declares its prox"):
+            maxop.maxop_solve(data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
+                              RhoSchedule.constant(0.1), StopCriteria(max_iter=5))
 
     def test_update_beta_least_squares(self):
         rng = np.random.default_rng(8)
@@ -382,11 +412,48 @@ class TestMaxopSolve:
         assert trace[-1].objective == pytest.approx(
             loss.value(state.q) + reg.value(state.beta))
 
+    @pytest.mark.parametrize("case", ["nonsmooth-loss", "undeclared-l1-weight"])
+    def test_rejects_undeclared_terms(self, case, monkeypatch):
+        """A loss with a non-zero nonsmooth part, or a regularizer that does
+        not declare its l1 weight, has no exact block: the solve raises
+        before its first iteration."""
+        monkeypatch.setattr(maxop, "iterate", _no_iteration)
+        data, _ = datagen.generate_bags(8, 3, 3, seed=6)
+        nonsmooth, reg, message = {
+            "nonsmooth-loss": (l1_term(0.05), l1_term(1.0), "zero nonsmooth part"),
+            "undeclared-l1-weight": (zero_prox(), ProxTerm(value=l1_term(1.0).value,
+                                                           prox=l1_term(1.0).prox,
+                                                           l1_weight=None),
+                                     "declares its l1 weight")}[case]
+        loss = CompositeObjective(logistic_loss(data.labels), nonsmooth)
+        with pytest.raises(ValueError, match=message):
+            maxop.maxop_solve(data, loss, reg, maxop.MaxOpState.zeros(data, 0.1),
+                              RhoSchedule.constant(0.1), StopCriteria(max_iter=5))
+
+    def test_bag_max_once_per_iteration(self, monkeypatch):
+        """The bag maxima of t are taken once per outer iteration, plus
+        once for the initial t: the q-block's center and the dual norm
+        reuse those of the y1 residual."""
+        calls = []
+        bag_max = maxop.BagDataset.bag_max
+
+        def counted(self, t):
+            calls.append(1)
+            return bag_max(self, t)
+
+        monkeypatch.setattr(maxop.BagDataset, "bag_max", counted)
+        data, _ = datagen.generate_bags(8, 3, 3, seed=6)
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        _, trace, _ = maxop.maxop_solve(
+            data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
+            RhoSchedule.constant(0.1), StopCriteria(max_iter=40))
+        assert len(trace) == 40
+        assert len(calls) <= 40 + 1
+
 
 class TestBetaDispatch:
-    """Solves off the exact beta path never call the exact solver and are
-    those of a FISTA-only beta-update, bit for bit: on rank-deficient X,
-    and for a regularizer that does not declare its l1 weight."""
+    """Solves on rank-deficient X never call the exact beta solver and are
+    those of a FISTA-only beta-update, bit for bit."""
 
     @staticmethod
     def _solve(data, reg):
@@ -397,10 +464,7 @@ class TestBetaDispatch:
     @pytest.mark.parametrize("data, reg", [
         pytest.param(_rank_deficient("duplicate"), l1_term(1.0), id="duplicate"),
         pytest.param(_rank_deficient("scaled"), l1_term(1.0), id="scaled"),
-        pytest.param(_rank_deficient("zero"), l1_term(1.0), id="zero"),
-        pytest.param(datagen.generate_bags(8, 3, 3, seed=6)[0],
-                     ProxTerm(value=l1_term(1.0).value, prox=l1_term(1.0).prox),
-                     id="undeclared")])
+        pytest.param(_rank_deficient("zero"), l1_term(1.0), id="zero")])
     def test_solve_equals_fista_only_solve(self, data, reg, monkeypatch):
         monkeypatch.setattr(maxop, "lasso_active_set", None)
         state, trace, converged = self._solve(data, reg)
@@ -417,38 +481,6 @@ class TestBetaDispatch:
         _, trace, _ = self._solve(datagen.generate_bags(8, 3, 3, seed=6)[0], l1_term(1.0))
         assert len(trace) == 60
         assert used == []
-
-
-def _no_prox(*args):
-    raise AssertionError("the declared prox must not be called")
-
-
-class TestQDispatch:
-    """Solves off the exact q path are those of a FISTA-only q-update, bit
-    for bit: for a loss that declares no prox, and for a loss with a
-    non-zero nonsmooth term, whose declared prox is never called."""
-
-    @pytest.mark.parametrize("kind", ["undeclared", "nonsmooth"])
-    def test_solve_equals_fista_only_solve(self, kind, monkeypatch):
-        data, _ = datagen.generate_bags(8, 3, 3, seed=6)
-        logistic = logistic_loss(data.labels)
-        if kind == "undeclared":
-            loss = CompositeObjective(dataclasses.replace(logistic, prox=None), zero_prox())
-        else:
-            loss = CompositeObjective(dataclasses.replace(logistic, prox=_no_prox),
-                                      l1_term(0.05))
-
-        def solve():
-            return maxop.maxop_solve(data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
-                                     RhoSchedule.constant(0.1), StopCriteria(max_iter=60))
-
-        state, trace, converged = solve()
-        monkeypatch.setattr(maxop, "update_q", fista_update_q)
-        ref_state, ref_trace, ref_converged = solve()
-        assert len(trace) == 60
-        assert trace == ref_trace and converged == ref_converged
-        for name in ("q", "beta", "t", "y1", "y2"):
-            assert np.array_equal(getattr(state, name), getattr(ref_state, name))
 
 
 class TestGenerateBags:

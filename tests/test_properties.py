@@ -190,7 +190,7 @@ def logistic_proxes(draw):
     n = draw(st.integers(1, 12))
     y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
     center = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
-    rho = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rho = 10.0 ** draw(st.floats(-6.0, 3.0))
     start = draw(st.one_of(
         st.just(np.zeros(n)), st.just(center),
         st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n).map(np.array)))

@@ -26,6 +26,15 @@ class TestSpherePenaltyMin:
         best = sphere_penalty_oracle(v, 0.0)
         assert sphere_penalty_value(w, v, 0.0) <= best + 1e-9
 
+    @pytest.mark.parametrize("v", [[3.21544847e-161], [3e-160, -4e-160]])
+    def test_subnormal_square_norm(self, v):
+        """||v||^2 is subnormal, where numpy's norm loses digits; the
+        direction v/||v|| must still have unit length."""
+        v = np.array(v)
+        w = sphere.sphere_penalty_min(v, 0.0)
+        assert np.linalg.norm(w) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
+        assert sphere_penalty_value(w, v, 0.0) <= sphere_penalty_oracle(v, 0.0) + 1e-15
+
     def test_degenerate_origin_large_alpha(self):
         # alpha >= 1/2 makes the quadratic term prefer w = 0.
         w = sphere.sphere_penalty_min(np.zeros(2), 2.0)
