@@ -137,30 +137,33 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
         setattr(state, name, float(value) if np.ndim(value) == 0
                 else np.array(value, dtype=float))
     trace: List[TraceRow] = []
-    for k in range(stop.max_iter):
-        rho = schedule.at(k)
-        if not math.isfinite(rho):
-            raise NonFiniteIterate(f"penalty rho is {rho} at iteration {k}", trace=trace)
-        previous = copy.copy(state)
-        for name, update in blocks:
-            value = update(state, rho)
-            _require_finite(value, f"{name} block update", trace, SubproblemFailure)
-            setattr(state, name, value)
-        rs = [(dual, residual(state)) for dual, residual in constraints]
-        for dual, r in rs:
-            if np.shape(r) != np.shape(getattr(state, dual)):
-                raise DimensionMismatch(f"dual {dual} and its residual differ in shape")
-            y = getattr(state, dual) + rho * r
-            _require_finite(y, f"dual variable {dual}", trace)
-            setattr(state, dual, y)
-        state.rho = rho
-        r_norm = float(np.sqrt(sum(np.dot(r, r) for _, r in rs)))
-        s_norm = dual_norm(state, previous, rho)
-        _require_finite((r_norm, s_norm), "residual norms", trace)
-        trace.append(TraceRow(k=k, objective=objective(state), r_norm=r_norm,
-                              s_norm=s_norm, rho=rho))
-        if r_norm <= stop.tol_primal and s_norm <= stop.tol_dual:
-            return SolveResult(state, trace, True)
+    # A dual step or a norm that overflows at a huge rho ends in
+    # NonFiniteIterate below; numpy need not warn first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(stop.max_iter):
+            rho = schedule.at(k)
+            if not math.isfinite(rho):
+                raise NonFiniteIterate(f"penalty rho is {rho} at iteration {k}", trace=trace)
+            previous = copy.copy(state)
+            for name, update in blocks:
+                value = update(state, rho)
+                _require_finite(value, f"{name} block update", trace, SubproblemFailure)
+                setattr(state, name, value)
+            rs = [(dual, residual(state)) for dual, residual in constraints]
+            for dual, r in rs:
+                if np.shape(r) != np.shape(getattr(state, dual)):
+                    raise DimensionMismatch(f"dual {dual} and its residual differ in shape")
+                y = getattr(state, dual) + rho * r
+                _require_finite(y, f"dual variable {dual}", trace)
+                setattr(state, dual, y)
+            state.rho = rho
+            r_norm = float(np.sqrt(sum(np.dot(r, r) for _, r in rs)))
+            s_norm = dual_norm(state, previous, rho)
+            _require_finite((r_norm, s_norm), "residual norms", trace)
+            trace.append(TraceRow(k=k, objective=objective(state), r_norm=r_norm,
+                                  s_norm=s_norm, rho=rho))
+            if r_norm <= stop.tol_primal and s_norm <= stop.tol_dual:
+                return SolveResult(state, trace, True)
     return SolveResult(state, trace, False)
 
 

@@ -16,9 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
+from . import inner
 from .engine import RhoSchedule, SolveResult, StopCriteria, iterate
-from .inner import FistaConfig, fista, lasso_active_set
-from .terms import CompositeObjective, ProxTerm, SmoothTerm
+from .inner import lasso_active_set
+from .terms import CompositeObjective, ProxTerm
+
+fista = inner.fista  # no block calls it; kept only for the benchmark tracer to wrap
 
 
 @dataclass(frozen=True)
@@ -41,13 +44,17 @@ class BagDataset:
             raise ValueError("offsets inconsistent with the instance stack")
 
     @cached_property
-    def gram(self) -> tuple[np.ndarray, float, float]:
-        """X'X with its smallest and largest eigenvalues, computed on first
-        use; the largest is the Lipschitz constant of the gradient of
-        (1/2)||X beta - b||^2."""
+    def gram(self) -> tuple[np.ndarray, float]:
+        """(X'X + delta I, delta), computed on first use. delta = 0 when X'X
+        is numerically positive definite (lambda_min > 1e-10 lambda_max);
+        otherwise delta = 1e-10 lambda_max, or 1e-10 when every feature is
+        zero, so that the matrix is positive definite for any X."""
         G = self.X.T @ self.X
         eigs = np.linalg.eigvalsh(G)
-        return G, float(eigs[0]), float(eigs[-1])
+        if eigs[0] > 1e-10 * eigs[-1]:
+            return G, 0.0
+        delta = 1e-10 * float(eigs[-1]) if eigs[-1] > 0.0 else 1e-10
+        return G + delta * np.eye(len(G)), delta
 
     @cached_property
     def size_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -174,33 +181,18 @@ def update_q(loss: CompositeObjective, data: BagDataset, t: np.ndarray,
 
 
 def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
-                y2: np.ndarray, rho: float, beta0: np.ndarray,
-                cfg: FistaConfig = FistaConfig()) -> np.ndarray:
-    """argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2 from beta0,
-    for reg = lam ||.||_1.
-
-    When X'X is numerically positive definite (lambda_min > 1e-10
-    lambda_max), this is the lasso (1/2) beta'X'X beta - (X'b)'beta +
-    (lam/rho)||beta||_1, solved exactly by ``lasso_active_set``. For
-    rank-deficient X it is approximated by FISTA with the fixed step
-    1/(rho lambda_max(X'X)). The path depends only on the data."""
-    X = data.X
-    b = t + y2 / rho
-    XtX, lmin, lmax = data.gram
-    Xtb = X.T @ b
-    if lmin > 1e-10 * lmax:
-        return lasso_active_set(XtX, Xtb, reg.l1_weight / rho, beta0, "beta block")
-
-    def value(beta):
-        r = X @ beta - b
-        return 0.5 * rho * float(r @ r)
-
-    def gradient(beta):
-        return rho * (XtX @ beta - Xtb)
-
-    # The floor keeps the step finite when every feature is zero.
-    return fista(CompositeObjective(SmoothTerm(value=value, gradient=gradient), reg),
-                 beta0, cfg, lipschitz=rho * max(lmax, 1e-12))
+                y2: np.ndarray, rho: float, beta0: np.ndarray) -> np.ndarray:
+    """argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2
+    + (rho delta/2)||beta - beta0||^2 for reg = lam ||.||_1, where
+    (X'X + delta I, delta) = ``data.gram``: a strongly convex lasso for any
+    X, solved exactly by ``lasso_active_set`` from beta0. delta = 0 on
+    full-rank X; on rank-deficient X the proximal term is that of nonconvex
+    proximal ADMM (Li & Pong 2015)."""
+    G, delta = data.gram
+    c = data.X.T @ (t + y2 / rho)
+    if delta > 0.0:
+        c = c + delta * beta0
+    return lasso_active_set(G, c, reg.l1_weight / rho, beta0, "beta block")
 
 
 def t_update_bag(psi: float, phi: np.ndarray) -> np.ndarray:
@@ -259,7 +251,7 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
                 init: MaxOpState, schedule: RhoSchedule,
                 stop: StopCriteria) -> SolveResult:
     """Cycle q (the loss's declared prox, exact per bag), beta (an exact
-    lasso solve, or proximal gradient for rank-deficient X), t (exact per
+    lasso solve, with a proximal term on rank-deficient X), t (exact per
     bag, all bags in one pass), then the two dual ascent steps, with
     combined residual norms.
 
@@ -290,12 +282,9 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     constraints = [("y1", r1), ("y2", lambda s: s.t - data.X @ s.beta)]
 
     def dual_norm(s, old, rho):
-        # At a huge rho this overflows, and the engine raises NonFiniteIterate
-        # on the Inf; numpy need not warn first.
-        with np.errstate(over="ignore"):
-            s1 = rho * (tmax_old - tmax)
-            s2 = s.t - old.t  # deliberately unscaled, mirroring the r2 dual line
-            return float(np.sqrt(s1 @ s1 + s2 @ s2))
+        s1 = rho * (tmax_old - tmax)
+        s2 = s.t - old.t  # deliberately unscaled, mirroring the r2 dual line
+        return float(np.sqrt(s1 @ s1 + s2 @ s2))
 
     return iterate(init, blocks, constraints, dual_norm,
                    lambda s: float(loss.value(s.q) + reg.value(s.beta)), schedule, stop)

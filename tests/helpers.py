@@ -8,12 +8,8 @@ variable and combines a dense grid with a derivative-free polish, and
 updates, ``lasso_cd_oracle`` solves the l1-regularized quadratic
 subproblems of the block updates by coordinate descent, and
 ``lasso_brute_force`` by trying every sign pattern; ``lasso_kkt_violation``
-measures how far a point is from optimal for such a subproblem, and
-``fista_update_beta`` is the FISTA-only multi-instance beta-update that
-the rank-deficient path of ``maxop.update_beta`` must reproduce bit for
-bit.
-``record_lipschitz`` records the Lipschitz constant each FISTA call
-is given, ``record_duals`` the dual each scalar-example solve hands its x1
+measures how far a point is from optimal for such a subproblem.
+``record_duals`` records the dual each scalar-example solve hands its x1
 block, and ``read_trace`` reads a trace CSV back. ``quadratic_term`` is a
 FISTA test objective, and ``diagnostics_oracle`` evaluates the diagnostics
 rows from the engine's own duals, map by map.
@@ -31,8 +27,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from nladmm.errors import SolverError
-from nladmm.inner import FistaConfig, fista
-from nladmm.terms import CompositeObjective, SmoothTerm
+from nladmm.terms import SmoothTerm
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GOLDEN_STEPS = 200
@@ -240,40 +235,6 @@ def lasso_kkt_violation(G: np.ndarray, c: np.ndarray, mu: float, x: np.ndarray) 
     scale = float(np.max(np.abs(c), initial=0.0)) + mu + float(np.max(np.abs(G))) * float(
         np.abs(x).sum())
     return worst / max(scale, float(np.finfo(float).tiny))
-
-
-def fista_update_beta(reg, data, t, y2, rho, beta0, cfg=FistaConfig()):
-    """The multi-instance beta-update by FISTA alone, with the fixed step
-    1/(rho lambda_max(X'X)), in the same floating-point operations as the
-    rank-deficient path of ``maxop.update_beta``."""
-    X = data.X
-    b = t + y2 / rho
-    XtX, _, lmax = data.gram
-    Xtb = X.T @ b
-
-    def value(beta):
-        r = X @ beta - b
-        return 0.5 * rho * float(r @ r)
-
-    def gradient(beta):
-        return rho * (XtX @ beta - Xtb)
-
-    return fista(CompositeObjective(SmoothTerm(value=value, gradient=gradient), reg),
-                 beta0, cfg, lipschitz=rho * max(lmax, 1e-12))
-
-
-def record_lipschitz(monkeypatch, module) -> list:
-    """Wrap ``module.fista`` so that each call appends its ``lipschitz``
-    argument to the returned list."""
-    fista = module.fista
-    used = []
-
-    def recording_fista(obj, x0, cfg, lipschitz=None):
-        used.append(lipschitz)
-        return fista(obj, x0, cfg, lipschitz=lipschitz)
-
-    monkeypatch.setattr(module, "fista", recording_fista)
-    return used
 
 
 def record_duals(monkeypatch, module) -> list:

@@ -248,6 +248,20 @@ class TestSolve:
         assert seen == [1.0, 1.0, 1e308, 1e308]
         assert len(e.value.trace) == 2
 
+    def test_overflowing_dual_step_raises_without_warning(self):
+        """At rho = 1e308 a residual of 10 overflows the dual step y + rho r.
+        The loop raises NonFiniteIterate with no numpy RuntimeWarning first
+        (pytest turns one into an error), and leaves numpy's error state as
+        it found it."""
+        before = np.geterr()
+        init = IterateState(x1=np.zeros(1), x2=np.zeros(1), y=np.zeros(1), rho=1.0)
+        with pytest.raises(NonFiniteIterate, match="dual variable y"):
+            engine.iterate(init, [("x1", lambda s, rho: np.zeros(1))],
+                           [("y", lambda s: np.full(1, 10.0))],
+                           lambda s, old, rho: 1.0, lambda s: 0.0,
+                           RhoSchedule.constant(1e308), StopCriteria(max_iter=5))
+        assert np.geterr() == before
+
     def test_update_identity_along_run(self):
         """w^{k+1} = w^k - E (w^k - w~^k) with the diagnostics matrices, on
         the iterates and duals the engine hands its block solvers."""

@@ -6,15 +6,12 @@ from scipy.special import expit
 from helpers import (
     bag_subproblem_oracle,
     bag_subproblem_value,
-    fista_update_beta,
     lasso_brute_force,
     lasso_cd_oracle,
-    record_lipschitz,
 )
-from nladmm import datagen, maxop, terms
+from nladmm import datagen, inner, maxop, sphere, terms
 from nladmm.engine import RhoSchedule, StopCriteria
 from nladmm.errors import SubproblemFailure
-from nladmm.inner import FistaConfig
 from nladmm.terms import (
     CompositeObjective,
     ProxTerm,
@@ -25,13 +22,25 @@ from nladmm.terms import (
 )
 
 
-def _rank_deficient(kind: str) -> maxop.BagDataset:
-    """Bags of generate_bags(8, 3, 3) with one feature column made
-    dependent: a copy of another column, twice another column, or zero."""
-    data, _ = datagen.generate_bags(8, 3, 3, seed=6)
+RANK_DEFICIENT = ["duplicate", "scaled", "zero", "sum", "all-zero"]
+
+
+def _rank_deficient(kind: str, seed: int = 6) -> maxop.BagDataset:
+    """Bags of generate_bags(8, 3, 3) with the last feature column made
+    dependent: a copy of the first, twice the first, zero, or the sum of
+    the first two; or with every feature zero."""
+    data, _ = datagen.generate_bags(8, 3, 3, seed=seed)
     X = data.X.copy()
-    X[:, 2] = {"duplicate": X[:, 0], "scaled": 2.0 * X[:, 0], "zero": 0.0}[kind]
+    if kind == "all-zero":
+        X[:] = 0.0
+    else:
+        X[:, 2] = {"duplicate": X[:, 0], "scaled": 2.0 * X[:, 0], "zero": 0.0,
+                   "sum": X[:, 0] + X[:, 1]}[kind]
     return maxop.BagDataset(labels=data.labels, X=X, offsets=data.offsets)
+
+
+def _no_fista(*args, **kwargs):
+    raise AssertionError("no solve may call fista")
 
 
 def _no_iteration(*args):
@@ -208,14 +217,12 @@ class TestBlockUpdates:
                                 c - 1.0 / rho - 1.0, c + 1.0 / rho + 1.0, xtol=1e-14)
                          for y, c in zip(data.labels, center)])
 
-    def test_update_q_declared_step(self, monkeypatch):
+    def test_update_q_declared_step(self):
         """The logistic loss declares its prox, so the q-update is that
-        prox, with no FISTA call, and reaches the per-bag root."""
-        used = record_lipschitz(monkeypatch, maxop)
+        prox, and reaches the per-bag root."""
         data, t, y1, rho = self._q_subproblem()
         loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
         q = maxop.update_q(loss, data, t, y1, rho, np.zeros(data.n_bags))
-        assert used == []
         oracle = self._q_oracle(data, t, y1, rho)
         assert np.all(np.abs(q - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
@@ -328,7 +335,7 @@ class TestBlockUpdates:
         data = maxop.BagDataset.from_bags([1.0], [X])
         t = rng.standard_normal(6)
         beta = maxop.update_beta(zero_prox(), data, t, np.zeros(6), rho=1.0,
-                                 beta0=np.zeros(3), cfg=FistaConfig(tol=1e-14, max_iter=5000))
+                                 beta0=np.zeros(3))
         expected, *_ = np.linalg.lstsq(X, t, rcond=None)
         assert np.allclose(beta, expected, atol=1e-6)
 
@@ -337,16 +344,15 @@ class TestBlockUpdates:
         data = maxop.BagDataset.from_bags([1.0], [X])
         t = np.array([3.0, -0.2, 0.0, 1.0])
         beta = maxop.update_beta(l1_term(1.0), data, t, np.zeros(4), rho=1.0,
-                                 beta0=np.zeros(4), cfg=FistaConfig(tol=1e-14, max_iter=5000))
+                                 beta0=np.zeros(4))
         assert np.allclose(beta, [2.0, 0.0, 0.0, 0.0], atol=1e-6)
 
     @pytest.mark.parametrize("reg, lam", [(zero_prox(), 0.0), (l1_term(0.5), 0.5)],
                              ids=["none", "l1"])
-    def test_update_beta_matches_coordinate_descent_oracle(self, reg, lam, monkeypatch):
-        """On full-rank X the beta-update solves its lasso exactly, with no
-        FISTA call, and lands on the minimizer that coordinate descent on
-        the same lasso finds."""
-        used = record_lipschitz(monkeypatch, maxop)
+    def test_update_beta_matches_coordinate_descent_oracle(self, reg, lam):
+        """On full-rank X the beta-update solves its lasso exactly and
+        lands on the minimizer that coordinate descent on the same lasso
+        finds."""
         data, _ = datagen.generate_bags(6, 3, 3, seed=5)
         rng = np.random.default_rng(9)
         t = rng.standard_normal(data.X.shape[0])
@@ -355,7 +361,6 @@ class TestBlockUpdates:
         beta = maxop.update_beta(reg, data, t, y2, rho, np.zeros(3))
         X, b = data.X, t + y2 / rho
         oracle = lasso_cd_oracle(rho * X.T @ X, rho * X.T @ b, lam)
-        assert used == []
         assert np.allclose(beta, oracle, rtol=0.0, atol=1e-10)
 
     def test_update_beta_matches_brute_force(self):
@@ -376,19 +381,6 @@ class TestBlockUpdates:
             oracle = lasso_brute_force(X.T @ X, X.T @ b, lam / rho)
             assert np.allclose(beta, oracle, rtol=0.0, atol=1e-10)
             assert np.array_equal(beta == 0.0, oracle == 0.0)
-
-    def test_update_beta_lipschitz_bound(self, monkeypatch):
-        """On rank-deficient X the beta-update steps with L = rho ||X||_2^2
-        from a Gram matrix computed once per dataset."""
-        used = record_lipschitz(monkeypatch, maxop)
-        data = _rank_deficient("duplicate")
-        gram = data.gram
-        t = np.ones(data.X.shape[0])
-        maxop.update_beta(l1_term(1.0), data, t, np.zeros_like(t), 0.3, np.zeros(3))
-        bound = 0.3 * np.linalg.norm(data.X, 2) ** 2
-        assert used[0] >= bound * (1.0 - 1e-12)
-        assert used[0] == pytest.approx(bound, rel=1e-9)
-        assert data.gram is gram
 
 
 class TestMaxopSolve:
@@ -451,36 +443,65 @@ class TestMaxopSolve:
         assert len(calls) <= 40 + 1
 
 
-class TestBetaDispatch:
-    """Solves on rank-deficient X never call the exact beta solver and are
-    those of a FISTA-only beta-update, bit for bit."""
+class TestRankDeficientBeta:
+    """On rank-deficient X the beta-block carries the proximal term
+    (rho delta/2)||beta - beta0||^2, so it is still an exact lasso solve;
+    no solve calls FISTA on any X."""
 
-    @staticmethod
-    def _solve(data, reg):
-        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-        return maxop.maxop_solve(data, loss, reg, maxop.MaxOpState.zeros(data, 0.1),
-                                 RhoSchedule.constant(0.1), StopCriteria(max_iter=60))
+    @pytest.mark.parametrize("kind", RANK_DEFICIENT)
+    def test_update_beta_matches_brute_force(self, kind):
+        """The beta-update against every sign pattern of the lasso with
+        G = X'X + delta I and c = X'b + delta beta0, from zero and from
+        random warm starts; delta = 1e-10 lambda_max(X'X), or 1e-10 when
+        every feature is zero."""
+        rng = np.random.default_rng(23)
+        for trial in range(20):
+            data = _rank_deficient(kind, seed=trial)
+            X = data.X
+            G, delta = data.gram
+            lmax = np.linalg.norm(X, 2) ** 2
+            assert delta == (pytest.approx(1e-10 * lmax, rel=1e-9) if lmax > 0.0 else 1e-10)
+            assert data.gram[0] is G
+            t = rng.standard_normal(X.shape[0]) * 3.0
+            y2 = rng.standard_normal(X.shape[0])
+            rho = float(rng.choice([0.1, 1.0, 10.0]))
+            lam = float(rng.choice([0.0, 0.5, 5.0, 50.0]))
+            beta0 = rng.standard_normal(3) * (rng.random(3) < 0.5)
+            if kind == "all-zero":
+                beta0 = rng.standard_normal(3) * 1e9
+            beta = maxop.update_beta(l1_term(lam), data, t, y2, rho, beta0)
+            oracle = lasso_brute_force(X.T @ X + delta * np.eye(3),
+                                       X.T @ (t + y2 / rho) + delta * beta0, lam / rho)
+            assert np.allclose(beta, oracle, rtol=1e-9, atol=1e-10)
+            assert np.array_equal(beta == 0.0, oracle == 0.0)
 
-    @pytest.mark.parametrize("data, reg", [
-        pytest.param(_rank_deficient("duplicate"), l1_term(1.0), id="duplicate"),
-        pytest.param(_rank_deficient("scaled"), l1_term(1.0), id="scaled"),
-        pytest.param(_rank_deficient("zero"), l1_term(1.0), id="zero")])
-    def test_solve_equals_fista_only_solve(self, data, reg, monkeypatch):
-        monkeypatch.setattr(maxop, "lasso_active_set", None)
-        state, trace, converged = self._solve(data, reg)
-        monkeypatch.setattr(maxop, "update_beta", fista_update_beta)
-        ref_state, ref_trace, ref_converged = self._solve(data, reg)
-        assert trace == ref_trace and converged == ref_converged
-        for name in ("q", "beta", "t", "y1", "y2"):
-            assert np.array_equal(getattr(state, name), getattr(ref_state, name))
+    def test_full_rank_gram_has_no_proximal_term(self):
+        data, _ = datagen.generate_bags(8, 3, 3, seed=6)
+        G, delta = data.gram
+        assert delta == 0.0 and np.array_equal(G, data.X.T @ data.X)
 
-    def test_full_rank_solve_never_runs_fista_on_beta(self, monkeypatch):
-        """With full-rank X every beta-update is the exact lasso solve and
-        every q-update the logistic loss's exact prox: no FISTA call at all."""
-        used = record_lipschitz(monkeypatch, maxop)
-        _, trace, _ = self._solve(datagen.generate_bags(8, 3, 3, seed=6)[0], l1_term(1.0))
-        assert len(trace) == 60
-        assert used == []
+    def test_no_solve_calls_fista(self, monkeypatch):
+        """Every multi-instance solve, on full-rank X and on each kind of
+        rank-deficient X, and a 1-bit CS solve run with every name of
+        fista patched to raise."""
+        for module in (inner, sphere, maxop):
+            monkeypatch.setattr(module, "fista", _no_fista)
+        for data in [datagen.generate_bags(8, 3, 3, seed=6)[0]] + [
+                _rank_deficient(kind) for kind in RANK_DEFICIENT]:
+            loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+            _, trace, _ = maxop.maxop_solve(data, loss, l1_term(1.0),
+                                            maxop.MaxOpState.zeros(data, 0.1),
+                                            RhoSchedule.constant(0.1), StopCriteria(max_iter=60))
+            assert len(trace) == 60
+        problem, _ = datagen.generate_onebit(16, 12, 4, seed=0, lam=10.0)
+        M = problem.signed_matrix
+        x0 = M.T @ np.ones(12)
+        x0 /= np.linalg.norm(x0)
+        init = sphere.OneBitCsState(x=x0.copy(), w=x0.copy(), z=M @ x0, y1=0.0,
+                                    y2=np.zeros(12), y3=np.zeros(16), rho=1000.0)
+        _, trace, _ = sphere.onebit_solve(problem, init, RhoSchedule.constant(1000.0),
+                                          StopCriteria(max_iter=20))
+        assert len(trace) == 20
 
 
 class TestGenerateBags:
