@@ -93,7 +93,9 @@ class Problem:
     The block solvers are expected to return (approximate) minimizers of
     the augmented Lagrangian in their own block. Existence of those
     minimizers (e.g. via strong convexity of the objectives or linearity
-    of the constraint maps) is the caller's responsibility.
+    of the constraint maps) is the caller's responsibility, and so is the
+    contract of ``iterate``: a non-finite block value must make F1 + F2 or
+    f1(x1) + f2(x2) non-finite.
     """
 
     F1: Callable[[np.ndarray], float]
@@ -112,9 +114,30 @@ class SolveResult(NamedTuple):
     converged: bool
 
 
-def _require_finite(v, what: str, trace, exc=NonFiniteIterate):
-    if not np.isfinite(v).all():
-        raise exc(f"non-finite values in {what}", trace=trace)
+class _Previous:
+    """The block values an outer iteration started from, as attributes."""
+
+
+# The running dual bound is replaced by an exact scan well before it could
+# overflow, so that rounding in the bound cannot hide a dual that did.
+_BOUND_LIMIT = 1e300
+
+
+def _stacked_norm(state, duals) -> float:
+    ys = (getattr(state, dual) for dual in duals)
+    return math.sqrt(sum(float(np.vdot(y, y)) for y in ys))
+
+
+def _first_failure(state, checks, norms, trace):
+    """The error of the first failing test, in order: each (field, what,
+    error type) of ``checks``, then the norms (r_norm, s_norm) if given.
+    None when every value is finite."""
+    for name, what, exc in checks:
+        if not np.isfinite(getattr(state, name)).all():
+            return exc(f"non-finite values in {what}", trace=trace)
+    if norms is not None and not np.isfinite(norms).all():
+        return NonFiniteIterate("non-finite values in residual norms", trace=trace)
+    return None
 
 
 def iterate(init, blocks: Sequence[Tuple[str, Callable]],
@@ -125,42 +148,74 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
 
     Iteration k fixes rho = schedule.at(k), sets each (field, update) of
     ``blocks`` in order to update(state, rho), and steps the dual field of
-    each (dual, residual) of ``constraints`` by rho * residual(state). The
-    primal norm is sqrt(sum_i r_i . r_i), the dual one
-    dual_norm(state, previous, rho). A non-finite rho (before any block runs),
-    dual or norm raises NonFiniteIterate, a non-finite block SubproblemFailure
-    naming it; both carry the trace so far.
+    each (dual, residual) of ``constraints`` by rho * residual(state), a
+    number or an array shaped like the dual. The primal norm is
+    sqrt(sum_i r_i . r_i), the dual one dual_norm(state, old, rho), where
+    ``old`` holds the block values the iteration began with as attributes.
+
+    A non-finite rho raises NonFiniteIterate before any block runs. The
+    other values are tested once per iteration: r_norm + s_norm + the
+    objective + B must be finite and B <= 1e300, where B += rho * r_norm
+    bounds the stacked dual norm. Otherwise, and also when a block, a
+    residual, a norm or the objective raises, the values set so far are
+    scanned in order, blocks, duals, then norms: the first non-finite block
+    raises SubproblemFailure naming it, a dual or a norm NonFiniteIterate,
+    with the trace so far and chained from the error raised, if any. A
+    clean scan re-raises that error, or goes on with B the exact norm. A
+    residual shaped unlike its dual raises DimensionMismatch.
+
+    The test misses no non-finite block value if the blocks keep one
+    contract: such a value makes a residual, the dual norm or the
+    objective non-finite.
     """
     state = copy.copy(init)
     for name, _ in list(blocks) + list(constraints):
         value = getattr(init, name)
         setattr(state, name, float(value) if np.ndim(value) == 0
                 else np.array(value, dtype=float))
+    duals = [dual for dual, _ in constraints]
+    shapes = [np.shape(getattr(state, dual)) for dual in duals]
+    checks = ([(name, f"{name} block update", SubproblemFailure) for name, _ in blocks]
+              + [(dual, f"dual variable {dual}", NonFiniteIterate) for dual in duals])
+    old = _Previous()
     trace: List[TraceRow] = []
     # A dual step or a norm that overflows at a huge rho ends in
     # NonFiniteIterate below; numpy need not warn first.
     with np.errstate(over="ignore", invalid="ignore"):
+        bound = _stacked_norm(state, duals)
         for k in range(stop.max_iter):
             rho = schedule.at(k)
             if not math.isfinite(rho):
                 raise NonFiniteIterate(f"penalty rho is {rho} at iteration {k}", trace=trace)
-            previous = copy.copy(state)
-            for name, update in blocks:
-                value = update(state, rho)
-                _require_finite(value, f"{name} block update", trace, SubproblemFailure)
-                setattr(state, name, value)
-            rs = [(dual, residual(state)) for dual, residual in constraints]
-            for dual, r in rs:
-                if np.shape(r) != np.shape(getattr(state, dual)):
-                    raise DimensionMismatch(f"dual {dual} and its residual differ in shape")
-                y = getattr(state, dual) + rho * r
-                _require_finite(y, f"dual variable {dual}", trace)
-                setattr(state, dual, y)
-            state.rho = rho
-            r_norm = float(np.sqrt(sum(np.dot(r, r) for _, r in rs)))
-            s_norm = dual_norm(state, previous, rho)
-            _require_finite((r_norm, s_norm), "residual norms", trace)
-            trace.append(TraceRow(k=k, objective=objective(state), r_norm=r_norm,
+            done, norms = 0, None  # checks[:done] are the fields set so far
+            try:
+                for name, update in blocks:
+                    setattr(old, name, getattr(state, name))
+                    setattr(state, name, update(state, rho))
+                    done += 1
+                rs = [residual(state) for _, residual in constraints]
+                for dual, shape, r in zip(duals, shapes, rs):
+                    if getattr(r, "shape", ()) != shape:
+                        raise DimensionMismatch(f"dual {dual} and its residual differ in shape")
+                    setattr(state, dual, getattr(state, dual) + rho * r)
+                    done += 1
+                state.rho = rho
+                r_norm = math.sqrt(sum(np.dot(r, r) for r in rs))
+                s_norm = dual_norm(state, old, rho)
+                norms = (r_norm, s_norm)
+                obj = objective(state)
+            except Exception as exc:
+                failure = _first_failure(state, checks[:done], norms, trace)
+                if failure is not None:
+                    raise failure from exc
+                raise
+            bound += rho * r_norm
+            if not (bound <= _BOUND_LIMIT and math.isfinite(r_norm + s_norm + obj + bound)):
+                failure = _first_failure(state, checks, norms, trace)
+                if failure is not None:
+                    raise failure
+                bound = _stacked_norm(state, duals)
+            trace.append(TraceRow(k=k, objective=obj, r_norm=r_norm,
                                   s_norm=s_norm, rho=rho))
             if r_norm <= stop.tol_primal and s_norm <= stop.tol_dual:
                 return SolveResult(state, trace, True)
@@ -182,7 +237,7 @@ def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
         f2x2 = f2.eval(s.x2)
         return f1.eval(s.x1) + f2x2
 
-    def dual_norm(s, previous, rho):
+    def dual_norm(s, old, rho):
         return float(np.linalg.norm(rho * (f1.jacobian(s.x1).T @ (f2x2 - f2_old))))
 
     blocks = [

@@ -264,22 +264,27 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     if reg.l1_weight is None:
         raise ValueError("the beta-block needs a regularizer that declares its l1 weight")
     # The bag maxima of t are taken once per iteration, in the y1 residual:
-    # tmax at the current t, tmax_old at the previous one.
+    # tmax at the current t, tmax_old at the previous one. X beta is formed
+    # once, in the t-block, and the y2 residual reuses it.
     tmax = data.bag_max(np.asarray(init.t, dtype=float))
-    tmax_old = None
+    tmax_old = xbeta = None
 
     def r1(s):
         nonlocal tmax, tmax_old
         tmax_old, tmax = tmax, data.bag_max(s.t)
         return s.q - tmax
 
+    def update_t(s, rho):
+        nonlocal xbeta
+        xbeta = data.X @ s.beta
+        return t_update_bags(data, s.q + s.y1 / rho, xbeta - s.y2 / rho)
+
     blocks = [
         ("q", lambda s, rho: loss.smooth.prox(tmax - s.y1 / rho, rho, s.q)),
         ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, s.beta)),
-        ("t", lambda s, rho: t_update_bags(data, s.q + s.y1 / rho,
-                                           data.X @ s.beta - s.y2 / rho)),
+        ("t", update_t),
     ]
-    constraints = [("y1", r1), ("y2", lambda s: s.t - data.X @ s.beta)]
+    constraints = [("y1", r1), ("y2", lambda s: s.t - xbeta)]
 
     def dual_norm(s, old, rho):
         s1 = rho * (tmax_old - tmax)

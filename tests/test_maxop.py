@@ -442,6 +442,32 @@ class TestMaxopSolve:
         assert len(trace) == 40
         assert len(calls) <= 40 + 1
 
+    def test_x_beta_once_per_iteration(self):
+        """X beta is formed once per outer iteration, in the t-block; the
+        y2 residual reuses it. Products with X' (the Gram matrix and the
+        beta-block's right-hand side) are not counted."""
+        calls = []
+
+        class CountedX(np.ndarray):
+            def __matmul__(self, other):
+                if self.shape == data.X.shape:
+                    calls.append(None)
+                return np.asarray(self) @ other
+
+        generated, _ = datagen.generate_bags(8, 3, 3, seed=6)
+        data = maxop.BagDataset(labels=generated.labels, X=generated.X.view(CountedX),
+                                offsets=generated.offsets)
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        state, trace, _ = maxop.maxop_solve(
+            data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
+            RhoSchedule.constant(0.1), StopCriteria(max_iter=40))
+        assert len(trace) == 40 and len(calls) == 40
+        reference = maxop.maxop_solve(
+            generated, loss, l1_term(1.0), maxop.MaxOpState.zeros(generated, 0.1),
+            RhoSchedule.constant(0.1), StopCriteria(max_iter=40))
+        assert trace == reference.trace
+        assert np.array_equal(state.y2, reference.state.y2)
+
 
 class TestRankDeficientBeta:
     """On rank-deficient X the beta-block carries the proximal term
