@@ -1,5 +1,9 @@
 """Command-line harness: run the benchmark examples and the two
-applications on synthetic data, writing per-iteration traces as CSV.
+applications, writing per-iteration traces as CSV.
+
+Every solve runs at rho_k = rho0 + k * delta, set by ``--rho0`` and
+``--rho-delta`` (0 keeps rho constant). ``multi-instance`` reads its bags
+from ``--input``, a CSV as ``generate-bags`` writes it.
 
 Exit codes: 0 when the solve converged, 2 when it hit the iteration cap,
 1 on any error; bad flags exit with 64.
@@ -52,12 +56,6 @@ def write_trace(path, rows: Sequence[TraceRow],
             writer.writerow(rec)
 
 
-def _schedule(args) -> RhoSchedule:
-    if args.rho_schedule == "constant":
-        return RhoSchedule.constant(args.rho0)
-    return RhoSchedule.increment(args.rho0, args.rho_delta)
-
-
 def _int_at_least(minimum: int):
     """argparse type for an integer of at least ``minimum``."""
 
@@ -98,9 +96,8 @@ _nonnegative_float = _finite_float(positive=False)
 
 def _add_common(p, rho0: float, max_iter: int):
     p.add_argument("--rho0", type=_positive_float, default=rho0)
-    p.add_argument("--rho-schedule", choices=["constant", "increment"],
-                   default="constant", dest="rho_schedule")
-    p.add_argument("--rho-delta", type=_nonnegative_float, default=0.01, dest="rho_delta")
+    p.add_argument("--rho-delta", type=_nonnegative_float, default=0.0, dest="rho_delta",
+                   help="rho grows by this much per iteration (0 keeps it constant)")
     p.add_argument("--max-iter", type=_positive_int, default=max_iter, dest="max_iter")
     p.add_argument("--tol-primal", type=_positive_float, default=1e-6, dest="tol_primal")
     p.add_argument("--tol-dual", type=_positive_float, default=1e-6, dest="tol_dual")
@@ -117,7 +114,7 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"run the scalar benchmark {name}")
         _add_common(p, rho0=1.0, max_iter=30)
         p.add_argument("--diagnose", action="store_true",
-                       help="append bound/gap/Lyapunov/VI columns (constant rho only)")
+                       help="append bound/gap/Lyapunov/VI columns (needs --rho-delta 0)")
 
     p = sub.add_parser("onebit-cs", help="1-bit compressive sensing on synthetic data")
     _add_common(p, rho0=1000.0, max_iter=100)
@@ -129,12 +126,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("multi-instance", help="max-rule multi-instance learning")
     _add_common(p, rho0=0.1, max_iter=1000)
-    p.add_argument("--input", default=None, help="bag dataset CSV (generated if omitted)")
-    p.add_argument("--bags", type=_positive_int, default=20)
-    p.add_argument("--instances", type=_positive_int, default=5)
-    p.add_argument("--features", type=_positive_int, default=4)
+    p.add_argument("--input", required=True,
+                   help="bag dataset CSV, as generate-bags writes it")
     p.add_argument("--lambda", type=_positive_float, default=1.0, dest="lam")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
 
     p = sub.add_parser("generate-bags", help="write a synthetic bag dataset CSV")
     p.add_argument("--bags", type=_positive_int, default=20)
@@ -145,9 +139,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _stop(args) -> StopCriteria:
+    return StopCriteria(tol_primal=args.tol_primal, tol_dual=args.tol_dual,
+                        max_iter=args.max_iter)
+
+
+def _finish(args, trace, converged, summary,
+            extra_header=None, extra_cols=None) -> int:
+    """Write the trace if ``--output`` is given, print the summary line and
+    map convergence to the exit code."""
+    if args.output:
+        write_trace(args.output, trace, extra_header, extra_cols)
+    print(f"{args.subcommand}: iterations={len(trace)} {summary}")
+    return EXIT_OK if converged else EXIT_MAX_ITER
+
+
 def _run_example(args) -> int:
-    schedule = _schedule(args)
-    run = scalar_examples.run_example(args.subcommand, schedule,
+    run = scalar_examples.run_example(args.subcommand,
+                                      RhoSchedule(args.rho0, args.rho_delta),
                                       max_iter=args.max_iter,
                                       tol_primal=args.tol_primal,
                                       tol_dual=args.tol_dual)
@@ -158,14 +167,12 @@ def _run_example(args) -> int:
         problem = scalar_examples.build_example(args.subcommand)
         rows = diagnose_result(run.result, ref, problem.f1, problem.f2,
                                run.x1_history, run.x2_history)
-        extra_header = ["bound", "gap", "lyapunov", "vi_norm"]
+        extra_header = DIAG_HEADER[len(TRACE_HEADER):]
         extra_cols = [(r.bound, r.gap, r.lyapunov, r.vi_norm) for r in rows]
-    if args.output:
-        write_trace(args.output, trace, extra_header, extra_cols)
     last = trace[-1]
-    print(f"{args.subcommand}: iterations={len(trace)} objective={last.objective:.6f} "
-          f"r={last.r_norm:.3e} s={last.s_norm:.3e}")
-    return EXIT_OK if run.result.converged else EXIT_MAX_ITER
+    return _finish(args, trace, run.result.converged,
+                   f"objective={last.objective:.6f} r={last.r_norm:.3e} s={last.s_norm:.3e}",
+                   extra_header, extra_cols)
 
 
 def _run_onebit(args) -> int:
@@ -179,38 +186,26 @@ def _run_onebit(args) -> int:
                                 z=problem.signed_matrix @ x0,
                                 y1=0.0, y2=np.zeros(args.m), y3=np.zeros(args.n),
                                 rho=args.rho0)
-    stop = StopCriteria(tol_primal=args.tol_primal, tol_dual=args.tol_dual,
-                        max_iter=args.max_iter)
-    state, trace, converged = sphere.onebit_solve(problem, init,
-                                                  _schedule(args), stop)
-    if args.output:
-        write_trace(args.output, trace)
+    state, trace, converged = sphere.onebit_solve(
+        problem, init, RhoSchedule(args.rho0, args.rho_delta), _stop(args))
     corr = abs(float(state.x @ x_true)) / max(np.linalg.norm(state.x), 1e-30)
-    print(f"onebit-cs: iterations={len(trace)} objective={trace[-1].objective:.4f} "
-          f"sphere_residual={abs(float(state.x @ state.x) - 1.0):.3e} "
-          f"correlation={corr:.4f}")
-    return EXIT_OK if converged else EXIT_MAX_ITER
+    return _finish(args, trace, converged,
+                   f"objective={trace[-1].objective:.4f} "
+                   f"sphere_residual={abs(float(state.x @ state.x) - 1.0):.3e} "
+                   f"correlation={corr:.4f}")
 
 
 def _run_multi_instance(args) -> int:
-    if args.input:
-        data = maxop.load_bags_csv(args.input)
-    else:
-        data, _ = datagen.generate_bags(args.bags, args.instances,
-                                        args.features, args.seed)
+    data = maxop.load_bags_csv(args.input)
     loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-    reg = l1_term(args.lam)
     init = maxop.MaxOpState.zeros(data, args.rho0)
-    stop = StopCriteria(tol_primal=args.tol_primal, tol_dual=args.tol_dual,
-                        max_iter=args.max_iter)
-    state, trace, converged = maxop.maxop_solve(data, loss, reg, init,
-                                                _schedule(args), stop)
-    if args.output:
-        write_trace(args.output, trace)
+    state, trace, converged = maxop.maxop_solve(
+        data, loss, l1_term(args.lam), init, RhoSchedule(args.rho0, args.rho_delta),
+        _stop(args))
     gap = float(np.max(np.abs(state.q - data.bag_max(state.t))))
-    print(f"multi-instance: iterations={len(trace)} objective={trace[-1].objective:.4f} "
-          f"r={trace[-1].r_norm:.3e} max_rule_gap={gap:.3e}")
-    return EXIT_OK if converged else EXIT_MAX_ITER
+    return _finish(args, trace, converged,
+                   f"objective={trace[-1].objective:.4f} r={trace[-1].r_norm:.3e} "
+                   f"max_rule_gap={gap:.3e}")
 
 
 def _run_generate_bags(args) -> int:
@@ -227,10 +222,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # The diagnostics need a constant rho; refuse before any solve runs.
-    if getattr(args, "diagnose", False) and args.rho_schedule == "increment" \
-            and args.rho_delta > 0:
-        parser.error(f"--diagnose needs a constant rho, but --rho-schedule increment "
-                     f"with --rho-delta {args.rho_delta:g} grows it")
+    if getattr(args, "diagnose", False) and args.rho_delta > 0:
+        parser.error(f"--diagnose needs a constant rho, but --rho-delta "
+                     f"{args.rho_delta:g} grows it")
     handlers = {
         scalar_examples.EXAMPLE_SQRT: _run_example,
         scalar_examples.EXAMPLE_CIRCLE: _run_example,

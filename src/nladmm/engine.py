@@ -162,7 +162,8 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
     raises SubproblemFailure naming it, a dual or a norm NonFiniteIterate,
     with the trace so far and chained from the error raised, if any. A
     clean scan re-raises that error, or goes on with B the exact norm. A
-    residual shaped unlike its dual raises DimensionMismatch.
+    residual shaped unlike its dual raises DimensionMismatch, with the
+    trace so far.
 
     The test misses no non-finite block value if the blocks keep one
     contract: such a value makes a residual, the dual norm or the
@@ -196,7 +197,8 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
                 rs = [residual(state) for _, residual in constraints]
                 for dual, shape, r in zip(duals, shapes, rs):
                     if getattr(r, "shape", ()) != shape:
-                        raise DimensionMismatch(f"dual {dual} and its residual differ in shape")
+                        raise DimensionMismatch(f"dual {dual} and its residual differ in shape",
+                                                trace=trace)
                     setattr(state, dual, getattr(state, dual) + rho * r)
                     done += 1
                 state.rho = rho

@@ -171,13 +171,13 @@ class MaxOpState:
                    y2=np.zeros(n_inst), rho=rho)
 
 
-def update_q(loss: CompositeObjective, data: BagDataset, t: np.ndarray,
-             y1: np.ndarray, rho: float, q0: np.ndarray) -> np.ndarray:
-    """argmin_q loss(q) + (rho/2)||q - max t + y1/rho||^2: the declared
-    prox of the loss's smooth part, warm-started at q0. For the logistic
-    loss that is one monotone Newton root per bag. ``maxop_solve`` takes
-    the same step on the bag maxima it already holds."""
-    return loss.smooth.prox(data.bag_max(t) - y1 / rho, rho, q0)
+def update_q(loss: CompositeObjective, tmax: np.ndarray, y1: np.ndarray,
+             rho: float, q0: np.ndarray) -> np.ndarray:
+    """argmin_q loss(q) + (rho/2)||q - tmax + y1/rho||^2, where tmax holds
+    the bag maxima of t (``data.bag_max(t)``): the declared prox of the
+    loss's smooth part, warm-started at q0. For the logistic loss that is
+    one monotone Newton root per bag."""
+    return loss.smooth.prox(tmax - y1 / rho, rho, q0)
 
 
 def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
@@ -280,7 +280,7 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
         return t_update_bags(data, s.q + s.y1 / rho, xbeta - s.y2 / rho)
 
     blocks = [
-        ("q", lambda s, rho: loss.smooth.prox(tmax - s.y1 / rho, rho, s.q)),
+        ("q", lambda s, rho: update_q(loss, tmax, s.y1, rho, s.q)),
         ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, s.beta)),
         ("t", update_t),
     ]

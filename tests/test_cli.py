@@ -6,8 +6,17 @@ from pathlib import Path
 import pytest
 
 from helpers import read_trace
-from nladmm import cli
-from nladmm.engine import TraceRow
+from nladmm import cli, datagen, maxop
+from nladmm.engine import RhoSchedule, StopCriteria, TraceRow
+from nladmm.terms import CompositeObjective, l1_term, logistic_loss, zero_prox
+
+
+@pytest.fixture(scope="module")
+def default_bags(tmp_path_factory):
+    """The 20 x 5 x 4 bags of data seed 0, the defaults of generate-bags."""
+    path = tmp_path_factory.mktemp("bags") / "default_bags.csv"
+    maxop.save_bags_csv(path, datagen.generate_bags(20, 5, 4, 0)[0])
+    return path
 
 
 class TestTraceCsv:
@@ -82,19 +91,39 @@ class TestUsageErrors:
         refused before any solve runs and no trace is written."""
         out = tmp_path / "d.csv"
         with pytest.raises(SystemExit) as e:
-            cli.main(["example1", "--diagnose", "--rho-schedule", "increment",
+            cli.main(["example1", "--diagnose", "--rho-delta", "0.1",
                       "--output", str(out)])
         assert e.value.code == 64
         err = capsys.readouterr().err
-        assert "--diagnose" in err and "--rho-schedule increment" in err
+        assert "--diagnose" in err and "--rho-delta 0.1" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("schedule", ["constant", "increment"])
+    def test_rho_schedule_flag_is_gone(self, schedule, capsys):
+        """--rho-schedule is an unknown flag: --rho-delta alone sets the schedule."""
+        with pytest.raises(SystemExit) as e:
+            cli.main(["example1", "--rho-schedule", schedule])
+        assert e.value.code == 64
+        assert "unrecognized arguments: --rho-schedule" in capsys.readouterr().err
+
+    def test_multi_instance_needs_input(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["multi-instance", "--max-iter", "5"])
+        assert e.value.code == 64
+        assert "required: --input" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--bags", "--instances", "--features", "--seed"])
+    def test_multi_instance_has_no_generator_flags(self, flag, default_bags, capsys):
+        """The bags come from --input only; generate-bags takes these flags."""
+        with pytest.raises(SystemExit) as e:
+            cli.main(["multi-instance", "--input", str(default_bags), flag, "3"])
+        assert e.value.code == 64
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand, flag", [
         ("onebit-cs", "--n"), ("onebit-cs", "--m"), ("onebit-cs", "--k"),
-        ("multi-instance", "--bags"), ("multi-instance", "--instances"),
-        ("multi-instance", "--features"), ("generate-bags", "--bags"),
-        ("generate-bags", "--instances"), ("generate-bags", "--features"),
-        ("onebit-cs", "--seed"), ("multi-instance", "--seed"), ("generate-bags", "--seed")])
+        ("generate-bags", "--bags"), ("generate-bags", "--instances"),
+        ("generate-bags", "--features"), ("onebit-cs", "--seed"), ("generate-bags", "--seed")])
     def test_size_not_positive(self, subcommand, flag, tmp_path, capsys):
         """Sizes must be at least 1 and seeds at least 0."""
         value, least = ("-1", 0) if flag == "--seed" else ("0", 1)
@@ -107,11 +136,11 @@ class TestUsageErrors:
 class TestExampleSubcommands:
     def test_example1_writes_trace(self, tmp_path, capsys):
         out = tmp_path / "t.csv"
-        code = cli.main(["example1", "--rho0", "1", "--rho-schedule", "constant",
-                         "--max-iter", "30", "--output", str(out)])
+        code = cli.main(["example1", "--rho0", "1", "--max-iter", "30", "--output", str(out)])
         assert code in (0, 2)
         rows = read_trace(out)
         assert 0 < len(rows) <= 30
+        assert all(r["rho"] == 1.0 for r in rows)  # --rho-delta defaults to 0
         assert rows[-1]["objective"] == pytest.approx(0.5, abs=1e-3)
         assert "example1" in capsys.readouterr().out
 
@@ -141,16 +170,19 @@ class TestExampleSubcommands:
         assert list(rows[0]) == cli.DIAG_HEADER
         assert all(r["gap"] <= r["bound"] + 1e-8 for r in rows)
 
-    def test_increment_schedule_runs(self):
-        assert cli.main(["example1", "--rho-schedule", "increment",
-                         "--rho-delta", "0.1"]) in (0, 2)
+    def test_increment_schedule_runs(self, tmp_path):
+        """--rho-delta alone sets the schedule: row k runs at rho0 + k * delta."""
+        out = tmp_path / "t.csv"
+        assert cli.main(["example1", "--rho0", "2", "--rho-delta", "0.1",
+                         "--output", str(out)]) in (0, 2)
+        rows = read_trace(out)
+        assert len(rows) > 1
+        assert [r["rho"] for r in rows] == [2.0 + r["iter"] * 0.1 for r in rows]
 
     def test_diagnose_increment_with_zero_delta(self, tmp_path):
-        """An increment schedule with --rho-delta 0 keeps rho constant, so
-        the diagnostics still run."""
+        """--rho-delta 0 keeps rho constant, so the diagnostics still run."""
         out = tmp_path / "d.csv"
-        code = cli.main(["example1", "--diagnose", "--rho-schedule", "increment",
-                         "--rho-delta", "0", "--output", str(out)])
+        code = cli.main(["example1", "--diagnose", "--rho-delta", "0", "--output", str(out)])
         assert code in (0, 2)
         rows = read_trace(out)
         assert list(rows[0]) == cli.DIAG_HEADER
@@ -201,15 +233,16 @@ class TestHugeRho:
     The 1-bit CS blocks take no step constant, so that solve fails when rho
     itself overflows at iteration 2."""
 
-    HUGE = ["--rho-schedule", "increment", "--rho-delta", "1e308", "--max-iter", "3"]
+    HUGE = ["--rho-delta", "1e308", "--max-iter", "3"]
 
     @pytest.mark.parametrize("subcommand, cause",
-                             [(["onebit-cs", "--n", "32", "--m", "16", "--k", "4"],
-                               "penalty rho is inf at iteration 2"),
-                              (["multi-instance"], "non-finite values in residual norms")],
+                             [("onebit-cs", "penalty rho is inf at iteration 2"),
+                              ("multi-instance", "non-finite values in residual norms")],
                              ids=["onebit-cs", "multi-instance"])
-    def test_overflowing_step_constant_exit_1(self, subcommand, cause, capsys):
-        assert cli.main(subcommand + self.HUGE) == 1
+    def test_overflowing_step_constant_exit_1(self, subcommand, cause, default_bags, capsys):
+        args = {"onebit-cs": ["onebit-cs", "--n", "32", "--m", "16", "--k", "4"],
+                "multi-instance": ["multi-instance", "--input", str(default_bags)]}[subcommand]
+        assert cli.main(args + self.HUGE) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: solver failed:") and cause in err
 
@@ -233,18 +266,21 @@ class TestTinyRho:
     Newton root of the first q-update lies about 360 steps up the tail
     from the zero start, so its step bound ends the solve."""
 
-    def test_multi_instance_rho0_1e_12(self, capsys):
-        assert cli.main(["multi-instance", "--rho0", "1e-12", "--max-iter", "50"]) in (0, 2)
+    def test_multi_instance_rho0_1e_12(self, default_bags, capsys):
+        assert cli.main(["multi-instance", "--input", str(default_bags),
+                         "--rho0", "1e-12", "--max-iter", "50"]) in (0, 2)
         assert "max_rule_gap" in capsys.readouterr().out
 
-    def test_multi_instance_rho0_1e_40(self, capsys):
+    def test_multi_instance_rho0_1e_40(self, default_bags, capsys):
         """The first root lies about 91 Newton steps up the tail, close to
         the bound of 100; a prox that needs more there fails."""
-        assert cli.main(["multi-instance", "--rho0", "1e-40", "--max-iter", "50"]) in (0, 2)
+        assert cli.main(["multi-instance", "--input", str(default_bags),
+                         "--rho0", "1e-40", "--max-iter", "50"]) in (0, 2)
         assert "max_rule_gap" in capsys.readouterr().out
 
-    def test_multi_instance_rho0_1e_160(self, capsys):
-        code = cli.main(["multi-instance", "--rho0", "1e-160", "--max-iter", "50"])
+    def test_multi_instance_rho0_1e_160(self, default_bags, capsys):
+        code = cli.main(["multi-instance", "--input", str(default_bags),
+                         "--rho0", "1e-160", "--max-iter", "50"])
         err = capsys.readouterr().err
         assert code in (1, 2)
         if code == 1:
@@ -282,6 +318,21 @@ class TestBagSubcommands:
         rows = read_trace(out)
         assert len(rows) <= 200
         assert "max_rule_gap" in capsys.readouterr().out
+
+    def test_generated_bags_match_a_direct_solve(self, tmp_path):
+        """generate-bags with its defaults, then multi-instance --input,
+        writes the trace of maxop_solve run on the generated bags: the CSV
+        round trip loses no bit."""
+        bags, out, ref = tmp_path / "bags.csv", tmp_path / "mi.csv", tmp_path / "ref.csv"
+        assert cli.main(["generate-bags", "--output", str(bags)]) == 0
+        code = cli.main(["multi-instance", "--input", str(bags), "--output", str(out)])
+        data, _ = datagen.generate_bags(20, 5, 4, 0)
+        _, trace, converged = maxop.maxop_solve(
+            data, CompositeObjective(logistic_loss(data.labels), zero_prox()), l1_term(1.0),
+            maxop.MaxOpState.zeros(data, 0.1), RhoSchedule(0.1), StopCriteria(max_iter=1000))
+        cli.write_trace(ref, trace)
+        assert code == (0 if converged else 2)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_multi_instance_duplicated_column(self, tmp_path, capsys):
         """A copied feature column makes X'X singular; the solve takes the

@@ -185,8 +185,8 @@ def test_nonfinite_dual_before_a_later_shape_mismatch():
 
 def test_residual_shape_change_raises_dimension_mismatch():
     """A residual whose shape changes at iteration 3 stops the loop there,
-    after three iterations that ended; DimensionMismatch carries no trace
-    rows, as it never has."""
+    after three iterations that ended; DimensionMismatch carries their
+    three trace rows, as SubproblemFailure and NonFiniteIterate do."""
     shapes = iter([(2,)] * 3 + [(3,)])
     objectives = []
     with pytest.raises(DimensionMismatch) as e:
@@ -194,7 +194,7 @@ def test_residual_shape_change_raises_dimension_mismatch():
                  objective=lambda s: objectives.append(None) or 0.0)
     assert str(e.value) == "dual y and its residual differ in shape"
     assert len(objectives) == 3
-    assert e.value.trace == []
+    assert [row.k for row in e.value.trace] == [0, 1, 2]
 
 
 def test_huge_finite_duals_run_on():

@@ -197,7 +197,7 @@ class TestBlockUpdates:
                                              prox=lambda center, rho, q0: center), zero_prox())
         t = np.array([2.0, 5.0])
         y1 = np.array([1.0])
-        q = maxop.update_q(zero, data, t, y1, rho=2.0, q0=np.zeros(1))
+        q = maxop.update_q(zero, data.bag_max(t), y1, rho=2.0, q0=np.zeros(1))
         assert q[0] == pytest.approx(5.0 - 0.5, abs=1e-8)
 
     @staticmethod
@@ -222,7 +222,7 @@ class TestBlockUpdates:
         prox, and reaches the per-bag root."""
         data, t, y1, rho = self._q_subproblem()
         loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-        q = maxop.update_q(loss, data, t, y1, rho, np.zeros(data.n_bags))
+        q = maxop.update_q(loss, data.bag_max(t), y1, rho, np.zeros(data.n_bags))
         oracle = self._q_oracle(data, t, y1, rho)
         assert np.all(np.abs(q - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
@@ -239,7 +239,7 @@ class TestBlockUpdates:
               "near": oracle + 1e-3 * rng.standard_normal(data.n_bags),
               "far": np.full(data.n_bags, 1e6)}[start]
         loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-        q = maxop.update_q(loss, data, t, y1, rho, q0)
+        q = maxop.update_q(loss, data.bag_max(t), y1, rho, q0)
         assert np.all(np.abs(q - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
     def test_logistic_prox_step_bound_raises(self, monkeypatch):
@@ -441,6 +441,18 @@ class TestMaxopSolve:
             RhoSchedule.constant(0.1), StopCriteria(max_iter=40))
         assert len(trace) == 40
         assert len(calls) <= 40 + 1
+
+    def test_q_block_calls_update_q(self, monkeypatch):
+        """The q-block is the module attribute ``update_q``, once per
+        iteration, so a wrapper put there (the benchmark tracer's) sees it."""
+        calls = []
+        update_q = maxop.update_q
+        monkeypatch.setattr(maxop, "update_q", lambda *a: calls.append(1) or update_q(*a))
+        data, _ = datagen.generate_bags(8, 3, 3, seed=6)
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        maxop.maxop_solve(data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
+                          RhoSchedule.constant(0.1), StopCriteria(max_iter=7))
+        assert len(calls) == 7
 
     def test_x_beta_once_per_iteration(self):
         """X beta is formed once per outer iteration, in the t-block; the
