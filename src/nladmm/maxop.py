@@ -42,6 +42,9 @@ class BagDataset:
             raise ValueError("every bag must be nonempty")
         if self.offsets[0] != 0 or self.offsets[-1] != self.X.shape[0]:
             raise ValueError("offsets inconsistent with the instance stack")
+        if len(self.labels) != len(self.offsets) - 1:
+            raise ValueError(f"label count {len(self.labels)} differs from bag count "
+                             f"{len(self.offsets) - 1}")
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, float]:

@@ -20,19 +20,14 @@ from .terms import soft_threshold
 fista = inner.fista  # no block calls it; kept only for the benchmark tracer to wrap
 
 
-def _sphere_penalty_objective(w: np.ndarray, v: np.ndarray, alpha: float) -> float:
-    d = w - v
-    s = float(w @ w) - 1.0 + alpha
-    return float(d @ d) + s * s
-
-
 def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:
     """Global minimizer of ||w - v||^2 + (||w||^2 - 1 + alpha)^2 over R^n.
 
-    A stationary point is w = (sigma*u) v/||v|| for a sign sigma = +-1 and
-    a root u >= 0 of u^3 + (alpha - 1/2)u - sigma*||v||/2; each candidate is
-    scored by the objective and the best one returned. For v = 0 the
-    direction is free and the first basis vector is used.
+    A stationary point is w = t v/||v|| for a real root t of
+    t^3 + (alpha - 1/2)t - ||v||/2; each root is scored by the objective
+    along that line, (t - ||v||)^2 + (t^2 - 1 + alpha)^2, the larger root
+    winning ties. For v = 0 the direction is free and the first basis
+    vector is used.
     """
     v = np.asarray(v, dtype=float)
     m = float(np.linalg.norm(v))
@@ -45,9 +40,9 @@ def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:
     else:
         direction = np.zeros_like(v)
         direction[0] = 1.0
-    candidates = [(sigma * u) * direction for sigma in (1.0, -1.0)
-                  for u in cubic_real_roots(alpha - 0.5, -0.5 * sigma * m) if u >= 0.0]
-    return min(candidates, key=lambda w: _sphere_penalty_objective(w, v, alpha))
+    t = min(reversed(cubic_real_roots(alpha - 0.5, -0.5 * m)),
+            key=lambda t: (t - m) ** 2 + (t * t - 1.0 + alpha) ** 2)
+    return t * direction
 
 
 @dataclass(frozen=True)
@@ -64,6 +59,9 @@ class OneBitCsProblem:
             raise ValueError("sign measurements must be +-1")
         if not (math.isfinite(self.lam) and self.lam > 0):
             raise ValueError(f"lambda must be finite and positive, got {self.lam}")
+        if np.ndim(self.Phi) != 2 or len(self.Phi) != len(self.y_sign):
+            raise ValueError(f"Phi must be a matrix with one row per sign, got shape "
+                             f"{np.shape(self.Phi)} for {len(self.y_sign)} signs")
 
     @property
     def signed_matrix(self) -> np.ndarray:

@@ -139,6 +139,12 @@ class TestBagDataset:
         with pytest.raises(ValueError):
             maxop.BagDataset(labels=np.array([1.0]), X=np.zeros((2, 2)),
                              offsets=np.array([0, 1]))
+        with pytest.raises(ValueError, match="label count 3 differs from bag count 2"):
+            maxop.BagDataset(labels=np.array([0.0, 1.0, 0.0]), X=np.ones((4, 2)),
+                             offsets=np.array([0, 2, 4]))
+        with pytest.raises(ValueError, match="label count 2 differs from bag count 1"):
+            maxop.BagDataset(labels=np.array([0.0, 1.0]), X=np.ones((4, 2)),
+                             offsets=np.array([0, 4]))
 
     def test_offsets_must_start_at_zero(self):
         with pytest.raises(ValueError, match="offsets inconsistent"):

@@ -56,6 +56,28 @@ class TestSpherePenaltyMin:
         assert 1.0 < np.linalg.norm(w) < 10.0
         assert stationarity_residual(w, v, 0.0) <= 1e-8 * (1.0 + np.linalg.norm(v))
 
+    def test_one_cubic_per_call(self, monkeypatch):
+        calls = []
+        roots = sphere.cubic_real_roots
+
+        def counting_roots(p, q):
+            calls.append((p, q))
+            return roots(p, q)
+
+        monkeypatch.setattr(sphere, "cubic_real_roots", counting_roots)
+        sphere.sphere_penalty_min(np.array([3.0, -4.0]), -2.0)
+        assert calls == [(-2.5, -2.5)]
+
+    def test_three_real_roots(self):
+        """At alpha = -2 and ||v|| = 0.1 the cubic t^3 - 2.5t - 0.05 has
+        three real roots; the best one lies along v."""
+        v = np.array([0.1, 0.0, 0.0])
+        assert len(sphere.cubic_real_roots(-2.5, -0.05)) == 3
+        w = sphere.sphere_penalty_min(v, -2.0)
+        assert float(w @ v) > 0.0
+        assert sphere_penalty_value(w, v, -2.0) <= sphere_penalty_oracle(v, -2.0) + 1e-9
+        assert stationarity_residual(w, v, -2.0) <= 1e-12
+
     def test_against_oracle_random(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -75,6 +97,10 @@ class TestOneBitPieces:
             sphere.OneBitCsProblem(Phi=np.eye(2), y_sign=np.array([1.0, 0.5]), lam=1.0)
         with pytest.raises(ValueError):
             sphere.OneBitCsProblem(Phi=np.eye(2), y_sign=np.array([1.0, -1.0]), lam=0.0)
+        with pytest.raises(ValueError, match="one row per sign"):
+            sphere.OneBitCsProblem(Phi=np.eye(3), y_sign=np.array([1.0, -1.0]), lam=1.0)
+        with pytest.raises(ValueError, match="one row per sign"):
+            sphere.OneBitCsProblem(Phi=np.ones(2), y_sign=np.array([1.0, -1.0]), lam=1.0)
 
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda(self, lam):
