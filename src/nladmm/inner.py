@@ -163,7 +163,9 @@ def cubic_real_roots(p: float, q: float) -> List[float]:
 
     Uses the closed form (trigonometric branch when all three roots are
     real) followed by a Newton polish per root. A discriminant that
-    overflows or is NaN raises NoCandidate naming (p, q).
+    overflows or is NaN raises NoCandidate naming (p, q). Each caller
+    takes one root: example2_block_update the smallest, sphere_penalty_min
+    the largest.
     """
     try:
         disc = (q / 2.0) ** 2 + (p / 3.0) ** 3

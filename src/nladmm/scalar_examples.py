@@ -40,19 +40,15 @@ def example1_block_update(c: float, rho: float) -> float:
 
 
 def example2_block_update(c: float, rho: float) -> float:
-    """Global argmin over R of x + (rho/2)(x^2 + c)^2.
-
-    Stationary points solve x^3 + c x + 1/(2 rho) = 0; every real root is
-    scored and the best (smallest on ties) returned.
+    """Global argmin over R of f(x) = x + (rho/2)(x^2 + c)^2: the smallest
+    real root of x^3 + c x + q, q = 1/(2 rho). The roots' product -q < 0
+    makes exactly one root negative, the smallest, and f'(0) = 1 > 0 leaves
+    it the only stationary point on (-inf, 0]. The quartic term is even, so
+    f(-a) = f(a) - 2a < f(a): it beats every positive stationary point a.
     """
     if rho <= 0:
         raise ValueError("rho must be positive")
-    roots = cubic_real_roots(c, 0.5 / rho)
-
-    def objective(x):
-        return x + 0.5 * rho * (x * x + c) ** 2
-
-    return min(roots, key=lambda x: (objective(x), x))
+    return cubic_real_roots(c, 0.5 / rho)[0]
 
 
 def _sqrt_constraint(offset: float) -> ConstraintTerm:

@@ -21,28 +21,29 @@ fista = inner.fista  # no block calls it; kept only for the benchmark tracer to 
 
 
 def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:
-    """Global minimizer of ||w - v||^2 + (||w||^2 - 1 + alpha)^2 over R^n.
-
-    A stationary point is w = t v/||v|| for a real root t of
-    t^3 + (alpha - 1/2)t - ||v||/2; each root is scored by the objective
-    along that line, (t - ||v||)^2 + (t^2 - 1 + alpha)^2, the larger root
-    winning ties. For v = 0 the direction is free and the first basis
-    vector is used.
+    """Global minimizer of ||w - v||^2 + (||w||^2 - 1 + alpha)^2 over R^n:
+    w = t v/m for the largest real root t of t^3 + (alpha - 1/2)t - m/2,
+    m = ||v||. For m > 0, q = -m/2 < 0 leaves exactly one positive root,
+    and a t < 0 loses to -t, which lies closer to v:
+    (t - m)^2 - (-t - m)^2 = -4tm > 0. For v = 0 the direction is free and
+    the first basis vector is used; the objective is even in t, so the
+    largest root ties with its mirror and beats t = 0 by (alpha - 1/2)^2.
     """
     v = np.asarray(v, dtype=float)
     m = float(np.linalg.norm(v))
-    if 0.0 < m < 1e-150:
-        # v @ v is subnormal, so m has lost digits: rescale v first.
+    if m < 1e-150 and v.any():
+        # v @ v is subnormal or underflows to 0, and v may be subnormal
+        # itself: take the norm and the direction of v / max|v|.
         s = float(np.max(np.abs(v)))
-        m = s * float(np.linalg.norm(v / s))
-    if m > 0.0:
+        u = v / s
+        norm_u = float(np.linalg.norm(u))
+        direction, m = u / norm_u, s * norm_u
+    elif m > 0.0:
         direction = v / m
     else:
         direction = np.zeros_like(v)
         direction[0] = 1.0
-    t = min(reversed(cubic_real_roots(alpha - 0.5, -0.5 * m)),
-            key=lambda t: (t - m) ** 2 + (t * t - 1.0 + alpha) ** 2)
-    return t * direction
+    return cubic_real_roots(alpha - 0.5, -0.5 * m)[-1] * direction
 
 
 @dataclass(frozen=True)

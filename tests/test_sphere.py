@@ -26,13 +26,17 @@ class TestSpherePenaltyMin:
         best = sphere_penalty_oracle(v, 0.0)
         assert sphere_penalty_value(w, v, 0.0) <= best + 1e-9
 
-    @pytest.mark.parametrize("v", [[3.21544847e-161], [3e-160, -4e-160]])
+    @pytest.mark.parametrize("v", [[3.21544847e-161], [3e-160, -4e-160], [-1e-200, 0.0],
+                                   [0.0, 3e-170], [-5e-324, 0.0], [5e-324, 5e-324, -1e-323]])
     def test_subnormal_square_norm(self, v):
-        """||v||^2 is subnormal, where numpy's norm loses digits; the
-        direction v/||v|| must still have unit length."""
+        """||v||^2 is subnormal or underflows to 0, where numpy's norm loses
+        digits or reads 0, and ||v|| itself may be subnormal; the direction
+        v/||v|| must still have unit length and point along v. w @ v
+        underflows, so the signs are compared."""
         v = np.array(v)
         w = sphere.sphere_penalty_min(v, 0.0)
         assert np.linalg.norm(w) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-15)
+        assert np.array_equal(np.sign(w), np.sign(v))
         assert sphere_penalty_value(w, v, 0.0) <= sphere_penalty_oracle(v, 0.0) + 1e-15
 
     def test_degenerate_origin_large_alpha(self):
@@ -70,13 +74,17 @@ class TestSpherePenaltyMin:
 
     def test_three_real_roots(self):
         """At alpha = -2 and ||v|| = 0.1 the cubic t^3 - 2.5t - 0.05 has
-        three real roots; the best one lies along v."""
-        v = np.array([0.1, 0.0, 0.0])
-        assert len(sphere.cubic_real_roots(-2.5, -0.05)) == 3
-        w = sphere.sphere_penalty_min(v, -2.0)
-        assert float(w @ v) > 0.0
-        assert sphere_penalty_value(w, v, -2.0) <= sphere_penalty_oracle(v, -2.0) + 1e-9
-        assert stationarity_residual(w, v, -2.0) <= 1e-12
+        three real roots; the best one lies along v. So it does at
+        ||v|| = 2.6e-17, where the roots along and against v differ in
+        objective by only about 4 * 0.36 * ||v||."""
+        for v, alpha in [([0.1, 0.0, 0.0], -2.0), ([2.582085330323768e-17], 0.37063323661345393)]:
+            v = np.array(v)
+            m = float(np.linalg.norm(v))
+            assert len(sphere.cubic_real_roots(alpha - 0.5, -0.5 * m)) == 3
+            w = sphere.sphere_penalty_min(v, alpha)
+            assert float(w @ v) > 0.0
+            assert sphere_penalty_value(w, v, alpha) <= sphere_penalty_oracle(v, alpha) + 1e-9
+            assert stationarity_residual(w, v, alpha) <= 1e-12
 
     def test_against_oracle_random(self):
         rng = np.random.default_rng(7)
