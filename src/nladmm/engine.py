@@ -19,7 +19,7 @@ from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteIterate, SubproblemFailure
+from .errors import DimensionMismatch, NonFiniteIterate, SolverError, SubproblemFailure
 from .terms import ConstraintTerm
 
 
@@ -160,10 +160,11 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
     residual, a norm or the objective raises, the values set so far are
     scanned in order, blocks, duals, then norms: the first non-finite block
     raises SubproblemFailure naming it, a dual or a norm NonFiniteIterate,
-    with the trace so far and chained from the error raised, if any. A
-    clean scan re-raises that error, or goes on with B the exact norm. A
-    residual shaped unlike its dual raises DimensionMismatch, with the
-    trace so far.
+    with the trace so far and chained from the error raised, if any. After
+    a clean scan, a SolverError raised by a block becomes SubproblemFailure
+    "<block> block update: <error>" the same way; any other error is
+    re-raised, and no error goes on with B the exact norm. A residual
+    shaped unlike its dual raises DimensionMismatch, with the trace so far.
 
     The test misses no non-finite block value if the blocks keep one
     contract: such a value makes a residual, the dual norm or the
@@ -208,6 +209,9 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
                 obj = objective(state)
             except Exception as exc:
                 failure = _first_failure(state, checks[:done], norms, trace)
+                if failure is None and done < len(blocks) and isinstance(exc, SolverError):
+                    failure = SubproblemFailure(f"{blocks[done][0]} block update: {exc}",
+                                                trace=trace)
                 if failure is not None:
                     raise failure from exc
                 raise

@@ -2,8 +2,9 @@
 
 
 class SolverError(Exception):
-    """Base class for all solver failures; ``trace`` holds the rows a solve
-    recorded before it failed, if any."""
+    """Base class for all solver failures. ``trace`` holds the rows a solve
+    recorded before it failed: every error that ``engine.iterate`` raises
+    or renames carries them, and one raised outside a solve has none."""
 
     def __init__(self, message, trace=None):
         super().__init__(message)
@@ -15,13 +16,9 @@ class DimensionMismatch(SolverError):
 
 
 class SubproblemFailure(SolverError):
-    """An inner subproblem solver returned a non-finite point."""
+    """A block could not produce its update: it returned a non-finite value
+    or its solver failed."""
 
 
 class NonFiniteIterate(SolverError):
     """NaN or Inf detected in an iterate; the solve is aborted."""
-
-
-class NoCandidate(SolverError):
-    """A closed-form update broke down numerically: its cubic's discriminant
-    overflowed or is NaN."""

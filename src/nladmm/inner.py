@@ -10,7 +10,7 @@ from typing import List
 
 import numpy as np
 
-from .errors import NoCandidate, NonFiniteIterate, SubproblemFailure
+from .errors import NonFiniteIterate, SubproblemFailure
 from .terms import CompositeObjective
 
 
@@ -77,8 +77,7 @@ def _max_lasso_steps(p: int) -> int:
     return 10 * p + 10
 
 
-def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray,
-                     name: str = "lasso") -> np.ndarray:
+def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray) -> np.ndarray:
     """Exact argmin_x (1/2) x'Gx - c'x + mu ||x||_1 for a symmetric positive
     definite G, by feature-sign search (Lee, Battle, Raina & Ng 2007) from x0.
 
@@ -91,12 +90,11 @@ def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray,
     there is none, or when the one that joined comes out with the wrong
     sign (its |gradient| - mu was rounding), x is the minimizer. Every step
     lowers the objective, so no sign pattern recurs; past 10p + 10 steps,
-    or for a non-finite c, mu or x0, SubproblemFailure is raised, its
-    message starting with ``name``. Every step is one dense k x k solve, so
-    this is for small p.
+    or for a non-finite c, mu or x0, SubproblemFailure is raised. Every
+    step is one dense k x k solve, so this is for small p.
     """
     if not (np.isfinite(c).all() and math.isfinite(mu) and np.isfinite(x0).all()):
-        raise SubproblemFailure(f"{name}: non-finite linear term, l1 weight or start")
+        raise SubproblemFailure("lasso: non-finite linear term, l1 weight or start")
     x = np.array(x0, dtype=float)
     theta = np.sign(x)
     solve = bool(theta.any())  # a warm start first solves on its own support
@@ -130,7 +128,7 @@ def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray,
         x = points[int(np.argmin(values))]
         theta = np.sign(x)
         solve = True
-    raise SubproblemFailure(f"{name}: no lasso solution within "
+    raise SubproblemFailure("lasso: no solution within "
                             f"{_max_lasso_steps(c.size)} feature-sign steps")
 
 
@@ -163,9 +161,7 @@ def cubic_real_roots(p: float, q: float) -> List[float]:
 
     Uses the closed form (trigonometric branch when all three roots are
     real) followed by a Newton polish per root. A discriminant that
-    overflows or is NaN raises NoCandidate naming (p, q). Each caller
-    takes one root: example2_block_update the smallest, sphere_penalty_min
-    the largest.
+    overflows or is NaN raises SubproblemFailure naming (p, q).
     """
     try:
         disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
@@ -175,8 +171,8 @@ def cubic_real_roots(p: float, q: float) -> List[float]:
     except OverflowError:
         scale = math.inf
     if not math.isfinite(scale):
-        raise NoCandidate(f"cubic t^3 + p*t + q with (p, q) = ({p!r}, {q!r}): "
-                          "the discriminant overflows or is NaN")
+        raise SubproblemFailure(f"cubic t^3 + p*t + q with (p, q) = ({p!r}, {q!r}): "
+                                "the discriminant overflows or is NaN")
     if abs(disc) <= 1e-12 * scale:
         # A triple root, or one simple root and one double root.
         roots = [0.0] if p == 0.0 else [3.0 * q / p, -3.0 * q / (2.0 * p)]

@@ -195,7 +195,7 @@ def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
     c = data.X.T @ (t + y2 / rho)
     if delta > 0.0:
         c = c + delta * beta0
-    return lasso_active_set(G, c, reg.l1_weight / rho, beta0, "beta block")
+    return lasso_active_set(G, c, reg.l1_weight / rho, beta0)
 
 
 def t_update_bag(psi: float, phi: np.ndarray) -> np.ndarray:

@@ -33,9 +33,9 @@ def example1_block_update(c: float, rho: float) -> float:
     In s = sqrt(x) the objective is an upward parabola with vertex at
     s = -rho c / (2 + rho), clamped to the domain s >= 0.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
-    s = max(0.0, -rho * c / (2.0 + rho))
+    s = max(-rho * c / (2.0 + rho), 0.0)  # max keeps a NaN first argument
     return s * s
 
 
@@ -46,7 +46,7 @@ def example2_block_update(c: float, rho: float) -> float:
     it the only stationary point on (-inf, 0]. The quartic term is even, so
     f(-a) = f(a) - 2a < f(a): it beats every positive stationary point a.
     """
-    if rho <= 0:
+    if not rho > 0:
         raise ValueError("rho must be positive")
     return cubic_real_roots(c, 0.5 / rho)[0]
 

@@ -195,6 +195,7 @@ class TestExampleSubcommands:
         assert cli.main(["example2", "--rho0", "1e-160"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: solver failed:") and "overflows" in err
+        assert "x1 block update: cubic" in err
 
 
 class TestOnebitSubcommand:
@@ -285,6 +286,7 @@ class TestTinyRho:
         assert code in (1, 2)
         if code == 1:
             assert err.startswith("error: solver failed:") and "Newton steps" in err
+            assert "q block update: logistic prox" in err
 
 
 class TestBagSubcommands:

@@ -13,7 +13,7 @@ import pytest
 
 from nladmm import datagen, engine, maxop, scalar_examples, sphere
 from nladmm.engine import IterateState, RhoSchedule, StopCriteria
-from nladmm.errors import DimensionMismatch, NoCandidate, NonFiniteIterate, SubproblemFailure
+from nladmm.errors import DimensionMismatch, NonFiniteIterate, SubproblemFailure
 from nladmm.terms import CompositeObjective, l1_term, logistic_loss, zero_prox
 
 BAD_CALL = 3  # a poisoned block goes wrong on its third call, in iteration 2
@@ -21,13 +21,18 @@ STOP = StopCriteria(tol_primal=1e-14, tol_dual=1e-14, max_iter=10)
 
 
 def _poisoned(fn, bad):
-    """fn, except that its third call returns ``bad`` in the shape of its result."""
+    """fn, except that its third call returns ``bad`` in the shape of its
+    result, or raises ``bad`` if it is an exception."""
     calls = []
 
     def wrapped(*args, **kwargs):
         out = fn(*args, **kwargs)
         calls.append(None)
-        return np.full_like(out, bad) if len(calls) == BAD_CALL else out
+        if len(calls) != BAD_CALL:
+            return out
+        if isinstance(bad, Exception):
+            raise bad
+        return np.full_like(out, bad)
 
     return wrapped
 
@@ -71,34 +76,52 @@ def _scalar(which, block, bad):
     return engine.solve(problem, init, RhoSchedule.constant(1.0), STOP)
 
 
+def _run(monkeypatch, solver, block, bad):
+    if solver == "onebit":
+        return _onebit(monkeypatch, block, bad)
+    if solver == "mil":
+        return _mil(monkeypatch, block, bad)
+    return _scalar(solver, block, bad)
+
+
 BLOCKS = ([("onebit", b) for b in ONEBIT_BLOCKS] + [("mil", b) for b in ("q", "beta", "t")]
           + [(which, b) for which in ("example1", "example2") for b in ("x1", "x2")])
+BLOCK_IDS = [f"{s}-{b}" for s, b in BLOCKS]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
-@pytest.mark.parametrize("solver, block", BLOCKS, ids=[f"{s}-{b}" for s, b in BLOCKS])
+@pytest.mark.parametrize("solver, block", BLOCKS, ids=BLOCK_IDS)
 def test_nonfinite_block_value_names_the_block(monkeypatch, solver, block, bad):
     """Every block of the three builders, returning NaN or +Inf in
     iteration 2, stops the solve there with SubproblemFailure naming it
     and the two rows recorded before."""
     with pytest.raises(SubproblemFailure) as e:
-        if solver == "onebit":
-            _onebit(monkeypatch, block, bad)
-        elif solver == "mil":
-            _mil(monkeypatch, block, bad)
-        else:
-            _scalar(solver, block, bad)
+        _run(monkeypatch, solver, block, bad)
     assert str(e.value) == f"non-finite values in {block} block update"
     assert len(e.value.trace) == BAD_CALL - 1
 
 
+@pytest.mark.parametrize("solver, block", BLOCKS, ids=BLOCK_IDS)
+def test_block_solver_error_names_the_block(monkeypatch, solver, block):
+    """Every block of the three builders whose solver raises a SolverError
+    in iteration 2 stops the solve with SubproblemFailure naming the block,
+    the two rows recorded before, and that error as its cause."""
+    boom = SubproblemFailure("boom")
+    with pytest.raises(SubproblemFailure) as e:
+        _run(monkeypatch, solver, block, boom)
+    assert str(e.value) == f"{block} block update: boom"
+    assert len(e.value.trace) == BAD_CALL - 1
+    assert e.value.__cause__ is boom
+
+
 def test_block_that_raises_after_a_nonfinite_block():
     """example2's x2-block solves a cubic whose coefficient is x1^2 - 1 + y/rho.
-    When the x1-block returns +Inf, that cubic raises NoCandidate; the
+    When the x1-block returns +Inf, that cubic raises SubproblemFailure; the
     failure reported is still the x1-block's, chained from it."""
     with pytest.raises(SubproblemFailure, match="^non-finite values in x1 block update$") as e:
         _scalar("example2", "x1", np.inf)
-    assert isinstance(e.value.__cause__, NoCandidate)
+    assert isinstance(e.value.__cause__, SubproblemFailure)
+    assert "discriminant" in str(e.value.__cause__)
     assert len(e.value.trace) == BAD_CALL - 1
 
 
@@ -142,6 +165,22 @@ def test_block_error_reraised_when_nothing_before_it_failed():
     with pytest.raises(ValueError, match="x2 failed") as e:
         _iterate([("x1", lambda s, rho: np.ones(2)), ("x2", fails)], [("y", lambda s: s.x1)])
     assert e.value.__cause__ is None
+
+
+@pytest.mark.parametrize("where", ["residual", "dual_norm", "objective"])
+def test_solver_error_outside_a_block_reraised(where):
+    """Only a block's SolverError is renamed: one from a residual, the dual
+    norm or the objective reaches the caller as raised."""
+    boom = NonFiniteIterate("boom")
+
+    def fails(*args):
+        raise boom
+
+    kw = {} if where == "residual" else {where: fails}
+    residual = fails if where == "residual" else (lambda s: s.x1)
+    with pytest.raises(NonFiniteIterate) as e:
+        _iterate([("x1", lambda s, rho: np.ones(2))], [("y", residual)], **kw)
+    assert e.value is boom
 
 
 ROWS = 2  # iterations that end before the one that goes wrong

@@ -99,6 +99,14 @@ class TestBlockUpdates:
             se.example1_block_update(0.0, 0.0)
         with pytest.raises(ValueError):
             se.example2_block_update(0.0, -1.0)
+        for update in (se.example1_block_update, se.example2_block_update):
+            with pytest.raises(ValueError):
+                update(1.0, math.nan)
+
+    def test_example1_nan_c_is_nan(self):
+        """The clamp at s = 0 keeps a NaN vertex NaN, so the engine names the
+        block instead of taking 0."""
+        assert math.isnan(se.example1_block_update(math.nan, 1.0))
 
 
 class TestRunExample:
