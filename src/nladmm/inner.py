@@ -95,21 +95,21 @@ def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray) ->
     """
     if not (np.isfinite(c).all() and math.isfinite(mu) and np.isfinite(x0).all()):
         raise SubproblemFailure("lasso: non-finite linear term, l1 weight or start")
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0, dtype=float)  # never written to: every step makes a new x
     theta = np.sign(x)
     solve = bool(theta.any())  # a warm start first solves on its own support
     for _ in range(_max_lasso_steps(c.size)):
         if not solve:
             g = G @ x - c
             score = np.where(theta == 0.0, np.abs(g), 0.0)
-            new = int(np.argmax(score))
+            new = int(score.argmax())
             if not score[new] > mu:
                 return x
             theta[new] = -np.sign(g[new])
-        active = np.flatnonzero(theta)
-        xn = np.zeros_like(x)
+        active = theta.nonzero()[0]
+        xn = np.zeros(x.shape)
         xn[active] = np.linalg.solve(G[active[:, None], active], c[active] - mu * theta[active])
-        flipped = np.flatnonzero(np.sign(xn) != theta)
+        flipped = (np.sign(xn) != theta).nonzero()[0]
         if flipped.size == 0:
             x, solve = xn, False
             continue

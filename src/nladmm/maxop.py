@@ -3,8 +3,9 @@ of its instance scores q_i = max_j t_{i,j}, with t_{i,j} = X_{i,j}' beta.
 
 The t block is nonconvex but separable per bag, and each bag subproblem
 has an exact sort-based solution computed in O(n_i log n_i).
-``t_update_bags`` solves every bag in one vectorized pass;
-``t_update_bag`` is the per-bag reference.
+``t_update_bags`` solves every bag in one vectorized pass over each block
+of equal-size bags, laid out instance-major, and returns the bag maxima
+of its result with it; ``t_update_bag`` is the per-bag reference.
 """
 
 from __future__ import annotations
@@ -61,16 +62,18 @@ class BagDataset:
 
     @cached_property
     def size_blocks(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-        """For each bag size n, in increasing order: the bags of that size,
-        their (bags x n) instance rows, the column of row indices 0..bags-1
-        and the t-update denominators 2..n+1, computed on first use."""
+        """For each bag size n, in increasing order: the m bags of that size,
+        their instance rows laid out instance-major (n x m, row j holds the
+        j-th instance of every bag), the column indices 0..m-1 and the
+        t-update denominators 2..n+1 as an n x 1 column, computed on first
+        use."""
         starts, sizes = self.offsets[:-1], np.diff(self.offsets)
         blocks = []
         # Not np.unique: it imports numpy.ma, about 1.2 MB more peak memory.
         for n in sorted(set(sizes.tolist())):
             bags = np.flatnonzero(sizes == n)
-            blocks.append((bags, starts[bags, None] + np.arange(n),
-                           np.arange(len(bags))[:, None], np.arange(1, n + 1) + 1.0))
+            blocks.append((bags, starts[bags] + np.arange(n)[:, None],
+                           np.arange(len(bags)), np.arange(2.0, n + 2.0)[:, None]))
         return blocks
 
     @property
@@ -226,28 +229,51 @@ def t_update_bag(psi: float, phi: np.ndarray) -> np.ndarray:
     return out
 
 
-def t_update_bags(data: BagDataset, psi: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """``t_update_bag`` for every bag at once, on the stacked targets phi.
+def t_update_bags(data: BagDataset, psi: np.ndarray,
+                  phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``t_update_bag`` for every bag at once, on the stacked targets phi,
+    and the bag maxima of the result, ``data.bag_max(t)``.
 
-    Bags of n instances form one (bags x n) block of ``data.size_blocks``,
-    so extra memory is O(N). Each row is sorted, summed and averaged with
-    the per-bag reference's float operations in the same order, so the
-    result is bit-identical.
+    Bags of n instances form one instance-major n x m block of
+    ``data.size_blocks``, so each step is one call over all m bags and
+    extra memory is O(N). The targets of each bag are sorted descending as
+    values, the prefix sums are n - 1 row adds in the reference's order, and
+    c* is the first c with a_c > S_c (S_n = -inf), so for finite input the
+    result is bit-identical with the per-bag reference. Equal values need
+    no stable sort: only +0.0 and -0.0 differ in their bits, and their
+    order changes no average a_c* in any bit. The top block is every target
+    above S_c*, and where S_c* ties S_c*-1, also the first of the tied
+    targets in bag order, as the reference's stable sort takes them. The
+    rest of the bag stays below a_c*, so a_c* is the bag maximum.
     """
     t = np.empty_like(phi)
-    for bags, rows, row, den in data.size_blocks:
-        n = den.size
-        order = np.argsort(-phi[rows], axis=1, kind="stable")
-        sorted_rows = rows[row, order]
-        sorted_phi = phi[sorted_rows]
-        a = (np.cumsum(sorted_phi, axis=1) + psi[bags, None]) / den
-        # last = c* - 1, the first j with a[j] > sorted_phi[j + 1]; the
-        # always-True last column gives c* = n when there is none.
-        above = np.ones((len(bags), n), dtype=bool)
-        above[:, :-1] = a[:, :-1] > sorted_phi[:, 1:]
-        last = np.argmax(above, axis=1)[:, None]
-        t[sorted_rows] = np.where(np.arange(n) <= last, a[row, last], sorted_phi)
-    return t
+    tmax = np.empty_like(psi)
+    for bags, rows, cols, den in data.size_blocks:
+        n, m = rows.shape
+        targets = phi[rows]
+        # S: the sorted targets of each column, then a row of -inf.
+        S = np.empty((n + 1, m))
+        S[-1] = np.inf
+        np.negative(targets, out=S[:-1])
+        S[:-1].sort(axis=0)
+        np.negative(S, out=S)
+        a = S[:-1].copy()
+        for j in range(1, n):
+            a[j] += a[j - 1]
+        a += psi[bags]
+        a /= den
+        last = (a > S[1:]).argmax(axis=0)  # c* - 1
+        flat = last * m + cols
+        tau = a.take(flat)
+        left = S[1:].take(flat)  # S_c*, the largest target left out
+        top = targets > left
+        if (left == S.take(flat)).any():
+            tied = targets == left
+            top |= tied & (np.cumsum(tied, axis=0) <= last + 1 - top.sum(axis=0))
+        np.copyto(targets, tau, where=top)
+        t[rows] = targets
+        tmax[bags] = tau
+    return t, tmax
 
 
 def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
@@ -266,33 +292,30 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
                          "with a zero nonsmooth part")
     if reg.l1_weight is None:
         raise ValueError("the beta-block needs a regularizer that declares its l1 weight")
-    # The bag maxima of t are taken once per iteration, in the y1 residual:
-    # tmax at the current t, tmax_old at the previous one. X beta is formed
-    # once, in the t-block, and the y2 residual reuses it.
+    # The t-block hands back the bag maxima of its t: tmax at the current
+    # t, tmax_old at the previous one; bag_max runs only on the initial t.
+    # X beta is formed once, in the t-block, and the y2 residual reuses it.
     tmax = data.bag_max(np.asarray(init.t, dtype=float))
     tmax_old = xbeta = None
 
-    def r1(s):
-        nonlocal tmax, tmax_old
-        tmax_old, tmax = tmax, data.bag_max(s.t)
-        return s.q - tmax
-
     def update_t(s, rho):
-        nonlocal xbeta
+        nonlocal xbeta, tmax, tmax_old
         xbeta = data.X @ s.beta
-        return t_update_bags(data, s.q + s.y1 / rho, xbeta - s.y2 / rho)
+        t, new_max = t_update_bags(data, s.q + s.y1 / rho, xbeta - s.y2 / rho)
+        tmax_old, tmax = tmax, new_max
+        return t
 
     blocks = [
         ("q", lambda s, rho: update_q(loss, tmax, s.y1, rho, s.q)),
         ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, s.beta)),
         ("t", update_t),
     ]
-    constraints = [("y1", r1), ("y2", lambda s: s.t - xbeta)]
+    constraints = [("y1", lambda s: s.q - tmax), ("y2", lambda s: s.t - xbeta)]
 
     def dual_norm(s, old, rho):
         s1 = rho * (tmax_old - tmax)
         s2 = s.t - old.t  # deliberately unscaled, mirroring the r2 dual line
-        return float(np.sqrt(s1 @ s1 + s2 @ s2))
+        return math.sqrt(s1 @ s1 + s2 @ s2)
 
     return iterate(init, blocks, constraints, dual_norm,
                    lambda s: float(loss.value(s.q) + reg.value(s.beta)), schedule, stop)

@@ -69,7 +69,7 @@ def l1_term(lam: float = 1.0) -> ProxTerm:
     if not (math.isfinite(lam) and lam >= 0):
         raise ValueError(f"l1 weight must be finite and nonnegative, got {lam}")
     return ProxTerm(
-        value=lambda x: lam * float(np.sum(np.abs(x))),
+        value=lambda x: lam * float(np.abs(x).sum()),
         prox=lambda v, step: soft_threshold(v, lam * step),
         l1_weight=lam,
     )
@@ -85,6 +85,9 @@ def _sigmoid_halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 _MAX_NEWTON_STEPS = 100
 _EPS4 = 4.0 * np.finfo(float).eps
+# Down the sigmoid's tail plain Newton moves about one unit per step, so
+# from 0 it needs about ln(1/rho) steps: about 91 at rho = 1e-40.
+_TAIL_RHO = 1e-40
 
 
 def logistic_loss(labels: np.ndarray) -> SmoothTerm:
@@ -97,29 +100,48 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
     [d - 1/rho, d]. h is increasing, convex below 0 and concave above it,
     so Newton's method started between 0 and the root moves monotonically
     onto the root. The start is x0 where it lies there (u0 h(u0) <= 0), and
-    clip(0, d - 1/rho, d) elsewhere. All coordinates step at once, and one
-    is done once its step is below sqrt(4 eps max(|u|, 1)), as the Newton
-    point's error is then about step^2 / 2 (|h''| <= h'), or once h is at
-    the rounding level of rho (u - d); neither test scales with 1/rho.
-    More than 100 steps, or a non-finite center, start or d - 1/rho, raise
-    SubproblemFailure."""
+    clip(0, d - 1/rho, d) elsewhere. Each coordinate is done once its step
+    is below sqrt(4 eps max(|u|, 1)), as the Newton point's error is then
+    about step^2 / 2 (|h''| <= h'), or once h is at the rounding level of
+    rho (u - d); neither test scales with 1/rho. A done coordinate takes
+    its last step and leaves the loop, and the rest step on.
+
+    Below rho = 1e-40 a root far down the tail is reached in log form: a
+    start above d moves down to d, as the root lies below it, and where u
+    lies below both 0 and d - 1 the step is Newton's on g(u) = ln sigmoid(u)
+    - ln(rho (d - u)), which is nearly linear there, so the climb takes a
+    few steps, not about ln(1/rho). There |g''| <= g', so the stopping test
+    holds for these steps as well. More than 100 steps, or a non-finite
+    center, start or d - 1/rho, raise SubproblemFailure."""
     y = np.asarray(labels, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logistic loss labels must be 0 or 1")
     sign = 1.0 - 2.0 * y
 
     def value(q):
-        return float(np.sum(np.logaddexp(0.0, q) - y * q))
+        loss = np.logaddexp(0.0, q)
+        loss -= y * q
+        return float(loss.sum())
 
     def gradient(q):
         t, u = _sigmoid_halves(np.abs(q))
         return np.where(q >= 0.0, t, u) - y
 
     def residual(u, d, rho):
-        """h(u), its slope and rho (u - d)."""
-        t, e = _sigmoid_halves(np.abs(u))
+        """h(u), its slope, rho (u - d) and |u|."""
+        a = np.abs(u)
+        t, e = _sigmoid_halves(a)
         penalty = rho * (u - d)
-        return np.where(u >= 0.0, t, e) + penalty, t * e + rho, penalty
+        return np.where(u >= 0.0, t, e) + penalty, t * e + rho, penalty, a
+
+    def log_step(u, d, rho):
+        """The Newton step on ln sigmoid(u) - ln(rho (d - u)) for u below 0
+        and d - 1; NaN or Inf where u >= d or exp(u) overflows."""
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            e = np.exp(u)
+            gap = d - u
+            g = u - np.log1p(e) - math.log(rho) - np.log(gap)
+            return g / (1.0 / (1.0 + e) + 1.0 / gap)
 
     def prox(center, rho, q0):
         # 1/rho can overflow at a tiny rho, and u - d for a start far from d:
@@ -131,21 +153,32 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
                 raise SubproblemFailure("logistic prox: non-finite center, start or "
                                         f"bracket end c -+ 1/rho at rho = {rho!r}")
             u = sign * q0
-            h, slope, penalty = residual(u, d, rho)
+            tail = rho < _TAIL_RHO
+            if tail:
+                u = np.minimum(u, d)  # the root lies at or below d
+            h, slope, penalty, a = residual(u, d, rho)
             away = u * h > 0.0  # x0 lies beyond the root, or on the far side of 0
             if away.any():
                 u = np.where(away, np.minimum(np.maximum(0.0, low), d), u)
-                h, slope, penalty = residual(u, d, rho)
-            done = np.zeros(u.shape, dtype=bool)
+                h, slope, penalty, a = residual(u, d, rho)
+            # u and d hold the coordinates still stepping, todo their places
+            # in out.
+            out, todo = np.empty_like(u), np.arange(u.size)
             for _ in range(_MAX_NEWTON_STEPS):
                 step = h / slope
-                fin = ((step * step <= _EPS4 * np.maximum(np.abs(u), 1.0))
+                if tail:
+                    step = np.where(u < np.minimum(0.0, d - 1.0), log_step(u, d, rho), step)
+                fin = ((step * step <= _EPS4 * np.maximum(a, 1.0))
                        | (np.abs(h) <= _EPS4 * np.abs(penalty)))
-                u = np.where(done, u, u - step)
-                done |= fin
-                if done.all():
-                    return sign * u
-                h, slope, penalty = residual(u, d, rho)
+                u = u - step
+                n_fin = np.count_nonzero(fin)
+                if n_fin:
+                    out[todo] = u
+                    if n_fin == fin.size:
+                        return sign * out
+                    keep = ~fin
+                    todo, u, d = todo[keep], u[keep], d[keep]
+                h, slope, penalty, a = residual(u, d, rho)
         raise SubproblemFailure(f"logistic prox: no root within {_MAX_NEWTON_STEPS} "
                                 "Newton steps")
 

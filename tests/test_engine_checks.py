@@ -22,7 +22,8 @@ STOP = StopCriteria(tol_primal=1e-14, tol_dual=1e-14, max_iter=10)
 
 def _poisoned(fn, bad):
     """fn, except that its third call returns ``bad`` in the shape of its
-    result, or raises ``bad`` if it is an exception."""
+    result (of each array, for ``t_update_bags``' t and bag maxima), or
+    raises ``bad`` if it is an exception."""
     calls = []
 
     def wrapped(*args, **kwargs):
@@ -32,6 +33,8 @@ def _poisoned(fn, bad):
             return out
         if isinstance(bad, Exception):
             raise bad
+        if isinstance(out, tuple):
+            return tuple(np.full_like(v, bad) for v in out)
         return np.full_like(out, bad)
 
     return wrapped

@@ -46,17 +46,41 @@ def bag_sets(draw):
 
 
 def per_bag(data, psi, phi):
-    return np.concatenate([maxop.t_update_bag(psi[i], phi[sl])
-                           for i, sl in enumerate(data.bag_slices())])
+    """The t-block bag by bag: ``t_update_bag`` on each bag, and the bag
+    maxima of the result."""
+    t = np.concatenate([maxop.t_update_bag(psi[i], phi[sl])
+                        for i, sl in enumerate(data.bag_slices())])
+    return t, data.bag_max(t)
 
 
 @settings(max_examples=300, deadline=None)
 @given(bag_sets())
 def test_t_update_bags_equals_per_bag_reference(case):
+    """On ragged bags with ties, single-instance bags and both signed
+    zeros, t equals the per-bag reference and the maxima handed back equal
+    ``bag_max(t)``, both bit for bit, the sign of a zero included."""
     data, psi, phi = case
-    t = maxop.t_update_bags(data, psi, phi)
-    assert t.dtype == phi.dtype
-    assert np.array_equal(t, per_bag(data, psi, phi))
+    t, tmax = maxop.t_update_bags(data, psi, phi)
+    assert t.dtype == phi.dtype and tmax.dtype == psi.dtype
+    assert t.tobytes() == per_bag(data, psi, phi)[0].tobytes()
+    assert tmax.tobytes() == data.bag_max(t).tobytes()
+
+
+def _matches_per_bag_loop(monkeypatch, data, max_iter):
+    def run():
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        return maxop.maxop_solve(data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
+                                 RhoSchedule.constant(0.1), StopCriteria(max_iter=max_iter))
+
+    state, trace, converged = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(maxop, "t_update_bags", per_bag)
+        ref_state, ref_trace, ref_converged = run()
+    assert trace == ref_trace and converged == ref_converged
+    for name in ("q", "beta", "t", "y1", "y2"):
+        a, b = getattr(state, name), getattr(ref_state, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert state.rho == ref_state.rho
 
 
 def test_maxop_solve_matches_per_bag_loop(monkeypatch):
@@ -66,20 +90,14 @@ def test_maxop_solve_matches_per_bag_loop(monkeypatch):
     sizes = [1, 4, 1, 6, 2, 1, 3, 5, 1, 6, 2, 4]
     data = maxop.BagDataset.from_bags(
         full.labels, [full.X[full.offsets[i]:full.offsets[i] + n] for i, n in enumerate(sizes)])
+    _matches_per_bag_loop(monkeypatch, data, 150)
 
-    def run():
-        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-        return maxop.maxop_solve(data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
-                                 RhoSchedule.constant(0.1), StopCriteria(max_iter=150))
 
-    state, trace, converged = run()
-    monkeypatch.setattr(maxop, "t_update_bags", per_bag)
-    ref_state, ref_trace, ref_converged = run()
-    assert trace == ref_trace and converged == ref_converged
-    for name in ("q", "beta", "t", "y1", "y2"):
-        a, b = getattr(state, name), getattr(ref_state, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    assert state.rho == ref_state.rho
+def test_maxop_solve_matches_per_bag_loop_at_benchmark_size(monkeypatch):
+    """The benchmark's shape, 200 bags x 5 instances x 4 features over 300
+    iterations, is bit-identical with the t-block done bag by bag."""
+    data, _ = datagen.generate_bags(200, 5, 4, seed=0)
+    _matches_per_bag_loop(monkeypatch, data, 300)
 
 
 SIZES = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
@@ -217,3 +235,36 @@ def test_logistic_prox_meets_first_order_condition(case):
     assert np.all(np.abs(loss_term + penalty) <= 8.0 * eps * scale)
     half = 1.0 / rho + 4.0 * eps * (np.abs(center) + 1.0 / rho)
     assert np.all((center - half <= q) & (q <= center + half))
+
+
+@st.composite
+def tail_proxes(draw):
+    """(labels, centers, rho) as for ``logistic_proxes``, at a rho whose
+    roots from the zero start lie far down the sigmoid's tail."""
+    n = draw(st.integers(1, 12))
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    center = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    return y, center, draw(st.sampled_from([1e-45, 1e-160, 1e-300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail_proxes())
+def test_logistic_prox_climbs_the_tail(case):
+    """From q0 = 0 at rho = 1e-45, 1e-160 and 1e-300, where plain Newton
+    would climb the tail about ln(1/rho) unit steps, past its bound of 100,
+    the prox meets the first-order bound of
+    ``test_logistic_prox_meets_first_order_condition`` within that bound.
+    The sigmoid is taken as exp(-log(1 + exp(-q))), which keeps its
+    subnormal values below q = -709, where expit rounds to 0."""
+    y, center, rho = case
+    q = logistic_loss(y).prox(center, rho, np.zeros(y.size))
+
+    def sigmoid(x):
+        return np.exp(-np.logaddexp(0.0, -x))
+
+    loss_term = np.where(y == 1.0, -sigmoid(-q), sigmoid(q))
+    penalty = rho * (q - center)
+    slope = sigmoid(q) * sigmoid(-q) + rho
+    eps = np.finfo(float).eps
+    scale = np.abs(loss_term) + np.abs(penalty) + slope * np.maximum(np.abs(q), 1.0)
+    assert np.all(np.abs(loss_term + penalty) <= 8.0 * eps * scale)
