@@ -12,7 +12,6 @@ Exit codes: 0 when the solve converged, 2 when it hit the iteration cap,
 from __future__ import annotations
 
 import argparse
-import csv
 import math
 import sys
 from typing import List, Optional, Sequence
@@ -44,16 +43,17 @@ class _Parser(argparse.ArgumentParser):
 def write_trace(path, rows: Sequence[TraceRow],
                 extra_header: Optional[List[str]] = None,
                 extra_cols: Optional[Sequence[Sequence[float]]] = None) -> None:
-    """Trace CSV with shortest round-trip float formatting."""
+    """Trace CSV with shortest round-trip float formatting (``repr``) and LF
+    line ends, built as one string and written at once. No field needs CSV
+    quoting: the headers are plain names and every value a number."""
+    lines = [",".join(TRACE_HEADER + (extra_header or []))]
+    for i, row in enumerate(rows):
+        line = f"{row.k},{row.objective!r},{row.r_norm!r},{row.s_norm!r},{row.rho!r}"
+        if extra_cols is not None:
+            line += "".join(f",{float(v)!r}" for v in extra_cols[i])
+        lines.append(line)
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(TRACE_HEADER + (extra_header or []))
-        for i, row in enumerate(rows):
-            rec = [row.k, repr(row.objective), repr(row.r_norm),
-                   repr(row.s_norm), repr(row.rho)]
-            if extra_cols is not None:
-                rec.extend(repr(float(v)) for v in extra_cols[i])
-            writer.writerow(rec)
+        fh.write("\n".join(lines) + "\n")
 
 
 def _int_at_least(minimum: int):

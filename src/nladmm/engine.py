@@ -196,14 +196,16 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
                     setattr(state, name, update(state, rho))
                     done += 1
                 rs = [residual(state) for _, residual in constraints]
+                r_sq = 0.0
                 for dual, shape, r in zip(duals, shapes, rs):
                     if getattr(r, "shape", ()) != shape:
                         raise DimensionMismatch(f"dual {dual} and its residual differ in shape",
                                                 trace=trace)
                     setattr(state, dual, getattr(state, dual) + rho * r)
+                    r_sq += r.dot(r) if shape else r * r
                     done += 1
                 state.rho = rho
-                r_norm = math.sqrt(sum(np.dot(r, r) for r in rs))
+                r_norm = math.sqrt(r_sq)
                 s_norm = dual_norm(state, old, rho)
                 norms = (r_norm, s_norm)
                 obj = objective(state)
@@ -244,7 +246,8 @@ def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
         return f1.eval(s.x1) + f2x2
 
     def dual_norm(s, old, rho):
-        return float(np.linalg.norm(rho * (f1.jacobian(s.x1).T @ (f2x2 - f2_old))))
+        g = rho * (f1.jacobian(s.x1).T @ (f2x2 - f2_old))
+        return math.sqrt(g.dot(g))
 
     blocks = [
         ("x1", lambda s, rho: np.asarray(problem.solve_x1(s.x1, s.x2, s.y, rho), dtype=float)),

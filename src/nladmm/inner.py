@@ -160,8 +160,9 @@ def cubic_real_roots(p: float, q: float) -> List[float]:
     """All real roots of the depressed cubic t^3 + p*t + q = 0, ascending.
 
     Uses the closed form (trigonometric branch when all three roots are
-    real) followed by a Newton polish per root. A discriminant that
-    overflows or is NaN raises SubproblemFailure naming (p, q).
+    real) followed by a Newton polish per root; a single real root is
+    returned once polished, with nothing to sort or merge. A discriminant
+    that overflows or is NaN raises SubproblemFailure naming (p, q).
     """
     try:
         disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
@@ -178,7 +179,7 @@ def cubic_real_roots(p: float, q: float) -> List[float]:
         roots = [0.0] if p == 0.0 else [3.0 * q / p, -3.0 * q / (2.0 * p)]
     elif disc > 0.0:
         sq = math.sqrt(disc)
-        roots = [_cbrt(-q / 2.0 + sq) + _cbrt(-q / 2.0 - sq)]
+        return [_polish_root(p, q, _cbrt(-q / 2.0 + sq) + _cbrt(-q / 2.0 - sq))]
     else:
         # Three real roots (casus irreducibilis): trigonometric form.
         m = 2.0 * math.sqrt(-p / 3.0)

@@ -3,6 +3,10 @@ splitting in which every block has a closed form. The sphere-side x-block
 is the exact minimizer of ||w - v||^2 + (||w||^2 - 1 + alpha)^2, a scalar
 cubic in ||w||; z is a per-coordinate clip, the smooth copy v one linear
 solve with a rho-free matrix, and the sparse w a soft threshold.
+
+A solve forms M v and each y/rho once per iteration (see onebit_solve).
+Its vector products use ``ndarray.dot``, which gives the bits of ``@``
+with less dispatch at these sizes.
 """
 
 from __future__ import annotations
@@ -30,13 +34,13 @@ def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:
     largest root ties with its mirror and beats t = 0 by (alpha - 1/2)^2.
     """
     v = np.asarray(v, dtype=float)
-    m = float(np.linalg.norm(v))
+    m = math.sqrt(v.dot(v))  # np.linalg.norm's own formula, without its dispatch
     if m < 1e-150 and v.any():
         # v @ v is subnormal or underflows to 0, and v may be subnormal
         # itself: take the norm and the direction of v / max|v|.
         s = float(np.max(np.abs(v)))
         u = v / s
-        norm_u = float(np.linalg.norm(u))
+        norm_u = math.sqrt(u.dot(u))
         direction, m = u / norm_u, s * norm_u
     elif m > 0.0:
         direction = v / m
@@ -70,7 +74,8 @@ class OneBitCsProblem:
         return self.y_sign[:, None] * self.Phi
 
     def objective(self, w: np.ndarray, z: np.ndarray) -> float:
-        return float(np.sum(np.abs(w)) + 0.5 * self.lam * np.sum(np.minimum(z, 0.0) ** 2))
+        zn = np.minimum(z, 0.0)
+        return float(np.abs(w).sum() + 0.5 * self.lam * (zn * zn).sum())
 
 
 @dataclass
@@ -92,50 +97,70 @@ class OneBitCsState:
         self.y4 = np.zeros_like(self.v)
 
 
-def onebit_update_z(v: np.ndarray, y2: np.ndarray, rho: float, lam: float,
-                    M: np.ndarray) -> np.ndarray:
-    """Per-coordinate exact minimizer of
-    (lam/2) min(z,0)^2 + (rho/2)(z - a)^2 with a = M v + y2/rho, M = Y Phi;
-    the shrink rho*a/(lam + rho) is formed only where a < 0, not where it is unused."""
-    z = M @ v + y2 / rho
+def onebit_update_z(Mv: np.ndarray, y2_rho: np.ndarray, rho: float,
+                    lam: float) -> np.ndarray:
+    """Per-coordinate exact minimizer of (lam/2) min(z,0)^2 + (rho/2)(z - a)^2
+    with a = M v + y2/rho, from Mv = M v and y2_rho = y2/rho; the shrink
+    rho*a/(lam + rho) is formed only where a < 0, not where it is unused."""
+    z = Mv + y2_rho
     neg = z < 0.0
     z[neg] = rho * z[neg] / (lam + rho)
     return z
 
 
-def onebit_update_v(z: np.ndarray, x: np.ndarray, w: np.ndarray, y2: np.ndarray,
-                    y3: np.ndarray, y4: np.ndarray, rho: float, M: np.ndarray,
+def onebit_update_v(z: np.ndarray, x: np.ndarray, w: np.ndarray, y2_rho: np.ndarray,
+                    y3_rho: np.ndarray, y4_rho: np.ndarray, M: np.ndarray,
                     K: np.ndarray) -> np.ndarray:
     """Exact minimizer of the v-terms of the augmented Lagrangian: the solution
-    of (M'M + 2I) v = M'(z - y2/rho) + (x - y3/rho) + (w + y4/rho), K = inv(M'M + 2I)."""
-    return K @ (M.T @ (z - y2 / rho) + (x - y3 / rho) + (w + y4 / rho))
+    of (M'M + 2I) v = M'(z - y2/rho) + (x - y3/rho) + (w + y4/rho), K = inv(M'M + 2I),
+    from the quotients yi_rho = yi/rho."""
+    return K.dot(M.T.dot(z - y2_rho) + (x - y3_rho) + (w + y4_rho))
 
 
-def onebit_update_w(v: np.ndarray, y4: np.ndarray, rho: float) -> np.ndarray:
-    """argmin_w ||w||_1 + (rho/2)||w - v + y4/rho||^2: soft(v - y4/rho, 1/rho)."""
-    return soft_threshold(v - y4 / rho, 1.0 / rho)
+def onebit_update_w(v: np.ndarray, y4_rho: np.ndarray, rho: float) -> np.ndarray:
+    """argmin_w ||w||_1 + (rho/2)||w - v + y4/rho||^2: soft(v - y4/rho, 1/rho),
+    from y4_rho = y4/rho."""
+    return soft_threshold(v - y4_rho, 1.0 / rho)
 
 
 def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,
                  schedule: RhoSchedule, stop: StopCriteria) -> SolveResult:
     """Blocks x, z, v, w, then dual steps on ||x||^2 = 1, M v = z, v = x and
-    w = v. rho does not enter v's matrix, so it is inverted once per solve."""
+    w = v. rho does not enter v's matrix, so it is inverted once per solve.
+
+    rho and the duals stay fixed through an iteration's blocks, so the
+    x-block forms y2/rho, y3/rho and y4/rho for all four. The y2 residual
+    keeps M v for the new v; x does not move v, so the next z-block reuses
+    it, whatever rho then is."""
     M = problem.signed_matrix
     K = np.linalg.inv(M.T @ M + 2.0 * np.eye(M.shape[1]))
+    Mv = M.dot(np.asarray(init.v, dtype=float))
+    y2_rho = y3_rho = y4_rho = None
+
+    def update_x(s, rho):
+        nonlocal y2_rho, y3_rho, y4_rho
+        y2_rho, y3_rho, y4_rho = s.y2 / rho, s.y3 / rho, s.y4 / rho
+        return sphere_penalty_min(s.v + y3_rho, s.y1 / rho)
+
+    def residual_y2(s):
+        nonlocal Mv
+        Mv = M.dot(s.v)
+        return Mv - s.z
+
     blocks = [
-        ("x", lambda s, rho: sphere_penalty_min(s.v + s.y3 / rho, s.y1 / rho)),
-        ("z", lambda s, rho: onebit_update_z(s.v, s.y2, rho, problem.lam, M)),
-        ("v", lambda s, rho: onebit_update_v(s.z, s.x, s.w, s.y2, s.y3, s.y4, rho, M, K)),
-        ("w", lambda s, rho: onebit_update_w(s.v, s.y4, rho)),
+        ("x", update_x),
+        ("z", lambda s, rho: onebit_update_z(Mv, y2_rho, rho, problem.lam)),
+        ("v", lambda s, rho: onebit_update_v(s.z, s.x, s.w, y2_rho, y3_rho, y4_rho, M, K)),
+        ("w", lambda s, rho: onebit_update_w(s.v, y4_rho, rho)),
     ]
-    constraints = [("y1", lambda s: float(s.x @ s.x) - 1.0),
-                   ("y2", lambda s: M @ s.v - s.z),
+    constraints = [("y1", lambda s: float(s.x.dot(s.x)) - 1.0),
+                   ("y2", residual_y2),
                    ("y3", lambda s: s.v - s.x),
                    ("y4", lambda s: s.w - s.v)]
 
     def dual_norm(s, old, rho):
         dz, dv, dw = s.z - old.z, s.v - old.v, s.w - old.w
-        return rho * float(np.sqrt(dz @ dz + dv @ dv + dw @ dw))
+        return rho * math.sqrt(dz.dot(dz) + dv.dot(dv) + dw.dot(dw))
 
     return iterate(init, blocks, constraints, dual_norm,
                    lambda s: problem.objective(s.w, s.z), schedule, stop)

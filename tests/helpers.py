@@ -10,7 +10,8 @@ subproblems of the block updates by coordinate descent, and
 ``lasso_brute_force`` by trying every sign pattern; ``lasso_kkt_violation``
 measures how far a point is from optimal for such a subproblem.
 ``record_duals`` records the dual each scalar-example solve hands its x1
-block, and ``read_trace`` reads a trace CSV back. ``quadratic_term`` is a
+block, and ``read_trace`` reads a trace CSV back. ``onebit_reference``
+runs the 1-bit CS iteration as one plain loop with no engine. ``quadratic_term`` is a
 FISTA test objective, and ``diagnostics_oracle`` evaluates the diagnostics
 rows from the engine's own duals, map by map.
 """
@@ -26,7 +27,9 @@ from typing import Callable, List
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from nladmm.engine import TraceRow
 from nladmm.errors import SolverError
+from nladmm.inner import cubic_real_roots
 from nladmm.terms import SmoothTerm
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -306,3 +309,42 @@ def diagnostics_oracle(trace, ref, f1, f2, x1_history, x2_history, ys) -> list:
                      float(rho * (d2 @ d2) + (dy @ dy) / rho),
                      rho * float(b @ b) + float(e @ e) / rho))
     return rows
+
+
+def onebit_reference(problem, init, schedule, stop):
+    """``sphere.onebit_solve`` as one plain loop with no engine: each block
+    formula, dual step, norm and stopping test written out, every M v and
+    y/rho formed where it is used. Returns the final x, w, z, v and
+    y1-y4 as a dict, and the trace rows."""
+    M = problem.signed_matrix
+    K = np.linalg.inv(M.T @ M + 2.0 * np.eye(M.shape[1]))
+    x, w, z, v, y2, y3, y4 = (np.array(a, dtype=float) for a in (
+        init.x, init.w, init.z, init.v, init.y2, init.y3, init.y4))
+    y1 = float(init.y1)
+    trace = []
+    for k in range(stop.max_iter):
+        rho = schedule.at(k)
+        z_old, v_old, w_old = z, v, w
+        # x: the largest root t of t^3 + (y1/rho - 1/2) t - |a|/2 along a.
+        a = v + y3 / rho
+        norm_a = float(np.linalg.norm(a))
+        x = cubic_real_roots(y1 / rho - 0.5, -0.5 * norm_a)[-1] * (a / norm_a)
+        z = M @ v + y2 / rho
+        neg = z < 0.0
+        z[neg] = rho * z[neg] / (problem.lam + rho)
+        v = K @ (M.T @ (z - y2 / rho) + (x - y3 / rho) + (w + y4 / rho))
+        u = v - y4 / rho
+        w = np.sign(u) * np.maximum(np.abs(u) - 1.0 / rho, 0.0)
+        r1, r2, r3, r4 = float(x @ x) - 1.0, M @ v - z, v - x, w - v
+        y1, y2, y3, y4 = y1 + rho * r1, y2 + rho * r2, y3 + rho * r3, y4 + rho * r4
+        r_norm = math.sqrt(r1 * r1 + r2 @ r2 + r3 @ r3 + r4 @ r4)
+        dz, dv, dw = z - z_old, v - v_old, w - w_old
+        s_norm = rho * float(np.sqrt(dz @ dz + dv @ dv + dw @ dw))
+        objective = float(np.sum(np.abs(w))
+                          + 0.5 * problem.lam * np.sum(np.minimum(z, 0.0) ** 2))
+        trace.append(TraceRow(k=k, objective=objective, r_norm=r_norm,
+                              s_norm=s_norm, rho=rho))
+        if r_norm <= stop.tol_primal and s_norm <= stop.tol_dual:
+            break
+    state = dict(x=x, w=w, z=z, v=v, y1=y1, y2=y2, y3=y3, y4=y4)
+    return state, trace

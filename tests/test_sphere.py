@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import golden_section_min, sphere_penalty_oracle, sphere_penalty_value
+from helpers import (golden_section_min, onebit_reference, sphere_penalty_oracle,
+                     sphere_penalty_value)
 from nladmm import datagen, sphere
 from nladmm.engine import RhoSchedule, StopCriteria
 
@@ -126,8 +127,8 @@ class TestOneBitPieces:
         # a >= 0 passes through; a < 0 shrinks by rho/(lam+rho), formed only
         # for the entries below zero, so a huge rho overflows on no entry.
         for a, rho in [(-1.0, 1000.0), (-1e-3, 1e308)]:
-            z = sphere.onebit_update_z(np.array([2.0, a]), y2=np.zeros(2), rho=rho,
-                                       lam=10.0, M=np.eye(2))
+            z = sphere.onebit_update_z(np.array([2.0, a]), y2_rho=np.zeros(2), rho=rho,
+                                       lam=10.0)
             assert z[0] == pytest.approx(2.0)
             assert z[1] == pytest.approx(rho * a / (10.0 + rho))
 
@@ -137,7 +138,7 @@ class TestOneBitPieces:
             a = float(rng.uniform(-3, 3))
             lam = float(rng.uniform(0.5, 20.0))
             rho = float(rng.uniform(0.5, 50.0))
-            z = sphere.onebit_update_z(np.array([a]), np.zeros(1), rho, lam, np.eye(1))
+            z = sphere.onebit_update_z(np.array([a]), np.zeros(1), rho, lam)
             oracle = golden_section_min(
                 lambda s: 0.5 * lam * min(s, 0.0) ** 2 + 0.5 * rho * (s - a) ** 2,
                 -6.0, 6.0, tol=1e-10)
@@ -150,7 +151,7 @@ class TestOneBitPieces:
         rng = np.random.default_rng(14)
         v = 2.0 * rng.standard_normal(40) / rho
         y4 = rng.standard_normal(40)
-        w = sphere.onebit_update_w(v, y4, rho)
+        w = sphere.onebit_update_w(v, y4 / rho, rho)
         assert 0 < np.count_nonzero(w) < w.size  # both branches of the threshold
         for wi, vi, yi in zip(w, v, y4):
             a = vi - yi / rho
@@ -167,7 +168,7 @@ class TestOneBitPieces:
         z, y2 = rng.standard_normal(8), rng.standard_normal(8)
         x, w, y3, y4 = rng.standard_normal((4, 6))
         K = np.linalg.inv(M.T @ M + 2.0 * np.eye(M.shape[1]))
-        v = sphere.onebit_update_v(z, x, w, y2, y3, y4, rho, M, K)
+        v = sphere.onebit_update_v(z, x, w, y2 / rho, y3 / rho, y4 / rho, M, K)
         grad = (M.T @ y2 + rho * (M.T @ (M @ v - z)) + y3 + rho * (v - x)
                 - y4 - rho * (w - v))
         scale = rho * (np.linalg.norm(M, 2) ** 2 + 2.0) * (1.0 + np.linalg.norm(v))
@@ -216,6 +217,32 @@ class TestOneBitPieces:
                                               StopCriteria(max_iter=60))
         assert abs(float(state.x @ state.x) - 1.0) <= 1e-3
         assert trace[-1].objective < problem.objective(x0, problem.signed_matrix @ x0)
+
+
+@pytest.mark.parametrize("m", [32, 64, 128])
+@pytest.mark.parametrize("schedule, iters", [(RhoSchedule.constant(1000.0), 100),
+                                             (RhoSchedule(50.0, 5.0), 300)],
+                         ids=["rho1000", "rho50+5k"])
+def test_onebit_solve_matches_plain_loop(m, schedule, iters):
+    """onebit_solve gives the iterates, duals and trace rows of the plain
+    loop in ``helpers.onebit_reference`` bit for bit, at criterion 7's
+    sizes, at a constant and at a growing rho: M v and each
+    y/rho are formed once per iteration in the solve and afresh at every
+    use in the loop."""
+    problem, _ = datagen.generate_onebit(128, m, 16, seed=0, lam=10.0)
+    M = problem.signed_matrix
+    x0 = M.T @ np.ones(m)
+    x0 /= np.linalg.norm(x0)
+    init = sphere.OneBitCsState(x=x0.copy(), w=x0.copy(), z=M @ x0, y1=0.0,
+                                y2=np.zeros(m), y3=np.zeros(128), rho=schedule.rho0)
+    stop = StopCriteria(max_iter=iters)
+    state, trace, _ = sphere.onebit_solve(problem, init, schedule, stop)
+    ref_state, ref_trace = onebit_reference(problem, init, schedule, stop)
+    assert len(trace) == iters
+    assert trace == ref_trace
+    assert state.y1 == ref_state["y1"]
+    for name in ("x", "w", "z", "v", "y2", "y3", "y4"):
+        assert np.array_equal(getattr(state, name), ref_state[name]), name
 
 
 class TestGenerateOnebit:
