@@ -73,8 +73,7 @@ class IterateState:
     rho: float
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     k: int
     objective: float
     r_norm: float
@@ -114,10 +113,6 @@ class SolveResult(NamedTuple):
     converged: bool
 
 
-class _Previous:
-    """The block values an outer iteration started from, as attributes."""
-
-
 # The running dual bound is replaced by an exact scan well before it could
 # overflow, so that rounding in the bound cannot hide a dual that did.
 _BOUND_LIMIT = 1e300
@@ -150,8 +145,9 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
     ``blocks`` in order to update(state, rho), and steps the dual field of
     each (dual, residual) of ``constraints`` by rho * residual(state), a
     number or an array shaped like the dual. The primal norm is
-    sqrt(sum_i r_i . r_i), the dual one dual_norm(state, old, rho), where
-    ``old`` holds the block values the iteration began with as attributes.
+    sqrt(sum_i r_i . r_i), the dual one dual_norm(state, rho); a caller
+    whose dual norm reads the block values an iteration began with keeps
+    them itself.
 
     A non-finite rho raises NonFiniteIterate before any block runs. The
     other values are tested once per iteration: r_norm + s_norm + the
@@ -179,7 +175,6 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
     shapes = [np.shape(getattr(state, dual)) for dual in duals]
     checks = ([(name, f"{name} block update", SubproblemFailure) for name, _ in blocks]
               + [(dual, f"dual variable {dual}", NonFiniteIterate) for dual in duals])
-    old = _Previous()
     trace: List[TraceRow] = []
     # A dual step or a norm that overflows at a huge rho ends in
     # NonFiniteIterate below; numpy need not warn first.
@@ -192,7 +187,6 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
             done, norms = 0, None  # checks[:done] are the fields set so far
             try:
                 for name, update in blocks:
-                    setattr(old, name, getattr(state, name))
                     setattr(state, name, update(state, rho))
                     done += 1
                 rs = [residual(state) for _, residual in constraints]
@@ -206,7 +200,7 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
                     done += 1
                 state.rho = rho
                 r_norm = math.sqrt(r_sq)
-                s_norm = dual_norm(state, old, rho)
+                s_norm = dual_norm(state, rho)
                 norms = (r_norm, s_norm)
                 obj = objective(state)
             except Exception as exc:
@@ -245,7 +239,7 @@ def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
         f2x2 = f2.eval(s.x2)
         return f1.eval(s.x1) + f2x2
 
-    def dual_norm(s, old, rho):
+    def dual_norm(s, rho):
         g = rho * (f1.jacobian(s.x1).T @ (f2x2 - f2_old))
         return math.sqrt(g.dot(g))
 

@@ -160,9 +160,11 @@ def cubic_real_roots(p: float, q: float) -> List[float]:
     """All real roots of the depressed cubic t^3 + p*t + q = 0, ascending.
 
     Uses the closed form (trigonometric branch when all three roots are
-    real) followed by a Newton polish per root; a single real root is
-    returned once polished, with nothing to sort or merge. A discriminant
-    that overflows or is NaN raises SubproblemFailure naming (p, q).
+    real) followed by a Newton polish per root. Each branch lists its roots
+    in ascending order, so nothing is sorted or merged afterwards, and
+    distinct roots are all returned however close to zero they lie. A
+    discriminant that overflows or is NaN raises SubproblemFailure naming
+    (p, q).
     """
     try:
         disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
@@ -175,20 +177,16 @@ def cubic_real_roots(p: float, q: float) -> List[float]:
         raise SubproblemFailure(f"cubic t^3 + p*t + q with (p, q) = ({p!r}, {q!r}): "
                                 "the discriminant overflows or is NaN")
     if abs(disc) <= 1e-12 * scale:
-        # A triple root, or one simple root and one double root.
-        roots = [0.0] if p == 0.0 else [3.0 * q / p, -3.0 * q / (2.0 * p)]
+        # A triple root, or a simple root 3q/p and a double root -3q/(2p),
+        # which have opposite signs.
+        roots = [0.0] if p == 0.0 else sorted((3.0 * q / p, -3.0 * q / (2.0 * p)))
     elif disc > 0.0:
         sq = math.sqrt(disc)
-        return [_polish_root(p, q, _cbrt(-q / 2.0 + sq) + _cbrt(-q / 2.0 - sq))]
+        roots = [_cbrt(-q / 2.0 + sq) + _cbrt(-q / 2.0 - sq)]
     else:
-        # Three real roots (casus irreducibilis): trigonometric form.
+        # Three real roots (casus irreducibilis): trigonometric form. With
+        # theta in [0, pi], j = 2, 1, 0 give them in ascending order.
         m = 2.0 * math.sqrt(-p / 3.0)
         theta = math.acos(min(1.0, max(-1.0, 3.0 * q / (p * m))))
-        roots = [m * math.cos((theta - 2.0 * math.pi * j) / 3.0) for j in range(3)]
-
-    polished = sorted(_polish_root(p, q, r) for r in roots)
-    deduped: List[float] = []
-    for r in polished:
-        if not deduped or abs(r - deduped[-1]) > 1e-12 * max(1.0, abs(r)):
-            deduped.append(r)
-    return deduped
+        roots = [m * math.cos((theta - 2.0 * math.pi * j) / 3.0) for j in (2, 1, 0)]
+    return [_polish_root(p, q, r) for r in roots]

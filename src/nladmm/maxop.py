@@ -102,14 +102,15 @@ class BagDataset:
 
 
 def save_bags_csv(path, data: BagDataset) -> None:
-    """Write the bag_id,label,f1..fp instance-per-row format."""
-    p = data.n_features
+    """Write the bag_id,label,f1..fp instance-per-row format, one ``repr``
+    per value and LF line ends, built as one string and written at once,
+    as ``cli.write_trace`` writes a trace. No field needs CSV quoting."""
+    lines = [",".join(["bag_id", "label"] + [f"f{j + 1}" for j in range(data.n_features)])]
+    for i, sl in enumerate(data.bag_slices()):
+        bag = f"{i},{float(data.labels[i])!r}"
+        lines.extend(",".join([bag, *map(repr, row)]) for row in data.X[sl].tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["bag_id", "label"] + [f"f{j + 1}" for j in range(p)])
-        for i, sl in enumerate(data.bag_slices()):
-            for row in data.X[sl]:
-                writer.writerow([i, _fmt(data.labels[i])] + [_fmt(v) for v in row])
+        fh.write("\n".join(lines) + "\n")
 
 
 def load_bags_csv(path) -> BagDataset:
@@ -154,10 +155,6 @@ def load_bags_csv(path) -> BagDataset:
         if not labels:
             raise ValueError(f"{path}, line {reader.line_num}: no rows after the header")
     return BagDataset.from_bags(labels, [np.asarray(rows) for rows in instances])
-
-
-def _fmt(v: float) -> str:
-    return repr(float(v))
 
 
 @dataclass
@@ -294,13 +291,14 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
         raise ValueError("the beta-block needs a regularizer that declares its l1 weight")
     # The t-block hands back the bag maxima of its t: tmax at the current
     # t, tmax_old at the previous one; bag_max runs only on the initial t.
+    # The t-block also keeps the t it replaces, t_old, for the dual norm.
     # X beta is formed once, in the t-block, and the y2 residual reuses it.
     tmax = data.bag_max(np.asarray(init.t, dtype=float))
-    tmax_old = xbeta = None
+    tmax_old = t_old = xbeta = None
 
     def update_t(s, rho):
-        nonlocal xbeta, tmax, tmax_old
-        xbeta = data.X @ s.beta
+        nonlocal xbeta, tmax, tmax_old, t_old
+        t_old, xbeta = s.t, data.X @ s.beta
         t, new_max = t_update_bags(data, s.q + s.y1 / rho, xbeta - s.y2 / rho)
         tmax_old, tmax = tmax, new_max
         return t
@@ -312,9 +310,9 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     ]
     constraints = [("y1", lambda s: s.q - tmax), ("y2", lambda s: s.t - xbeta)]
 
-    def dual_norm(s, old, rho):
+    def dual_norm(s, rho):
         s1 = rho * (tmax_old - tmax)
-        s2 = s.t - old.t  # deliberately unscaled, mirroring the r2 dual line
+        s2 = s.t - t_old  # deliberately unscaled, mirroring the r2 dual line
         return math.sqrt(s1 @ s1 + s2 @ s2)
 
     return iterate(init, blocks, constraints, dual_norm,

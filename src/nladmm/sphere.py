@@ -129,17 +129,19 @@ def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,
     w = v. rho does not enter v's matrix, so it is inverted once per solve.
 
     rho and the duals stay fixed through an iteration's blocks, so the
-    x-block forms y2/rho, y3/rho and y4/rho for all four. The y2 residual
-    keeps M v for the new v; x does not move v, so the next z-block reuses
-    it, whatever rho then is."""
+    x-block forms y2/rho, y3/rho and y4/rho for all four. Being the first
+    block, it also keeps the z, v and w the iteration starts from, which
+    the dual norm reads. The y2 residual keeps M v for the new v; x does
+    not move v, so the next z-block reuses it, whatever rho then is."""
     M = problem.signed_matrix
     K = np.linalg.inv(M.T @ M + 2.0 * np.eye(M.shape[1]))
     Mv = M.dot(np.asarray(init.v, dtype=float))
-    y2_rho = y3_rho = y4_rho = None
+    y2_rho = y3_rho = y4_rho = z_old = v_old = w_old = None
 
     def update_x(s, rho):
-        nonlocal y2_rho, y3_rho, y4_rho
+        nonlocal y2_rho, y3_rho, y4_rho, z_old, v_old, w_old
         y2_rho, y3_rho, y4_rho = s.y2 / rho, s.y3 / rho, s.y4 / rho
+        z_old, v_old, w_old = s.z, s.v, s.w
         return sphere_penalty_min(s.v + y3_rho, s.y1 / rho)
 
     def residual_y2(s):
@@ -158,8 +160,8 @@ def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,
                    ("y3", lambda s: s.v - s.x),
                    ("y4", lambda s: s.w - s.v)]
 
-    def dual_norm(s, old, rho):
-        dz, dv, dw = s.z - old.z, s.v - old.v, s.w - old.w
+    def dual_norm(s, rho):
+        dz, dv, dw = s.z - z_old, s.v - v_old, s.w - w_old
         return rho * math.sqrt(dz.dot(dz) + dv.dot(dv) + dw.dot(dw))
 
     return iterate(init, blocks, constraints, dual_norm,

@@ -10,8 +10,9 @@ subproblems of the block updates by coordinate descent, and
 ``lasso_brute_force`` by trying every sign pattern; ``lasso_kkt_violation``
 measures how far a point is from optimal for such a subproblem.
 ``record_duals`` records the dual each scalar-example solve hands its x1
-block, and ``read_trace`` reads a trace CSV back. ``onebit_reference``
-runs the 1-bit CS iteration as one plain loop with no engine. ``quadratic_term`` is a
+block, and ``read_trace`` reads a trace CSV back. ``onebit_reference`` and
+``maxop_reference`` run the 1-bit CS and the multi-instance iterations as
+plain loops with no engine. ``quadratic_term`` is a
 FISTA test objective, and ``diagnostics_oracle`` evaluates the diagnostics
 rows from the engine's own duals, map by map.
 """
@@ -29,8 +30,9 @@ from scipy.optimize import minimize_scalar
 
 from nladmm.engine import TraceRow
 from nladmm.errors import SolverError
-from nladmm.inner import cubic_real_roots
-from nladmm.terms import SmoothTerm
+from nladmm.inner import cubic_real_roots, lasso_active_set
+from nladmm.maxop import t_update_bag
+from nladmm.terms import SmoothTerm, logistic_loss
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GOLDEN_STEPS = 200
@@ -348,3 +350,41 @@ def onebit_reference(problem, init, schedule, stop):
             break
     state = dict(x=x, w=w, z=z, v=v, y1=y1, y2=y2, y3=y3, y4=y4)
     return state, trace
+
+
+def maxop_reference(data, lam, init, schedule, stop):
+    """``maxop.maxop_solve`` with the logistic loss and lam ||beta||_1 as one
+    plain loop with no engine: q by the loss's prox, beta by
+    ``lasso_active_set`` on ``data.gram``, t by ``t_update_bag`` bag by bag,
+    and every bag maximum, residual, dual step, norm and stopping test
+    written out, with s = ||(rho (tmax^k - tmax^{k+1}), t^{k+1} - t^k)||.
+    Returns the final q, beta, t, y1 and y2 as a dict, and the trace rows."""
+    loss = logistic_loss(data.labels)
+    G, delta = data.gram
+    q, beta, t, y1, y2 = (np.array(a, dtype=float) for a in (
+        init.q, init.beta, init.t, init.y1, init.y2))
+    trace = []
+    for k in range(stop.max_iter):
+        rho = schedule.at(k)
+        t_old, tmax_old = t, data.bag_max(t)
+        q = loss.prox(tmax_old - y1 / rho, rho, q)
+        c = data.X.T @ (t + y2 / rho)
+        if delta > 0.0:
+            c = c + delta * beta
+        beta = lasso_active_set(G, c, lam / rho, beta)
+        xbeta = data.X @ beta
+        psi, phi = q + y1 / rho, xbeta - y2 / rho
+        t = np.concatenate([t_update_bag(psi[i], phi[sl])
+                            for i, sl in enumerate(data.bag_slices())])
+        tmax = data.bag_max(t)
+        r1, r2 = q - tmax, t - xbeta
+        y1, y2 = y1 + rho * r1, y2 + rho * r2
+        r_norm = math.sqrt(r1 @ r1 + r2 @ r2)
+        s1, s2 = rho * (tmax_old - tmax), t - t_old
+        s_norm = math.sqrt(s1 @ s1 + s2 @ s2)
+        objective = loss.value(q) + lam * float(np.abs(beta).sum())
+        trace.append(TraceRow(k=k, objective=objective, r_norm=r_norm,
+                              s_norm=s_norm, rho=rho))
+        if r_norm <= stop.tol_primal and s_norm <= stop.tol_dual:
+            break
+    return dict(q=q, beta=beta, t=t, y1=y1, y2=y2), trace

@@ -243,7 +243,7 @@ class TestSolve:
         init = IterateState(x1=np.zeros(1), x2=np.zeros(1), y=np.zeros(1), rho=1.0)
         with pytest.raises(NonFiniteIterate, match="rho is inf at iteration 2") as e:
             engine.iterate(init, [("x1", block), ("x2", block)], [("y", lambda s: s.x1)],
-                           lambda s, old, rho: 1.0, lambda s: 0.0,
+                           lambda s, rho: 1.0, lambda s: 0.0,
                            RhoSchedule(1.0, 1e308), StopCriteria(max_iter=5))
         assert seen == [1.0, 1.0, 1e308, 1e308]
         assert len(e.value.trace) == 2
@@ -258,7 +258,7 @@ class TestSolve:
         with pytest.raises(NonFiniteIterate, match="dual variable y"):
             engine.iterate(init, [("x1", lambda s, rho: np.zeros(1))],
                            [("y", lambda s: np.full(1, 10.0))],
-                           lambda s, old, rho: 1.0, lambda s: 0.0,
+                           lambda s, rho: 1.0, lambda s: 0.0,
                            RhoSchedule.constant(1e308), StopCriteria(max_iter=5))
         assert np.geterr() == before
 

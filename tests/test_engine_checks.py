@@ -138,7 +138,7 @@ def test_objective_catches_what_the_residuals_miss(block):
     assert len(e.value.trace) == BAD_CALL - 1
 
 
-def _iterate(blocks, constraints, dual_norm=lambda s, old, rho: 1.0,
+def _iterate(blocks, constraints, dual_norm=lambda s, rho: 1.0,
              objective=lambda s: 0.0, y0=0.0, rho=1.0, max_iter=10, n=2):
     init = IterateState(x1=np.zeros(n), x2=np.zeros(n), y=np.full(n, y0), rho=rho)
     return engine.iterate(init, blocks, constraints, dual_norm, objective,
@@ -283,16 +283,3 @@ def test_nonfinite_objective_alone_runs_on():
     assert [r.objective for r in result.trace] == [math.inf] * 4
     assert np.array_equal(result.state.y, [0.0, 0.0])
 
-
-def test_dual_norm_gets_the_old_block_values():
-    """dual_norm(state, old, rho) sees the block values the iteration
-    started from as attributes of ``old``, and no dual."""
-    seen = []
-
-    def dual_norm(s, old, rho):
-        seen.append((float(old.x1[0]), float(s.x1[0]), hasattr(old, "y")))
-        return 1.0
-
-    _iterate([("x1", lambda s, rho: s.x1 + 1.0)], [("y", lambda s: np.zeros(2))],
-             dual_norm=dual_norm, max_iter=3)
-    assert seen == [(0.0, 1.0, False), (1.0, 2.0, False), (2.0, 3.0, False)]

@@ -64,6 +64,21 @@ class TestCubicRealRoots:
         r = cubic_real_roots(-3.0, 2.0)
         assert np.allclose(r, [-2.0, 1.0], atol=1e-7)
 
+    @pytest.mark.parametrize("p, q, expected", [
+        # (t - 2e-15)(t + 1e-15)^2: a double root and a simple one below 1 in size.
+        (-3e-30, -2e-45, [-1e-15, 2e-15]),
+        # Three distinct roots within 2e-13 of zero.
+        (-3e-26, 1e-40, [-1.748e-13, 3.335e-15, 1.715e-13]),
+    ])
+    def test_tiny_distinct_roots_all_returned(self, p, q, expected):
+        """Roots far below 1 in size are told apart relative to their own
+        size, so none is merged into a neighbour."""
+        r = cubic_real_roots(p, q)
+        assert np.allclose(r, expected, rtol=1e-3, atol=0.0)
+        size = abs(q) + abs(p) * max(map(abs, r)) + max(map(abs, r)) ** 3
+        for t in r:
+            assert abs((t * t + p) * t + q) <= 1e-15 * size
+
     def test_overflowing_depressed_cubic_raises(self):
         """q^2 is past the float range; the solver refuses the cubic with a
         SolverError naming it."""

@@ -8,6 +8,7 @@ from helpers import (
     bag_subproblem_value,
     lasso_brute_force,
     lasso_cd_oracle,
+    maxop_reference,
 )
 from nladmm import datagen, inner, maxop, sphere, terms
 from nladmm.engine import RhoSchedule, StopCriteria
@@ -485,6 +486,35 @@ class TestMaxopSolve:
             RhoSchedule.constant(0.1), StopCriteria(max_iter=40))
         assert trace == reference.trace
         assert np.array_equal(state.y2, reference.state.y2)
+
+
+@pytest.mark.parametrize("seed, schedule", [
+    (0, RhoSchedule.constant(0.1)),
+    (1, RhoSchedule.constant(0.1)),
+    (2, RhoSchedule.constant(0.1)),
+    (0, RhoSchedule(0.1, 0.01)),
+    (None, RhoSchedule.constant(0.1)),
+], ids=["seed0", "seed1", "seed2", "seed0-rho0.1+0.01k", "rank-deficient"])
+def test_maxop_solve_matches_plain_loop(seed, schedule):
+    """maxop_solve gives the iterates, duals and trace rows of the plain
+    loop in ``helpers.maxop_reference`` bit for bit over 300 iterations: on
+    the benchmark's 200 x 5 x 4 bags, at a growing rho, and on
+    rank-deficient X. The solve keeps the previous t and its bag maxima
+    from the t-block; the loop takes both afresh at the start of each
+    iteration."""
+    if seed is None:
+        data = _rank_deficient("sum")
+    else:
+        data, _ = datagen.generate_bags(200, 5, 4, seed=seed)
+    loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+    init = maxop.MaxOpState.zeros(data, schedule.rho0)
+    stop = StopCriteria(max_iter=300)
+    state, trace, _ = maxop.maxop_solve(data, loss, l1_term(1.0), init, schedule, stop)
+    ref_state, ref_trace = maxop_reference(data, 1.0, init, schedule, stop)
+    assert len(trace) == 300
+    assert trace == ref_trace
+    for name in ("q", "beta", "t", "y1", "y2"):
+        assert np.array_equal(getattr(state, name), ref_state[name]), name
 
 
 class TestRankDeficientBeta:
