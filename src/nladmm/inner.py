@@ -77,7 +77,18 @@ def _max_lasso_steps(p: int) -> int:
     return 10 * p + 10
 
 
-def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray) -> np.ndarray:
+def _active_factor(block: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(inv(block), block), or (None, block) for an ill-conditioned block,
+    lambda_min <= 1e-6 lambda_max, where a product with the inverse would
+    lose accuracy that a (backward stable) solve keeps."""
+    eigs = np.linalg.eigvalsh(block)
+    if eigs.size and eigs[0] > 1e-6 * eigs[-1]:
+        return np.linalg.inv(block), block
+    return None, block
+
+
+def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray,
+                     factors: dict | None = None) -> np.ndarray:
     """Exact argmin_x (1/2) x'Gx - c'x + mu ||x||_1 for a symmetric positive
     definite G, by feature-sign search (Lee, Battle, Raina & Ng 2007) from x0.
 
@@ -90,14 +101,21 @@ def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray) ->
     there is none, or when the one that joined comes out with the wrong
     sign (its |gradient| - mu was rounding), x is the minimizer. Every step
     lowers the objective, so no sign pattern recurs; past 10p + 10 steps,
-    or for a non-finite c, mu or x0, SubproblemFailure is raised. Every
-    step is one dense k x k solve, so this is for small p.
+    or for a non-finite c, mu or x0, SubproblemFailure is raised.
+
+    Each step takes x_A = inv(G_AA) (c_A - mu theta_A), with the inverse
+    kept in ``factors``, a dict keyed by the active set, which a caller
+    solving many lassos with one G passes to all of them; an
+    ill-conditioned G_AA is solved afresh instead. Every block is dense
+    k x k, so this is for small p.
     """
     if not (np.isfinite(c).all() and math.isfinite(mu) and np.isfinite(x0).all()):
         raise SubproblemFailure("lasso: non-finite linear term, l1 weight or start")
     x = np.asarray(x0, dtype=float)  # never written to: every step makes a new x
     theta = np.sign(x)
-    solve = bool(theta.any())  # a warm start first solves on its own support
+    solve = np.count_nonzero(theta) > 0  # a warm start first solves on its own support
+    if factors is None:
+        factors = {}
     for _ in range(_max_lasso_steps(c.size)):
         if not solve:
             g = G @ x - c
@@ -107,8 +125,14 @@ def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray) ->
                 return x
             theta[new] = -np.sign(g[new])
         active = theta.nonzero()[0]
+        key = active.tobytes()
+        factor = factors.get(key)
+        if factor is None:
+            factor = factors[key] = _active_factor(G[active[:, None], active])
+        inverse, block = factor
+        rhs = c[active] - mu * theta[active]
         xn = np.zeros(x.shape)
-        xn[active] = np.linalg.solve(G[active[:, None], active], c[active] - mu * theta[active])
+        xn[active] = np.linalg.solve(block, rhs) if inverse is None else inverse @ rhs
         flipped = (np.sign(xn) != theta).nonzero()[0]
         if flipped.size == 0:
             x, solve = xn, False

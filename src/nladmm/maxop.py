@@ -175,27 +175,33 @@ class MaxOpState:
 
 
 def update_q(loss: CompositeObjective, tmax: np.ndarray, y1: np.ndarray,
-             rho: float, q0: np.ndarray) -> np.ndarray:
+             rho: float, q0: np.ndarray, slope: np.ndarray | None = None) -> np.ndarray:
     """argmin_q loss(q) + (rho/2)||q - tmax + y1/rho||^2, where tmax holds
     the bag maxima of t (``data.bag_max(t)``): the declared prox of the
     loss's smooth part, warm-started at q0. For the logistic loss that is
-    one monotone Newton root per bag."""
-    return loss.smooth.prox(tmax - y1 / rho, rho, q0)
+    one monotone Newton root per bag. An array ``slope`` is handed to the
+    prox, which writes the slopes its Newton steps ended on into it."""
+    center = tmax - y1 / rho
+    if slope is None:
+        return loss.smooth.prox(center, rho, q0)
+    return loss.smooth.prox(center, rho, q0, slope)
 
 
 def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
-                y2: np.ndarray, rho: float, beta0: np.ndarray) -> np.ndarray:
+                y2: np.ndarray, rho: float, beta0: np.ndarray,
+                factors: dict | None = None) -> np.ndarray:
     """argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2
     + (rho delta/2)||beta - beta0||^2 for reg = lam ||.||_1, where
     (X'X + delta I, delta) = ``data.gram``: a strongly convex lasso for any
     X, solved exactly by ``lasso_active_set`` from beta0. delta = 0 on
     full-rank X; on rank-deficient X the proximal term is that of nonconvex
-    proximal ADMM (Li & Pong 2015)."""
+    proximal ADMM (Li & Pong 2015). ``factors`` is the active-set cache of
+    ``lasso_active_set`` for ``data.gram``."""
     G, delta = data.gram
     c = data.X.T @ (t + y2 / rho)
     if delta > 0.0:
         c = c + delta * beta0
-    return lasso_active_set(G, c, reg.l1_weight / rho, beta0)
+    return lasso_active_set(G, c, reg.l1_weight / rho, beta0, factors)
 
 
 def t_update_bag(psi: float, phi: np.ndarray) -> np.ndarray:
@@ -281,6 +287,13 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     bag, all bags in one pass), then the two dual ascent steps, with
     combined residual norms.
 
+    Each q-prox after the first starts one Newton step on its equation
+    from the last root q, whose residual there needs no exp:
+    q - [rho (q - c) - rho_old (q - c_old)] / (s + rho - rho_old), with c
+    and c_old the new and the last center (rho c = rho tmax - y1) and s the
+    slope the last prox ended on; at q itself where that is not finite.
+    The beta-block keeps its active-set inverses in a dict for this solve.
+
     The loss must declare its prox and have a zero nonsmooth part, and
     reg must declare its l1 weight; otherwise ValueError is raised before
     any iteration."""
@@ -295,6 +308,22 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     # X beta is formed once, in the t-block, and the y2 residual reuses it.
     tmax = data.bag_max(np.asarray(init.t, dtype=float))
     tmax_old = t_old = xbeta = None
+    # rho never falls, so the q-block's denominator is at least rho_old > 0;
+    # iterate's errstate keeps an overflow quiet. A slope the prox does not
+    # write stays NaN and gives no guess.
+    slope = np.full(len(tmax), np.nan)
+    scaled = rho_old = None
+    factors = {}
+
+    def q_block(s, rho):
+        nonlocal scaled, rho_old
+        q0, scaled_old, scaled = s.q, scaled, rho * tmax - s.y1
+        if scaled_old is not None:
+            grow = rho - rho_old
+            guess = q0 + (scaled - scaled_old - grow * q0) / (slope + grow)
+            q0 = guess if np.isfinite(guess).all() else np.where(np.isfinite(guess), guess, q0)
+        rho_old = rho
+        return update_q(loss, tmax, s.y1, rho, q0, slope)
 
     def update_t(s, rho):
         nonlocal xbeta, tmax, tmax_old, t_old
@@ -304,8 +333,8 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
         return t
 
     blocks = [
-        ("q", lambda s, rho: update_q(loss, tmax, s.y1, rho, s.q)),
-        ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, s.beta)),
+        ("q", q_block),
+        ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, s.beta, factors)),
         ("t", update_t),
     ]
     constraints = [("y1", lambda s: s.q - tmax), ("y2", lambda s: s.t - xbeta)]

@@ -20,11 +20,15 @@ from .errors import SubproblemFailure
 @dataclass(frozen=True)
 class SmoothTerm:
     """``prox``, when known, is the exact map prox(center, rho, x0) =
-    argmin_x f(x) + (rho/2)||x - center||^2, warm-started at x0."""
+    argmin_x f(x) + (rho/2)||x - center||^2, warm-started at x0.
+    ``maxop_solve`` passes a fourth argument, an array ``slope``: a prox
+    that solves f'(x) + rho (x - center) = 0 by Newton's method writes into
+    it the slope f''(x) + rho its steps ended on, and one that does not
+    leaves it as it is."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
-    prox: Callable[[np.ndarray, float, np.ndarray], np.ndarray] | None = None
+    prox: Callable[..., np.ndarray] | None = None
 
 
 @dataclass(frozen=True)
@@ -99,12 +103,14 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
     = 0 for either label, as sigmoid(-q) = 1 - sigmoid(q), with the root in
     [d - 1/rho, d]. h is increasing, convex below 0 and concave above it,
     so Newton's method started between 0 and the root moves monotonically
-    onto the root. The start is x0 where it lies there (u0 h(u0) <= 0), and
-    clip(0, d - 1/rho, d) elsewhere. Each coordinate is done once its step
-    is below sqrt(4 eps max(|u|, 1)), as the Newton point's error is then
-    about step^2 / 2 (|h''| <= h'), or once h is at the rounding level of
-    rho (u - d); neither test scales with 1/rho. A done coordinate takes
-    its last step and leaves the loop, and the rest step on.
+    onto the root. Each coordinate is done once its step is below
+    sqrt(4 eps max(|u|, 1)), as the Newton point's error is then about
+    step^2 / 2 (|h''| <= h'), or once h is at the rounding level of
+    rho (u - d); neither test scales with 1/rho. The start is x0 where it
+    lies between 0 and the root (u0 h(u0) <= 0) or where it already passes
+    the stopping test, as a root returned before does, and
+    clip(0, d - 1/rho, d) elsewhere. A done coordinate takes its last step and leaves the loop,
+    and the rest step on.
 
     Below rho = 1e-40 a root far down the tail is reached in log form: a
     start above d moves down to d, as the root lies below it, and where u
@@ -112,7 +118,11 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
     - ln(rho (d - u)), which is nearly linear there, so the climb takes a
     few steps, not about ln(1/rho). There |g''| <= g', so the stopping test
     holds for these steps as well. More than 100 steps, or a non-finite
-    center, start or d - 1/rho, raise SubproblemFailure."""
+    center, start or d - 1/rho, raise SubproblemFailure.
+
+    Given an array ``slope``, the prox writes into it sigmoid'(q) + rho at
+    each coordinate's last Newton point, for ``maxop_solve`` to predict the
+    next root from."""
     y = np.asarray(labels, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logistic loss labels must be 0 or 1")
@@ -128,11 +138,16 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
         return np.where(q >= 0.0, t, u) - y
 
     def residual(u, d, rho):
-        """h(u), its slope, rho (u - d) and |u|."""
+        """h(u), its slope h'(u), rho (u - d) and |u|."""
         a = np.abs(u)
         t, e = _sigmoid_halves(a)
         penalty = rho * (u - d)
         return np.where(u >= 0.0, t, e) + penalty, t * e + rho, penalty, a
+
+    def done(step, h, penalty, a):
+        """Where u - step is the root: step^2 <= 4 eps max(|u|, 1), or
+        |h| <= 4 eps |rho (u - d)|."""
+        return (step * step <= _EPS4 * np.maximum(a, 1.0)) | (np.abs(h) <= _EPS4 * np.abs(penalty))
 
     def log_step(u, d, rho):
         """The Newton step on ln sigmoid(u) - ln(rho (d - u)) for u below 0
@@ -143,7 +158,7 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
             g = u - np.log1p(e) - math.log(rho) - np.log(gap)
             return g / (1.0 / (1.0 + e) + 1.0 / gap)
 
-    def prox(center, rho, q0):
+    def prox(center, rho, q0, slope=None):
         # 1/rho can overflow at a tiny rho, and u - d for a start far from d:
         # the first fails the check below, the second the start test.
         with np.errstate(over="ignore"):
@@ -156,29 +171,33 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
             tail = rho < _TAIL_RHO
             if tail:
                 u = np.minimum(u, d)  # the root lies at or below d
-            h, slope, penalty, a = residual(u, d, rho)
+            h, dh, penalty, a = residual(u, d, rho)
             away = u * h > 0.0  # x0 lies beyond the root, or on the far side of 0
             if away.any():
-                u = np.where(away, np.minimum(np.maximum(0.0, low), d), u)
-                h, slope, penalty, a = residual(u, d, rho)
+                # unless x0 meets the stopping test: then it is the root.
+                away &= ~done(h / dh, h, penalty, a)
+                if away.any():
+                    u = np.where(away, np.minimum(np.maximum(0.0, low), d), u)
+                    h, dh, penalty, a = residual(u, d, rho)
             # u and d hold the coordinates still stepping, todo their places
             # in out.
             out, todo = np.empty_like(u), np.arange(u.size)
             for _ in range(_MAX_NEWTON_STEPS):
-                step = h / slope
+                step = h / dh
                 if tail:
                     step = np.where(u < np.minimum(0.0, d - 1.0), log_step(u, d, rho), step)
-                fin = ((step * step <= _EPS4 * np.maximum(a, 1.0))
-                       | (np.abs(h) <= _EPS4 * np.abs(penalty)))
+                fin = done(step, h, penalty, a)
                 u = u - step
                 n_fin = np.count_nonzero(fin)
                 if n_fin:
                     out[todo] = u
+                    if slope is not None:
+                        slope[todo] = dh
                     if n_fin == fin.size:
                         return sign * out
                     keep = ~fin
                     todo, u, d = todo[keep], u[keep], d[keep]
-                h, slope, penalty, a = residual(u, d, rho)
+                h, dh, penalty, a = residual(u, d, rho)
         raise SubproblemFailure(f"logistic prox: no root within {_MAX_NEWTON_STEPS} "
                                 "Newton steps")
 

@@ -354,24 +354,34 @@ def onebit_reference(problem, init, schedule, stop):
 
 def maxop_reference(data, lam, init, schedule, stop):
     """``maxop.maxop_solve`` with the logistic loss and lam ||beta||_1 as one
-    plain loop with no engine: q by the loss's prox, beta by
-    ``lasso_active_set`` on ``data.gram``, t by ``t_update_bag`` bag by bag,
-    and every bag maximum, residual, dual step, norm and stopping test
+    plain loop with no engine: q by the loss's prox, started after the
+    first iteration one Newton step from the last root with the slope that
+    prox reports, beta by ``lasso_active_set`` on ``data.gram`` with one
+    dict of active-set inverses for the loop, t by ``t_update_bag`` bag by
+    bag, and every bag maximum, residual, dual step, norm and stopping test
     written out, with s = ||(rho (tmax^k - tmax^{k+1}), t^{k+1} - t^k)||.
     Returns the final q, beta, t, y1 and y2 as a dict, and the trace rows."""
     loss = logistic_loss(data.labels)
     G, delta = data.gram
     q, beta, t, y1, y2 = (np.array(a, dtype=float) for a in (
         init.q, init.beta, init.t, init.y1, init.y2))
+    slope, factors = np.full(q.size, np.nan), {}
     trace = []
     for k in range(stop.max_iter):
         rho = schedule.at(k)
         t_old, tmax_old = t, data.bag_max(t)
-        q = loss.prox(tmax_old - y1 / rho, rho, q)
+        scaled = rho * tmax_old - y1  # rho times the center
+        q0 = q
+        if k > 0:
+            guess = q + (scaled - scaled_prev - (rho - rho_prev) * q) / (
+                slope + (rho - rho_prev))
+            q0 = np.where(np.isfinite(guess), guess, q)
+        q = loss.prox(tmax_old - y1 / rho, rho, q0, slope)
+        scaled_prev, rho_prev = scaled, rho
         c = data.X.T @ (t + y2 / rho)
         if delta > 0.0:
             c = c + delta * beta
-        beta = lasso_active_set(G, c, lam / rho, beta)
+        beta = lasso_active_set(G, c, lam / rho, beta, factors)
         xbeta = data.X @ beta
         psi, phi = q + y1 / rho, xbeta - y2 / rho
         t = np.concatenate([t_update_bag(psi[i], phi[sl])

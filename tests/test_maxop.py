@@ -40,6 +40,18 @@ def _rank_deficient(kind: str, seed: int = 6) -> maxop.BagDataset:
     return maxop.BagDataset(labels=data.labels, X=X, offsets=data.offsets)
 
 
+def _beta_three_ways(reg, data, t, y2, rho, beta0):
+    """``update_beta`` with no active-set cache, then through one twice:
+    cold, with a fresh dict, and warm, with the dict the cold call filled.
+    The three agree bit for bit; returns the cold result."""
+    plain = maxop.update_beta(reg, data, t, y2, rho, beta0)
+    factors = {}
+    cold = maxop.update_beta(reg, data, t, y2, rho, beta0, factors)
+    warm = maxop.update_beta(reg, data, t, y2, rho, beta0, factors)
+    assert plain.tobytes() == cold.tobytes() == warm.tobytes()
+    return cold
+
+
 def _no_fista(*args, **kwargs):
     raise AssertionError("no solve may call fista")
 
@@ -287,6 +299,21 @@ class TestBlockUpdates:
         assert s * q[0] == pytest.approx(min(max(0.0, d - 1e6), d), rel=1e-12)
 
     @pytest.mark.parametrize("label", [0.0, 1.0])
+    @pytest.mark.parametrize("rho", [1e-20, 1e-39])
+    def test_logistic_prox_keeps_a_start_at_its_root(self, label, rho, monkeypatch):
+        """A root the prox returned, given back as the start, is kept and
+        done in one step, although rounding leaves its residual on the far
+        side of 0 here. Restarting at the clipped point instead climbs the
+        sigmoid's tail again: 47 Newton passes at rho = 1e-20 and 90 at
+        1e-39, in every q-update of a solve on the generate-bags default
+        bags, where a bag's center does not move."""
+        prox = logistic_loss(np.array([label])).prox
+        c = np.zeros(1)
+        root = prox(c, rho, np.zeros(1))
+        monkeypatch.setattr(terms, "_MAX_NEWTON_STEPS", 1)
+        assert prox(c, rho, root)[0] == pytest.approx(root[0], rel=1e-15)
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
     def test_logistic_prox_stops_at_rounding_level(self, label):
         """At rho = 1e-18 and c = 1/rho (mirrored for label 1) the root lies
         where sigmoid(q) rounds to 1, so its residual is rounding noise and
@@ -359,13 +386,13 @@ class TestBlockUpdates:
     def test_update_beta_matches_coordinate_descent_oracle(self, reg, lam):
         """On full-rank X the beta-update solves its lasso exactly and
         lands on the minimizer that coordinate descent on the same lasso
-        finds."""
+        finds, with and without its active-set cache, cold and warm."""
         data, _ = datagen.generate_bags(6, 3, 3, seed=5)
         rng = np.random.default_rng(9)
         t = rng.standard_normal(data.X.shape[0])
         y2 = rng.standard_normal(data.X.shape[0])
         rho = 0.1
-        beta = maxop.update_beta(reg, data, t, y2, rho, np.zeros(3))
+        beta = _beta_three_ways(reg, data, t, y2, rho, np.zeros(3))
         X, b = data.X, t + y2 / rho
         oracle = lasso_cd_oracle(rho * X.T @ X, rho * X.T @ b, lam)
         assert np.allclose(beta, oracle, rtol=0.0, atol=1e-10)
@@ -373,7 +400,8 @@ class TestBlockUpdates:
     def test_update_beta_matches_brute_force(self):
         """The exact beta-update against every sign pattern of the lasso,
         from zero and from random warm starts, at l1 weights that leave
-        all, some or none of the features active."""
+        all, some or none of the features active, with and without its
+        active-set cache, cold and warm."""
         rng = np.random.default_rng(17)
         for trial in range(60):
             p = int(rng.integers(1, 6))
@@ -383,7 +411,7 @@ class TestBlockUpdates:
             rho = float(rng.choice([0.1, 1.0, 10.0]))
             lam = float(rng.choice([0.0, 0.5, 5.0, 50.0]))
             beta0 = rng.standard_normal(p) * (rng.random(p) < 0.5)
-            beta = maxop.update_beta(l1_term(lam), data, t, y2, rho, beta0)
+            beta = _beta_three_ways(l1_term(lam), data, t, y2, rho, beta0)
             X, b = data.X, t + y2 / rho
             oracle = lasso_brute_force(X.T @ X, X.T @ b, lam / rho)
             assert np.allclose(beta, oracle, rtol=0.0, atol=1e-10)
@@ -461,6 +489,28 @@ class TestMaxopSolve:
                           RhoSchedule.constant(0.1), StopCriteria(max_iter=7))
         assert len(calls) == 7
 
+    def test_factor_cache_lives_in_the_solve(self, monkeypatch):
+        """The beta-block's active-set inverses are kept for one solve: a
+        second solve on the same bags forms them again, and the BagDataset
+        holds nothing but its fields and its cached Gram matrix and size
+        blocks afterwards."""
+        formed = []
+        active_factor = inner._active_factor
+        monkeypatch.setattr(inner, "_active_factor",
+                            lambda block: formed.append(1) or active_factor(block))
+        data, _ = datagen.generate_bags(8, 3, 3, seed=6)
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        runs, counts = [], []
+        for _ in range(2):
+            before = len(formed)
+            runs.append(maxop.maxop_solve(data, loss, l1_term(1.0),
+                                          maxop.MaxOpState.zeros(data, 0.1),
+                                          RhoSchedule.constant(0.1), StopCriteria(max_iter=40)))
+            counts.append(len(formed) - before)
+        assert counts[0] > 0 and counts[1] == counts[0]
+        assert runs[0].trace == runs[1].trace
+        assert set(vars(data)) == {"labels", "X", "offsets", "gram", "size_blocks"}
+
     def test_x_beta_once_per_iteration(self):
         """X beta is formed once per outer iteration, in the t-block; the
         y2 residual reuses it. Products with X' (the Gram matrix and the
@@ -486,6 +536,60 @@ class TestMaxopSolve:
             RhoSchedule.constant(0.1), StopCriteria(max_iter=40))
         assert trace == reference.trace
         assert np.array_equal(state.y2, reference.state.y2)
+
+
+def _newton_passes(monkeypatch, datasets, schedule, max_iter):
+    """Mean Newton passes per q-update over a maxop_solve on each dataset:
+    calls of ``terms._sigmoid_halves``, one per residual of the logistic
+    prox, per call of ``maxop.update_q``."""
+    passes, updates = [], []
+    halves, update_q = terms._sigmoid_halves, maxop.update_q
+    monkeypatch.setattr(terms, "_sigmoid_halves", lambda a: passes.append(1) or halves(a))
+    monkeypatch.setattr(maxop, "update_q", lambda *a: updates.append(1) or update_q(*a))
+    for data in datasets:
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        _, trace, _ = maxop.maxop_solve(data, loss, l1_term(1.0),
+                                        maxop.MaxOpState.zeros(data, schedule.rho0),
+                                        schedule, StopCriteria(max_iter=max_iter))
+        assert len(trace) == max_iter
+    return len(passes) / len(updates)
+
+
+@pytest.mark.parametrize("schedule, bound", [
+    (RhoSchedule.constant(0.1), 2.3), (RhoSchedule(0.1, 0.01), 2.45)],
+    ids=["rho0.1", "rho0.1+0.01k"])
+def test_q_prox_starts_at_predicted_root(monkeypatch, schedule, bound):
+    """Each q-prox starts one Newton step from the last root on the new
+    equation, so on the benchmark's 200 x 5 x 4 bags (seeds 0-2, 300
+    iterations) it takes about two passes: 2.07 at rho = 0.1 and 1.48 at
+    rho = 0.1 + 0.01k, against 3.10 and 2.50 from the last root."""
+    datasets = [datagen.generate_bags(200, 5, 4, seed=seed)[0] for seed in range(3)]
+    assert _newton_passes(monkeypatch, datasets, schedule, 300) <= bound
+
+
+def test_q_prox_predicted_start_far_down_the_tail(monkeypatch):
+    """At rho = 1e-40, the lowest rho whose prox steps plain Newton, the
+    last root lies about 90 unit steps up the sigmoid's tail from the next
+    one, as y1/rho moves the center. The predicted start lies within a few
+    steps of it: 4.3 passes per q-update on generate_bags(6, 3, 3, 0) over
+    50 iterations, against 89.7 from the last root."""
+    data, _ = datagen.generate_bags(6, 3, 3, seed=0)
+    assert _newton_passes(monkeypatch, [data], RhoSchedule.constant(1e-40), 50) <= 10.0
+
+
+def test_multi_instance_at_every_power_of_ten_of_rho():
+    """No power of ten of rho from 1e-1 to 1e-308 makes a solve on the
+    generate-bags default bags (20 x 5 x 4, seed 0) fail over 10
+    iterations, nine of them from a predicted start: a SolverError or a
+    numpy warning fails the test."""
+    data, _ = datagen.generate_bags(20, 5, 4, seed=0)
+    loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+    for e in range(1, 309):
+        rho = float(f"1e-{e}")
+        _, trace, _ = maxop.maxop_solve(data, loss, l1_term(1.0),
+                                        maxop.MaxOpState.zeros(data, rho),
+                                        RhoSchedule.constant(rho), StopCriteria(max_iter=10))
+        assert np.isfinite(trace[-1].objective), rho
 
 
 @pytest.mark.parametrize("seed, schedule", [
@@ -527,7 +631,10 @@ class TestRankDeficientBeta:
         """The beta-update against every sign pattern of the lasso with
         G = X'X + delta I and c = X'b + delta beta0, from zero and from
         random warm starts; delta = 1e-10 lambda_max(X'X), or 1e-10 when
-        every feature is zero."""
+        every feature is zero. With and without the active-set cache, cold
+        and warm. An active block as ill-conditioned as X'X is solved, not
+        inverted: a product with its inverse lies up to 8e-7 (relative)
+        off the enumeration's solve on these bags."""
         rng = np.random.default_rng(23)
         for trial in range(20):
             data = _rank_deficient(kind, seed=trial)
@@ -543,7 +650,7 @@ class TestRankDeficientBeta:
             beta0 = rng.standard_normal(3) * (rng.random(3) < 0.5)
             if kind == "all-zero":
                 beta0 = rng.standard_normal(3) * 1e9
-            beta = maxop.update_beta(l1_term(lam), data, t, y2, rho, beta0)
+            beta = _beta_three_ways(l1_term(lam), data, t, y2, rho, beta0)
             oracle = lasso_brute_force(X.T @ X + delta * np.eye(3),
                                        X.T @ (t + y2 / rho) + delta * beta0, lam / rho)
             assert np.allclose(beta, oracle, rtol=1e-9, atol=1e-10)

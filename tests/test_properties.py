@@ -19,6 +19,7 @@ from 1e-3 to 1e3 and starts at zero, at the center or anywhere in 1e3.
 from unittest import mock
 
 import numpy as np
+import pytest
 from scipy.special import expit
 from hypothesis import given, settings, strategies as st
 
@@ -64,6 +65,22 @@ def test_t_update_bags_equals_per_bag_reference(case):
     assert t.dtype == phi.dtype and tmax.dtype == psi.dtype
     assert t.tobytes() == per_bag(data, psi, phi)[0].tobytes()
     assert tmax.tobytes() == data.bag_max(t).tobytes()
+
+
+@pytest.mark.parametrize("value, n, top", [(0.1, 3, 2), (0.1, 5, 2), (0.7, 5, 5)])
+def test_t_update_bags_rounding_ties(value, n, top):
+    """psi and all n targets equal one value. In exact arithmetic every
+    average a_c is that value, but a_c rounds up or down by an ulp, so the
+    first c with a_c above the next target picks a top block of c* = top
+    targets whose average lies one ulp above each target it replaces. So
+    the result cannot be read off as min(targets, a_c*) with a_c* at the
+    first maximum; the pass takes the first c* tied targets in bag order,
+    as the reference's stable sort does."""
+    data = maxop.BagDataset.from_bags(np.zeros(1), [np.zeros((n, 1))])
+    phi, psi = np.full(n, value), np.array([value])
+    t, tmax = maxop.t_update_bags(data, psi, phi)
+    assert t.tobytes() == per_bag(data, psi, phi)[0].tobytes()
+    assert tmax[0] > value and np.count_nonzero(t == tmax[0]) == top
 
 
 def _matches_per_bag_loop(monkeypatch, data, max_iter):
