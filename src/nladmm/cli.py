@@ -18,7 +18,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from . import datagen, maxop, scalar_examples, sphere
+from . import datagen, maxop, scalar_examples, sphere, textfile
 from .diagnostics import diagnose_result
 from .engine import RhoSchedule, StopCriteria, TraceRow
 from .errors import SolverError
@@ -44,16 +44,17 @@ def write_trace(path, rows: Sequence[TraceRow],
                 extra_header: Optional[List[str]] = None,
                 extra_cols: Optional[Sequence[Sequence[float]]] = None) -> None:
     """Trace CSV with shortest round-trip float formatting (``repr``) and LF
-    line ends, built as one string and written at once. No field needs CSV
-    quoting: the headers are plain names and every value a number."""
+    line ends, written by ``textfile.write_lines``: an existing file is
+    overwritten in place and cut to length, keeping its inode and mode, and
+    a pipe or device works as a target. No field needs CSV quoting: the
+    headers are plain names and every value a number."""
     lines = [",".join(TRACE_HEADER + (extra_header or []))]
     for i, row in enumerate(rows):
         line = f"{row.k},{row.objective!r},{row.r_norm!r},{row.s_norm!r},{row.rho!r}"
         if extra_cols is not None:
             line += "".join(f",{float(v)!r}" for v in extra_cols[i])
         lines.append(line)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textfile.write_lines(path, lines)
 
 
 def _int_at_least(minimum: int):

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import inner
+from . import inner, textfile
 from .engine import RhoSchedule, SolveResult, StopCriteria, iterate
 from .inner import lasso_active_set
 from .terms import CompositeObjective, ProxTerm
@@ -103,14 +103,15 @@ class BagDataset:
 
 def save_bags_csv(path, data: BagDataset) -> None:
     """Write the bag_id,label,f1..fp instance-per-row format, one ``repr``
-    per value and LF line ends, built as one string and written at once,
-    as ``cli.write_trace`` writes a trace. No field needs CSV quoting."""
+    per value and LF line ends, through ``textfile.write_lines`` as
+    ``cli.write_trace`` writes a trace: an existing file is overwritten in
+    place and cut to length, keeping its inode and mode. No field needs CSV
+    quoting."""
     lines = [",".join(["bag_id", "label"] + [f"f{j + 1}" for j in range(data.n_features)])]
     for i, sl in enumerate(data.bag_slices()):
         bag = f"{i},{float(data.labels[i])!r}"
         lines.extend(",".join([bag, *map(repr, row)]) for row in data.X[sl].tolist())
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    textfile.write_lines(path, lines)
 
 
 def load_bags_csv(path) -> BagDataset:

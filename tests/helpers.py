@@ -203,6 +203,11 @@ def lasso_cd_oracle(Q: np.ndarray, c: np.ndarray, lam: float,
     raise RuntimeError("coordinate descent did not converge")
 
 
+def lasso_value(G: np.ndarray, c: np.ndarray, mu: float, x: np.ndarray) -> float:
+    """(1/2) x'Gx - c'x + mu ||x||_1."""
+    return 0.5 * float(x @ G @ x) - float(c @ x) + mu * float(np.abs(x).sum())
+
+
 def lasso_brute_force(G: np.ndarray, c: np.ndarray, mu: float) -> np.ndarray:
     """argmin_x (1/2) x'Gx - c'x + mu ||x||_1 for symmetric positive definite
     G and p <= 5, by enumeration: for each of the 3^p sign patterns theta,
@@ -221,7 +226,7 @@ def lasso_brute_force(G: np.ndarray, c: np.ndarray, mu: float) -> np.ndarray:
         x[support] = np.linalg.solve(G[np.ix_(support, support)],
                                      c[support] - mu * theta[support])
         if np.array_equal(np.sign(x), theta):
-            value = 0.5 * float(x @ G @ x) - float(c @ x) + mu * float(np.abs(x).sum())
+            value = lasso_value(G, c, mu, x)
             if value < best_value:
                 best, best_value = x, value
     return best

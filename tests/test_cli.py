@@ -1,6 +1,8 @@
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -17,6 +19,12 @@ def default_bags(tmp_path_factory):
     path = tmp_path_factory.mktemp("bags") / "default_bags.csv"
     maxop.save_bags_csv(path, datagen.generate_bags(20, 5, 4, 0)[0])
     return path
+
+
+def _rows(n):
+    """``n`` trace rows whose fields have reprs of varied lengths."""
+    return [TraceRow(k=k, objective=1.0 / (k + 3), r_norm=10.0 ** -k,
+                     s_norm=2.0 ** -k, rho=1.0 + 0.01 * k) for k in range(n)]
 
 
 class TestTraceCsv:
@@ -46,6 +54,94 @@ class TestTraceCsv:
         cli.write_trace(path, [TraceRow(0, 1.0, 1.0, 1.0, 1.0)])
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+    @pytest.mark.parametrize("first, second", [(40, 3), (3, 40)],
+                             ids=["long-then-short", "short-then-long"])
+    def test_overwrite_matches_fresh_write(self, tmp_path, first, second):
+        """A trace written over an existing one has the bytes of a fresh
+        write, whether the old file was longer or shorter."""
+        path, fresh = tmp_path / "trace.csv", tmp_path / "fresh.csv"
+        cli.write_trace(path, _rows(first))
+        cli.write_trace(path, _rows(second))
+        cli.write_trace(fresh, _rows(second))
+        assert path.read_bytes() == fresh.read_bytes()
+
+
+_WRITERS = {
+    "trace": lambda path: cli.write_trace(path, _rows(40)),
+    "bags": lambda path: maxop.save_bags_csv(path, datagen.generate_bags(6, 3, 3, 0)[0]),
+}
+
+
+class TestOutputInPlace:
+    """Both CSV writers overwrite an existing file in place, create a new
+    one as ``open(path, "w")`` would, and write to a pipe or a device."""
+
+    def test_pipe_gets_the_whole_trace(self, tmp_path):
+        """Through /dev/fd/N of a pipe's read end, which opens a new write
+        end of that pipe. The trace is larger than a pipe's buffer, so it
+        goes through in several partial writes while a thread drains it."""
+        rows = _rows(2000)
+        fresh = tmp_path / "fresh.csv"
+        cli.write_trace(fresh, rows)
+        assert fresh.stat().st_size > 2 ** 16  # a pipe buffer holds 64 KiB
+        r, w = os.pipe()
+        chunks = []
+
+        def drain():
+            while chunk := os.read(r, 1 << 16):
+                chunks.append(chunk)
+
+        reader = threading.Thread(target=drain)
+        reader.start()
+        try:
+            cli.write_trace(f"/dev/fd/{r}", rows)
+        finally:
+            os.close(w)
+            reader.join(timeout=60)
+        assert not reader.is_alive()
+        os.close(r)
+        assert b"".join(chunks) == fresh.read_bytes()
+
+    def test_device_target(self):
+        """/dev/null can seek but not be truncated: nothing raises."""
+        cli.write_trace("/dev/null", _rows(3))
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_new_file_mode_follows_umask(self, tmp_path, writer):
+        path = tmp_path / "out.csv"
+        old = os.umask(0o027)
+        try:
+            _WRITERS[writer](path)
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(path.stat().st_mode) == 0o640
+
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_existing_file_keeps_inode_and_mode(self, tmp_path, writer):
+        path, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        path.write_bytes(b"x" * 100_000)
+        path.chmod(0o600)
+        before = path.stat()
+        _WRITERS[writer](path)
+        _WRITERS[writer](fresh)
+        after = path.stat()
+        assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o600)
+        assert path.read_bytes() == fresh.read_bytes()
+
+    def test_read_only_output_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "trace.csv"
+        path.write_text("old\n")
+        path.chmod(0o444)
+        if os.access(path, os.W_OK):
+            pytest.skip("this user may write to a file of mode 0o444")
+        assert cli.main(["example1", "--max-iter", "3", "--output", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert path.read_text() == "old\n"
+
+    def test_directory_output_exit_1(self, tmp_path, capsys):
+        assert cli.main(["example1", "--max-iter", "3", "--output", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestUsageErrors:

@@ -8,6 +8,7 @@ from helpers import (
     bag_subproblem_value,
     lasso_brute_force,
     lasso_cd_oracle,
+    lasso_value,
     maxop_reference,
 )
 from nladmm import datagen, inner, maxop, sphere, terms
@@ -172,6 +173,18 @@ class TestBagDataset:
         assert np.array_equal(loaded.labels, data.labels)
         assert np.array_equal(loaded.X, data.X)
         assert np.array_equal(loaded.offsets, data.offsets)
+
+    @pytest.mark.parametrize("first, second", [(30, 3), (3, 30)],
+                             ids=["long-then-short", "short-then-long"])
+    def test_csv_overwrite_matches_fresh_write(self, tmp_path, first, second):
+        """A bag file written over an existing one has the bytes of a fresh
+        write, whether the old file was longer or shorter."""
+        path, fresh = tmp_path / "bags.csv", tmp_path / "fresh.csv"
+        maxop.save_bags_csv(path, datagen.generate_bags(first, 4, 3, seed=2)[0])
+        data, _ = datagen.generate_bags(second, 4, 3, seed=3)
+        maxop.save_bags_csv(path, data)
+        maxop.save_bags_csv(fresh, data)
+        assert path.read_bytes() == fresh.read_bytes()
 
     @pytest.mark.parametrize("column, text, message", [
         (2, "nan", "non-finite"), (3, "-inf", "non-finite"),
@@ -634,7 +647,16 @@ class TestRankDeficientBeta:
         every feature is zero. With and without the active-set cache, cold
         and warm. An active block as ill-conditioned as X'X is solved, not
         inverted: a product with its inverse lies up to 8e-7 (relative)
-        off the enumeration's solve on these bags."""
+        off the enumeration's solve on these bags.
+
+        The points agree to 1e-9 because both run the same solve on the
+        same block; G's condition number, about 1e10, fixes beta only to
+        about 1e-6. So the objective values are compared too, at a
+        tolerance from that conditioning: a backward-stable solve of an
+        active block is off by at most about p eps cond(G) ||beta|| (p = 3
+        features), which raises the objective by at most lambda_max(G)/2
+        times its square, and evaluating the objective rounds each of its
+        terms by about p eps."""
         rng = np.random.default_rng(23)
         for trial in range(20):
             data = _rank_deficient(kind, seed=trial)
@@ -651,10 +673,18 @@ class TestRankDeficientBeta:
             if kind == "all-zero":
                 beta0 = rng.standard_normal(3) * 1e9
             beta = _beta_three_ways(l1_term(lam), data, t, y2, rho, beta0)
-            oracle = lasso_brute_force(X.T @ X + delta * np.eye(3),
-                                       X.T @ (t + y2 / rho) + delta * beta0, lam / rho)
+            G_full = X.T @ X + delta * np.eye(3)
+            c = X.T @ (t + y2 / rho) + delta * beta0
+            oracle = lasso_brute_force(G_full, c, lam / rho)
             assert np.allclose(beta, oracle, rtol=1e-9, atol=1e-10)
             assert np.array_equal(beta == 0.0, oracle == 0.0)
+            eig = np.linalg.eigvalsh(G_full)
+            eps = 3 * np.finfo(float).eps
+            error = eps * eig[-1] / eig[0] * np.linalg.norm(oracle)
+            sizes = (eig[-1] * float(oracle @ oracle) + float(np.abs(c) @ np.abs(oracle))
+                     + lam / rho * float(np.abs(oracle).sum()))
+            gap = lasso_value(G_full, c, lam / rho, beta) - lasso_value(G_full, c, lam / rho, oracle)
+            assert abs(gap) <= 0.5 * eig[-1] * error ** 2 + eps * sizes
 
     def test_full_rank_gram_has_no_proximal_term(self):
         data, _ = datagen.generate_bags(8, 3, 3, seed=6)
