@@ -6,13 +6,14 @@ Every solve runs at rho_k = rho0 + k * delta, set by ``--rho0`` and
 from ``--input``, a CSV as ``generate-bags`` writes it.
 
 Exit codes: 0 when the solve converged, 2 when it hit the iteration cap,
-1 on any error; bad flags exit with 64.
+1 on any error (quietly on a closed stdout); bad flags exit with 64.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from typing import List, Optional, Sequence
 
@@ -234,7 +235,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "generate-bags": _run_generate_bags,
     }
     try:
-        return handlers[args.subcommand](args)
+        code = handlers[args.subcommand](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout: end quietly, with fd 1 on devnull so that
+        # the interpreter's flush at exit has nothing left to fail on.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
     except SolverError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)
         return EXIT_ERROR

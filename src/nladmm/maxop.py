@@ -175,31 +175,27 @@ class MaxOpState:
                    y2=np.zeros(n_inst), rho=rho)
 
 
-def update_q(loss: CompositeObjective, tmax: np.ndarray, y1: np.ndarray,
+def update_q(loss: CompositeObjective, tmax: np.ndarray, y1_rho: np.ndarray,
              rho: float, q0: np.ndarray, slope: np.ndarray | None = None) -> np.ndarray:
-    """argmin_q loss(q) + (rho/2)||q - tmax + y1/rho||^2, where tmax holds
-    the bag maxima of t (``data.bag_max(t)``): the declared prox of the
-    loss's smooth part, warm-started at q0. For the logistic loss that is
-    one monotone Newton root per bag. An array ``slope`` is handed to the
-    prox, which writes the slopes its Newton steps ended on into it."""
-    center = tmax - y1 / rho
-    if slope is None:
-        return loss.smooth.prox(center, rho, q0)
-    return loss.smooth.prox(center, rho, q0, slope)
+    """argmin_q loss(q) + (rho/2)||q - tmax + y1/rho||^2, with tmax the bag
+    maxima of t (``data.bag_max(t)``) and y1_rho = y1/rho: the declared prox
+    of the loss's smooth part, warm-started at q0 and handed ``slope`` as it
+    is; for the logistic loss one monotone Newton root per bag."""
+    return loss.smooth.prox(tmax - y1_rho, rho, q0, slope)
 
 
 def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
-                y2: np.ndarray, rho: float, beta0: np.ndarray,
+                y2_rho: np.ndarray, rho: float, beta0: np.ndarray,
                 factors: dict | None = None) -> np.ndarray:
     """argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2
-    + (rho delta/2)||beta - beta0||^2 for reg = lam ||.||_1, where
-    (X'X + delta I, delta) = ``data.gram``: a strongly convex lasso for any
-    X, solved exactly by ``lasso_active_set`` from beta0. delta = 0 on
-    full-rank X; on rank-deficient X the proximal term is that of nonconvex
-    proximal ADMM (Li & Pong 2015). ``factors`` is the active-set cache of
-    ``lasso_active_set`` for ``data.gram``."""
+    + (rho delta/2)||beta - beta0||^2 for reg = lam ||.||_1, with y2_rho
+    = y2/rho and (X'X + delta I, delta) = ``data.gram``: a strongly convex
+    lasso for any X, solved exactly by ``lasso_active_set`` from beta0.
+    delta = 0 on full-rank X; on rank-deficient X the proximal term is that
+    of nonconvex proximal ADMM (Li & Pong 2015). ``factors`` is the
+    active-set cache of ``lasso_active_set`` for ``data.gram``."""
     G, delta = data.gram
-    c = data.X.T @ (t + y2 / rho)
+    c = data.X.T @ (t + y2_rho)
     if delta > 0.0:
         c = c + delta * beta0
     return lasso_active_set(G, c, reg.l1_weight / rho, beta0, factors)
@@ -284,9 +280,10 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
                 init: MaxOpState, schedule: RhoSchedule,
                 stop: StopCriteria) -> SolveResult:
     """Cycle q (the loss's declared prox, exact per bag), beta (an exact
-    lasso solve, with a proximal term on rank-deficient X), t (exact per
-    bag, all bags in one pass), then the two dual ascent steps, with
-    combined residual norms.
+    lasso solve in reg's l1 weight, with a proximal term on rank-deficient
+    X), t (exact per bag, all bags in one pass), then the two dual ascent
+    steps, with combined residual norms. The q-block forms y1/rho and
+    y2/rho once per iteration for all three blocks.
 
     Each q-prox after the first starts one Newton step on its equation
     from the last root q, whose residual there needs no exp:
@@ -294,21 +291,16 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     and c_old the new and the last center (rho c = rho tmax - y1) and s the
     slope the last prox ended on; at q itself where that is not finite.
     The beta-block keeps its active-set inverses in a dict for this solve.
-
-    The loss must declare its prox and have a zero nonsmooth part, and
-    reg must declare its l1 weight; otherwise ValueError is raised before
-    any iteration."""
+    The loss must declare its prox and have a zero nonsmooth part;
+    otherwise ValueError is raised before any iteration."""
     if loss.smooth.prox is None or loss.nonsmooth.l1_weight != 0.0:
         raise ValueError("the q-block needs a loss that declares its prox, "
                          "with a zero nonsmooth part")
-    if reg.l1_weight is None:
-        raise ValueError("the beta-block needs a regularizer that declares its l1 weight")
-    # The t-block hands back the bag maxima of its t: tmax at the current
-    # t, tmax_old at the previous one; bag_max runs only on the initial t.
-    # The t-block also keeps the t it replaces, t_old, for the dual norm.
-    # X beta is formed once, in the t-block, and the y2 residual reuses it.
+    # The t-block keeps the t it replaces, t_old, and hands back the bag
+    # maxima of its t: tmax now, tmax_old before; bag_max runs only on the
+    # initial t. It forms X beta once, and the y2 residual reuses it.
     tmax = data.bag_max(np.asarray(init.t, dtype=float))
-    tmax_old = t_old = xbeta = None
+    tmax_old = t_old = xbeta = y1_rho = y2_rho = None
     # rho never falls, so the q-block's denominator is at least rho_old > 0;
     # iterate's errstate keeps an overflow quiet. A slope the prox does not
     # write stays NaN and gives no guess.
@@ -317,25 +309,26 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     factors = {}
 
     def q_block(s, rho):
-        nonlocal scaled, rho_old
+        nonlocal scaled, rho_old, y1_rho, y2_rho
+        y1_rho, y2_rho = s.y1 / rho, s.y2 / rho
         q0, scaled_old, scaled = s.q, scaled, rho * tmax - s.y1
         if scaled_old is not None:
             grow = rho - rho_old
             guess = q0 + (scaled - scaled_old - grow * q0) / (slope + grow)
-            q0 = guess if np.isfinite(guess).all() else np.where(np.isfinite(guess), guess, q0)
+            q0 = np.where(np.isfinite(guess), guess, q0)
         rho_old = rho
-        return update_q(loss, tmax, s.y1, rho, q0, slope)
+        return update_q(loss, tmax, y1_rho, rho, q0, slope)
 
     def update_t(s, rho):
         nonlocal xbeta, tmax, tmax_old, t_old
         t_old, xbeta = s.t, data.X @ s.beta
-        t, new_max = t_update_bags(data, s.q + s.y1 / rho, xbeta - s.y2 / rho)
+        t, new_max = t_update_bags(data, s.q + y1_rho, xbeta - y2_rho)
         tmax_old, tmax = tmax, new_max
         return t
 
     blocks = [
         ("q", q_block),
-        ("beta", lambda s, rho: update_beta(reg, data, s.t, s.y2, rho, s.beta, factors)),
+        ("beta", lambda s, rho: update_beta(reg, data, s.t, y2_rho, rho, s.beta, factors)),
         ("t", update_t),
     ]
     constraints = [("y1", lambda s: s.q - tmax), ("y2", lambda s: s.t - xbeta)]

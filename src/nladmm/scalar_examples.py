@@ -66,20 +66,28 @@ def _square_constraint(offset: float) -> ConstraintTerm:
     )
 
 
+def _example(which: str):
+    """(constraint term, block update, g, (x*, y*, p*)) of one example, built
+    per call so that a wrapper set on a block update's module name is seen."""
+    examples = {
+        EXAMPLE_SQRT: (_sqrt_constraint, example1_block_update,
+                       lambda v: math.sqrt(max(v, 0.0)), (0.25, -1.0, 0.5)),
+        # The saddle dual maximizes -y - 1/(2y) over y > 0, i.e. y* = +sqrt(2)/2.
+        EXAMPLE_CIRCLE: (_square_constraint, example2_block_update, lambda v: v ** 2,
+                         (-math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0, -math.sqrt(2.0))),
+    }
+    if which not in examples:
+        raise ValueError(f"unknown example {which!r}")
+    return examples[which]
+
+
 def build_example(which: str) -> Problem:
     """Assemble the generic-problem description with exact block solvers.
 
     Both examples have f1 = g and f2 = g - 1 for one scalar map g, so each
     block minimizes x + (rho/2)(g(x) + c)^2 with c = g(other) - 1 + y/rho.
     """
-    if which == EXAMPLE_SQRT:
-        term, update = _sqrt_constraint, example1_block_update
-        g = lambda v: math.sqrt(max(v, 0.0))
-    elif which == EXAMPLE_CIRCLE:
-        term, update = _square_constraint, example2_block_update
-        g = lambda v: v ** 2
-    else:
-        raise ValueError(f"unknown example {which!r}")
+    term, update, g, _ = _example(which)
 
     def solve_x1(x1, x2, y, rho):
         return np.array([update(g(float(x2[0])) - 1.0 + float(y[0]) / rho, rho)])
@@ -93,13 +101,7 @@ def build_example(which: str) -> Problem:
 
 
 def example_reference(which: str) -> OptimumReference:
-    if which == EXAMPLE_SQRT:
-        x, y, p = 0.25, -1.0, 0.5
-    elif which == EXAMPLE_CIRCLE:
-        # The saddle dual maximizes -y - 1/(2y) over y > 0, i.e. y* = +sqrt(2)/2.
-        x, y, p = -math.sqrt(2.0) / 2.0, math.sqrt(2.0) / 2.0, -math.sqrt(2.0)
-    else:
-        raise ValueError(f"unknown example {which!r}")
+    x, y, p = _example(which)[3]
     return OptimumReference(x1_star=np.array([x]), x2_star=np.array([x]),
                             y_star=np.array([y]), p_star=p)
 

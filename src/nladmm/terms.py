@@ -1,9 +1,9 @@
 """Objective and constraint building blocks.
 
 Vectors are plain 1-D numpy float arrays. Objective terms come in two
-flavors: smooth (value + gradient) and prox-friendly (value + proximal
-map). Constraint maps carry a Jacobian; at kinks the Jacobian callable
-must return one designated subgradient element.
+flavors: smooth (value + gradient, and a prox when known) and the l1 term
+lam * ||.||_1 with its shrinkage prox. Constraint maps carry a Jacobian; at
+kinks the Jacobian callable must return one designated subgradient element.
 """
 
 from __future__ import annotations
@@ -19,12 +19,10 @@ from .errors import SubproblemFailure
 
 @dataclass(frozen=True)
 class SmoothTerm:
-    """``prox``, when known, is the exact map prox(center, rho, x0) =
-    argmin_x f(x) + (rho/2)||x - center||^2, warm-started at x0.
-    ``maxop_solve`` passes a fourth argument, an array ``slope``: a prox
-    that solves f'(x) + rho (x - center) = 0 by Newton's method writes into
-    it the slope f''(x) + rho its steps ended on, and one that does not
-    leaves it as it is."""
+    """``prox``, when known, is the exact map prox(center, rho, x0, slope) =
+    argmin_x f(x) + (rho/2)||x - center||^2, warm-started at x0. Given an
+    array ``slope`` (or None), a prox that solves f'(x) + rho (x - center) = 0
+    by Newton's method writes into it the slope f''(x) + rho it ended on."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]
@@ -33,12 +31,21 @@ class SmoothTerm:
 
 @dataclass(frozen=True)
 class ProxTerm:
-    """``l1_weight`` declares the term to be l1_weight * ||.||_1 (0.0 for
-    the zero term), which lets a caller solve a lasso exactly."""
+    """l1_weight * ||.||_1 for a finite l1_weight >= 0 (the zero term at 0),
+    with its exact shrinkage prox; the weight is all a lasso solve needs."""
 
-    value: Callable[[np.ndarray], float]
-    prox: Callable[[np.ndarray, float], np.ndarray]
     l1_weight: float
+
+    def __post_init__(self):
+        lam = self.l1_weight
+        if not (math.isfinite(lam) and lam >= 0):
+            raise ValueError(f"l1 weight must be finite and nonnegative, got {lam}")
+
+    def value(self, x: np.ndarray) -> float:
+        return 0.0 if self.l1_weight == 0.0 else self.l1_weight * float(np.abs(x).sum())
+
+    def prox(self, v: np.ndarray, step: float) -> np.ndarray:
+        return v if self.l1_weight == 0.0 else soft_threshold(v, self.l1_weight * step)
 
 
 @dataclass(frozen=True)
@@ -51,7 +58,7 @@ class ConstraintTerm:
 
 @dataclass(frozen=True)
 class CompositeObjective:
-    """Smooth part plus prox-friendly part, both over the same dimension."""
+    """Smooth part plus l1 part, both over the same dimension."""
 
     smooth: SmoothTerm
     nonsmooth: ProxTerm
@@ -65,18 +72,11 @@ def soft_threshold(v: np.ndarray, thresh: float) -> np.ndarray:
 
 
 def zero_prox() -> ProxTerm:
-    return ProxTerm(value=lambda x: 0.0, prox=lambda v, step: v, l1_weight=0.0)
+    return ProxTerm(0.0)
 
 
 def l1_term(lam: float = 1.0) -> ProxTerm:
-    """lam * ||.||_1 with its exact shrinkage prox."""
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"l1 weight must be finite and nonnegative, got {lam}")
-    return ProxTerm(
-        value=lambda x: lam * float(np.abs(x).sum()),
-        prox=lambda v, step: soft_threshold(v, lam * step),
-        l1_weight=lam,
-    )
+    return ProxTerm(lam)
 
 
 def _sigmoid_halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,11 +118,8 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
     - ln(rho (d - u)), which is nearly linear there, so the climb takes a
     few steps, not about ln(1/rho). There |g''| <= g', so the stopping test
     holds for these steps as well. More than 100 steps, or a non-finite
-    center, start or d - 1/rho, raise SubproblemFailure.
-
-    Given an array ``slope``, the prox writes into it sigmoid'(q) + rho at
-    each coordinate's last Newton point, for ``maxop_solve`` to predict the
-    next root from."""
+    center, start or d - 1/rho, raise SubproblemFailure. An array ``slope``
+    gets sigmoid'(q) + rho at each coordinate's last Newton point."""
     y = np.asarray(labels, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logistic loss labels must be 0 or 1")

@@ -21,6 +21,14 @@ def default_bags(tmp_path_factory):
     return path
 
 
+def _package_env():
+    """The environment with this checkout's package first on PYTHONPATH,
+    for the CLI in a child process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
+
+
 def _rows(n):
     """``n`` trace rows whose fields have reprs of varied lengths."""
     return [TraceRow(k=k, objective=1.0 / (k + 3), r_norm=10.0 ** -k,
@@ -293,6 +301,24 @@ class TestExampleSubcommands:
         assert err.startswith("error: solver failed:") and "overflows" in err
         assert "x1 block update: cubic" in err
 
+    @pytest.mark.parametrize("args", [["example1"], ["example1", "--output", "/dev/stdout"]],
+                             ids=["summary", "trace"])
+    def test_closed_stdout_ends_quietly(self, args):
+        """stdout is a pipe whose read end is closed before the CLI starts:
+        the first write breaks the pipe, and the CLI exits 1 with nothing on
+        stderr, neither an error line nor the interpreter's own report of a
+        failed flush at exit."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "nladmm.cli", *args],
+                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+                                  env=_package_env())
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert proc.stderr == b""
+
 
 class TestOnebitSubcommand:
     def test_small_run(self, tmp_path, capsys):
@@ -449,13 +475,10 @@ class TestBagSubcommands:
         fields[2] = "nan"
         lines[7] = ",".join(fields)
         data.write_text("\n".join(lines) + "\n")
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
         proc = subprocess.run(
             [sys.executable, "-m", "nladmm.cli", "multi-instance",
              "--input", str(data), "--max-iter", "5"],
-            capture_output=True, text=True, timeout=60, env=env)
+            capture_output=True, text=True, timeout=60, env=_package_env())
         assert proc.returncode == 1
         assert "line 8: non-finite feature value" in proc.stderr
 

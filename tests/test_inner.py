@@ -362,16 +362,38 @@ class TestDeclaredLipschitz:
 
 
 class TestL1Term:
-    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0, -math.inf, None])
     def test_l1_weight_validated(self, lam):
-        with pytest.raises(ValueError, match="l1 weight must be finite and nonnegative"):
-            l1_term(lam)
+        """``ProxTerm`` checks its weight, the whole term, as ``l1_term``
+        does; a non-number raises too."""
+        error, match = ((TypeError, None) if lam is None
+                        else (ValueError, "l1 weight must be finite and nonnegative"))
+        for make in (l1_term, ProxTerm):
+            with pytest.raises(error, match=match):
+                make(lam)
 
     def test_l1_weight_zero_allowed(self):
+        """At weight 0 the value is exactly 0.0 and reads nothing of x, so it
+        takes no array work; the prox is the identity."""
         assert l1_term(0.0).value(np.array([1.0, -2.0])) == 0.0
+        assert zero_prox() == ProxTerm(0.0)
+        value = zero_prox().value(np.array([1.0, -2.0]))
+        assert value == 0.0 and type(value) is float
+        assert zero_prox().value(None) == 0.0
+        v = np.array([-0.0, 1.5, -2.0])
+        assert zero_prox().prox(v, 3.0) is v
 
     def test_declared_l1_weight(self):
         assert l1_term(0.7).l1_weight == 0.7
         assert zero_prox().l1_weight == 0.0
         with pytest.raises(TypeError, match="l1_weight"):
-            ProxTerm(value=lambda x: 0.0, prox=lambda v, step: v)
+            ProxTerm()
+
+    @pytest.mark.parametrize("lam", [0.3, 1.0, 7.5])
+    def test_l1_term_is_soft_threshold(self, lam):
+        """Value and prox of the l1 term, bit for bit, at weights above 0."""
+        rng = np.random.default_rng(12)
+        for step in (1e-3, 0.5, 2.0):
+            v = rng.standard_normal(9) * 3.0
+            assert l1_term(lam).prox(v, step).tobytes() == soft_threshold(v, lam * step).tobytes()
+            assert l1_term(lam).value(v) == lam * float(np.abs(v).sum())

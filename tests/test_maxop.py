@@ -16,7 +16,6 @@ from nladmm.engine import RhoSchedule, StopCriteria
 from nladmm.errors import SubproblemFailure
 from nladmm.terms import (
     CompositeObjective,
-    ProxTerm,
     SmoothTerm,
     l1_term,
     logistic_loss,
@@ -45,10 +44,10 @@ def _beta_three_ways(reg, data, t, y2, rho, beta0):
     """``update_beta`` with no active-set cache, then through one twice:
     cold, with a fresh dict, and warm, with the dict the cold call filled.
     The three agree bit for bit; returns the cold result."""
-    plain = maxop.update_beta(reg, data, t, y2, rho, beta0)
+    plain = maxop.update_beta(reg, data, t, y2 / rho, rho, beta0)
     factors = {}
-    cold = maxop.update_beta(reg, data, t, y2, rho, beta0, factors)
-    warm = maxop.update_beta(reg, data, t, y2, rho, beta0, factors)
+    cold = maxop.update_beta(reg, data, t, y2 / rho, rho, beta0, factors)
+    warm = maxop.update_beta(reg, data, t, y2 / rho, rho, beta0, factors)
     assert plain.tobytes() == cold.tobytes() == warm.tobytes()
     return cold
 
@@ -226,10 +225,11 @@ class TestBlockUpdates:
     def test_update_q_zero_loss_returns_center(self):
         data = maxop.BagDataset.from_bags([1.0], [np.eye(2)])
         zero = CompositeObjective(SmoothTerm(value=lambda q: 0.0, gradient=np.zeros_like,
-                                             prox=lambda center, rho, q0: center), zero_prox())
+                                             prox=lambda center, rho, q0, slope: center),
+                                  zero_prox())
         t = np.array([2.0, 5.0])
         y1 = np.array([1.0])
-        q = maxop.update_q(zero, data.bag_max(t), y1, rho=2.0, q0=np.zeros(1))
+        q = maxop.update_q(zero, data.bag_max(t), y1 / 2.0, rho=2.0, q0=np.zeros(1))
         assert q[0] == pytest.approx(5.0 - 0.5, abs=1e-8)
 
     @staticmethod
@@ -254,7 +254,7 @@ class TestBlockUpdates:
         prox, and reaches the per-bag root."""
         data, t, y1, rho = self._q_subproblem()
         loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-        q = maxop.update_q(loss, data.bag_max(t), y1, rho, np.zeros(data.n_bags))
+        q = maxop.update_q(loss, data.bag_max(t), y1 / rho, rho, np.zeros(data.n_bags))
         oracle = self._q_oracle(data, t, y1, rho)
         assert np.all(np.abs(q - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
@@ -271,7 +271,7 @@ class TestBlockUpdates:
               "near": oracle + 1e-3 * rng.standard_normal(data.n_bags),
               "far": np.full(data.n_bags, 1e6)}[start]
         loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-        q = maxop.update_q(loss, data.bag_max(t), y1, rho, q0)
+        q = maxop.update_q(loss, data.bag_max(t), y1 / rho, rho, q0)
         assert np.all(np.abs(q - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
     def test_logistic_prox_step_bound_raises(self, monkeypatch):
@@ -452,22 +452,16 @@ class TestMaxopSolve:
         assert trace[-1].objective == pytest.approx(
             loss.value(state.q) + reg.value(state.beta))
 
-    @pytest.mark.parametrize("case", ["nonsmooth-loss", "undeclared-l1-weight"])
+    @pytest.mark.parametrize("case", ["nonsmooth-loss"])
     def test_rejects_undeclared_terms(self, case, monkeypatch):
-        """A loss with a non-zero nonsmooth part, or a regularizer that does
-        not declare its l1 weight, has no exact block: the solve raises
-        before its first iteration."""
+        """A loss with a non-zero nonsmooth part has no exact q-block: the
+        solve raises before its first iteration. (Every regularizer declares
+        its l1 weight, as ``ProxTerm`` is nothing else.)"""
         monkeypatch.setattr(maxop, "iterate", _no_iteration)
         data, _ = datagen.generate_bags(8, 3, 3, seed=6)
-        nonsmooth, reg, message = {
-            "nonsmooth-loss": (l1_term(0.05), l1_term(1.0), "zero nonsmooth part"),
-            "undeclared-l1-weight": (zero_prox(), ProxTerm(value=l1_term(1.0).value,
-                                                           prox=l1_term(1.0).prox,
-                                                           l1_weight=None),
-                                     "declares its l1 weight")}[case]
-        loss = CompositeObjective(logistic_loss(data.labels), nonsmooth)
-        with pytest.raises(ValueError, match=message):
-            maxop.maxop_solve(data, loss, reg, maxop.MaxOpState.zeros(data, 0.1),
+        loss = CompositeObjective(logistic_loss(data.labels), l1_term(0.05))
+        with pytest.raises(ValueError, match="zero nonsmooth part"):
+            maxop.maxop_solve(data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
                               RhoSchedule.constant(0.1), StopCriteria(max_iter=5))
 
     def test_bag_max_once_per_iteration(self, monkeypatch):

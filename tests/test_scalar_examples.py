@@ -24,8 +24,9 @@ class TestKnownOptima:
         assert p.y_star[0] == pytest.approx(math.sqrt(2.0) / 2.0)
 
     def test_unknown_name(self):
-        with pytest.raises(ValueError):
-            se.example_reference("example3")
+        for lookup in (se.example_reference, se.build_example):
+            with pytest.raises(ValueError, match="unknown example 'example3'"):
+                lookup("example3")
 
     @pytest.mark.parametrize("which", [se.EXAMPLE_SQRT, se.EXAMPLE_CIRCLE])
     def test_references_feasible(self, which):
