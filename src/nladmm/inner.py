@@ -4,6 +4,7 @@ solver for small lassos, and a real-root cubic solver."""
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from numbers import Integral, Real
 from typing import List
@@ -186,9 +187,10 @@ def cubic_real_roots(p: float, q: float) -> List[float]:
     Uses the closed form (trigonometric branch when all three roots are
     real) followed by a Newton polish per root. Each branch lists its roots
     in ascending order, so nothing is sorted or merged afterwards, and
-    distinct roots are all returned however close to zero they lie. A
-    discriminant that overflows or is NaN raises SubproblemFailure naming
-    (p, q).
+    distinct roots are all returned however close to zero they lie, also
+    where the discriminant's scale underflows: the cubic is then solved at
+    an exact power-of-two scale. A discriminant that overflows or is NaN
+    raises SubproblemFailure naming (p, q).
     """
     try:
         disc = (q / 2.0) ** 2 + (p / 3.0) ** 3
@@ -200,6 +202,10 @@ def cubic_real_roots(p: float, q: float) -> List[float]:
     if not math.isfinite(scale):
         raise SubproblemFailure(f"cubic t^3 + p*t + q with (p, q) = ({p!r}, {q!r}): "
                                 "the discriminant overflows or is NaN")
+    if scale < sys.float_info.min and (p != 0.0 or q != 0.0):
+        e = math.frexp(max(math.sqrt(abs(p)), _cbrt(abs(q))))[1]
+        roots = cubic_real_roots(math.ldexp(p, -2 * e), math.ldexp(q, -3 * e))
+        return [math.ldexp(r, e) for r in roots]
     if abs(disc) <= 1e-12 * scale:
         # A triple root, or a simple root 3q/p and a double root -3q/(2p),
         # which have opposite signs.

@@ -14,6 +14,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -175,20 +176,20 @@ class MaxOpState:
                    y2=np.zeros(n_inst), rho=rho)
 
 
-def update_q(loss: CompositeObjective, tmax: np.ndarray, y1_rho: np.ndarray,
+def update_q(prox: Callable[..., np.ndarray], tmax: np.ndarray, y1_rho: np.ndarray,
              rho: float, q0: np.ndarray, slope: np.ndarray | None = None) -> np.ndarray:
     """argmin_q loss(q) + (rho/2)||q - tmax + y1/rho||^2, with tmax the bag
-    maxima of t (``data.bag_max(t)``) and y1_rho = y1/rho: the declared prox
-    of the loss's smooth part, warm-started at q0 and handed ``slope`` as it
-    is; for the logistic loss one monotone Newton root per bag."""
-    return loss.smooth.prox(tmax - y1_rho, rho, q0, slope)
+    maxima of t (``data.bag_max(t)``) and y1_rho = y1/rho: the loss's exact
+    ``prox``, warm-started at q0 and handed ``slope`` as it is; for the
+    logistic loss one monotone Newton root per bag."""
+    return prox(tmax - y1_rho, rho, q0, slope)
 
 
-def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
+def update_beta(lam: float, data: BagDataset, t: np.ndarray,
                 y2_rho: np.ndarray, rho: float, beta0: np.ndarray,
                 factors: dict | None = None) -> np.ndarray:
-    """argmin_beta reg(beta) + (rho/2)||t - X beta + y2/rho||^2
-    + (rho delta/2)||beta - beta0||^2 for reg = lam ||.||_1, with y2_rho
+    """argmin_beta lam ||beta||_1 + (rho/2)||t - X beta + y2/rho||^2
+    + (rho delta/2)||beta - beta0||^2 for the l1 weight lam >= 0, with y2_rho
     = y2/rho and (X'X + delta I, delta) = ``data.gram``: a strongly convex
     lasso for any X, solved exactly by ``lasso_active_set`` from beta0.
     delta = 0 on full-rank X; on rank-deficient X the proximal term is that
@@ -198,7 +199,7 @@ def update_beta(reg: ProxTerm, data: BagDataset, t: np.ndarray,
     c = data.X.T @ (t + y2_rho)
     if delta > 0.0:
         c = c + delta * beta0
-    return lasso_active_set(G, c, reg.l1_weight / rho, beta0, factors)
+    return lasso_active_set(G, c, lam / rho, beta0, factors)
 
 
 def t_update_bag(psi: float, phi: np.ndarray) -> np.ndarray:
@@ -282,8 +283,10 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     """Cycle q (the loss's declared prox, exact per bag), beta (an exact
     lasso solve in reg's l1 weight, with a proximal term on rank-deficient
     X), t (exact per bag, all bags in one pass), then the two dual ascent
-    steps, with combined residual norms. The q-block forms y1/rho and
-    y2/rho once per iteration for all three blocks.
+    steps, with combined residual norms. Only this function reads the term
+    objects: the loss's prox and reg's l1 weight once, before any
+    iteration, and both terms in the objective. The q-block forms y1/rho
+    and y2/rho once per iteration for all three blocks.
 
     Each q-prox after the first starts one Newton step on its equation
     from the last root q, whose residual there needs no exp:
@@ -296,6 +299,7 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     if loss.smooth.prox is None or loss.nonsmooth.l1_weight != 0.0:
         raise ValueError("the q-block needs a loss that declares its prox, "
                          "with a zero nonsmooth part")
+    prox, lam = loss.smooth.prox, reg.l1_weight
     # The t-block keeps the t it replaces, t_old, and hands back the bag
     # maxima of its t: tmax now, tmax_old before; bag_max runs only on the
     # initial t. It forms X beta once, and the y2 residual reuses it.
@@ -317,7 +321,7 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
             guess = q0 + (scaled - scaled_old - grow * q0) / (slope + grow)
             q0 = np.where(np.isfinite(guess), guess, q0)
         rho_old = rho
-        return update_q(loss, tmax, y1_rho, rho, q0, slope)
+        return update_q(prox, tmax, y1_rho, rho, q0, slope)
 
     def update_t(s, rho):
         nonlocal xbeta, tmax, tmax_old, t_old
@@ -328,7 +332,7 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
 
     blocks = [
         ("q", q_block),
-        ("beta", lambda s, rho: update_beta(reg, data, s.t, y2_rho, rho, s.beta, factors)),
+        ("beta", lambda s, rho: update_beta(lam, data, s.t, y2_rho, rho, s.beta, factors)),
         ("t", update_t),
     ]
     constraints = [("y1", lambda s: s.q - tmax), ("y2", lambda s: s.t - xbeta)]

@@ -199,8 +199,3 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
                                 "Newton steps")
 
     return SmoothTerm(value=value, gradient=gradient, prox=prox)
-
-
-def linear_constraint(A: np.ndarray) -> ConstraintTerm:
-    A = np.asarray(A, dtype=float)
-    return ConstraintTerm(eval=lambda x: A @ x, jacobian=lambda x: A)

@@ -13,8 +13,9 @@ measures how far a point is from optimal for such a subproblem.
 block, and ``read_trace`` reads a trace CSV back. ``onebit_reference`` and
 ``maxop_reference`` run the 1-bit CS and the multi-instance iterations as
 plain loops with no engine. ``quadratic_term`` is a
-FISTA test objective, and ``diagnostics_oracle`` evaluates the diagnostics
-rows from the engine's own duals, map by map.
+FISTA test objective, ``linear_constraint`` the constraint map x -> A x,
+and ``diagnostics_oracle`` evaluates the diagnostics rows from the
+engine's own duals, map by map.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from nladmm.engine import TraceRow
 from nladmm.errors import SolverError
 from nladmm.inner import cubic_real_roots, lasso_active_set
 from nladmm.maxop import t_update_bag
-from nladmm.terms import SmoothTerm, logistic_loss
+from nladmm.terms import ConstraintTerm, SmoothTerm, logistic_loss
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GOLDEN_STEPS = 200
@@ -286,6 +287,11 @@ def quadratic_term(weight: float, center: np.ndarray) -> SmoothTerm:
     c = np.asarray(center, dtype=float)
     return SmoothTerm(value=lambda x: 0.5 * weight * float(np.dot(x - c, x - c)),
                       gradient=lambda x: weight * (x - c))
+
+
+def linear_constraint(A: np.ndarray) -> ConstraintTerm:
+    A = np.asarray(A, dtype=float)
+    return ConstraintTerm(eval=lambda x: A @ x, jacobian=lambda x: A)
 
 
 def diagnostics_oracle(trace, ref, f1, f2, x1_history, x2_history, ys) -> list:

@@ -8,6 +8,7 @@ import numpy as np
 from helpers import (
     bag_subproblem_oracle,
     bag_subproblem_value,
+    linear_constraint,
     record_duals,
     sphere_penalty_oracle,
     sphere_penalty_value,
@@ -20,7 +21,6 @@ from nladmm.terms import (
     CompositeObjective,
     ConstraintTerm,
     l1_term,
-    linear_constraint,
     logistic_loss,
     zero_prox,
 )

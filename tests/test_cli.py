@@ -190,6 +190,12 @@ class TestUsageErrors:
         sign = "nonnegative" if flag == "--rho-delta" else "positive"
         assert f"argument {flag}: must be finite and {sign}" in capsys.readouterr().err
 
+    def test_unparsable_float_flag(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["example1", "--rho0", "abc"])
+        assert e.value.code == 64
+        assert "argument --rho0: invalid float value: 'abc'" in capsys.readouterr().err
+
     def test_diagnose_with_growing_rho(self, tmp_path, capsys):
         """The diagnostics need a constant rho, so the combination is
         refused before any solve runs and no trace is written."""

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import diagnostics_oracle, record_duals, vi_sequences
+from helpers import diagnostics_oracle, linear_constraint, record_duals, vi_sequences
 from nladmm import scalar_examples as se
 from nladmm.diagnostics import (
     OptimumReference,
@@ -10,7 +10,7 @@ from nladmm.diagnostics import (
     vi_matrices,
 )
 from nladmm.engine import IterateState, RhoSchedule, SolveResult, TraceRow
-from nladmm.terms import ConstraintTerm, linear_constraint
+from nladmm.terms import ConstraintTerm
 
 
 def _identity(dim=1):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import vi_sequences
+from helpers import linear_constraint, vi_sequences
 from nladmm import datagen, engine, maxop, sphere
 from nladmm.engine import (
     IterateState,
@@ -18,7 +18,6 @@ from nladmm.terms import (
     CompositeObjective,
     ConstraintTerm,
     l1_term,
-    linear_constraint,
     logistic_loss,
     zero_prox,
 )

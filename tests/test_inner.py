@@ -69,11 +69,19 @@ class TestCubicRealRoots:
         (-3e-30, -2e-45, [-1e-15, 2e-15]),
         # Three distinct roots within 2e-13 of zero.
         (-3e-26, 1e-40, [-1.748e-13, 3.335e-15, 1.715e-13]),
+        # Below, (q/2)^2 + |p/3|^3 underflows. One real root:
+        (0.0, -1e-170, [2.1544346900318837e-57]),
+        # t (t - 1e-60)(t + 1e-60):
+        (-1e-120, 0.0, [-1e-60, 0.0, 1e-60]),
+        # p > 0, so the cubic is increasing and has one root:
+        (1e-110, 1e-170, [-9.999999999e-61]),
     ])
     def test_tiny_distinct_roots_all_returned(self, p, q, expected):
         """Roots far below 1 in size are told apart relative to their own
-        size, so none is merged into a neighbour."""
+        size, so none is merged into a neighbour, and none is lost or
+        doubled where the discriminant's scale underflows."""
         r = cubic_real_roots(p, q)
+        assert len(r) == len(expected)
         assert np.allclose(r, expected, rtol=1e-3, atol=0.0)
         size = abs(q) + abs(p) * max(map(abs, r)) + max(map(abs, r)) ** 3
         for t in r:

@@ -40,14 +40,14 @@ def _rank_deficient(kind: str, seed: int = 6) -> maxop.BagDataset:
     return maxop.BagDataset(labels=data.labels, X=X, offsets=data.offsets)
 
 
-def _beta_three_ways(reg, data, t, y2, rho, beta0):
+def _beta_three_ways(lam, data, t, y2, rho, beta0):
     """``update_beta`` with no active-set cache, then through one twice:
     cold, with a fresh dict, and warm, with the dict the cold call filled.
     The three agree bit for bit; returns the cold result."""
-    plain = maxop.update_beta(reg, data, t, y2 / rho, rho, beta0)
+    plain = maxop.update_beta(lam, data, t, y2 / rho, rho, beta0)
     factors = {}
-    cold = maxop.update_beta(reg, data, t, y2 / rho, rho, beta0, factors)
-    warm = maxop.update_beta(reg, data, t, y2 / rho, rho, beta0, factors)
+    cold = maxop.update_beta(lam, data, t, y2 / rho, rho, beta0, factors)
+    warm = maxop.update_beta(lam, data, t, y2 / rho, rho, beta0, factors)
     assert plain.tobytes() == cold.tobytes() == warm.tobytes()
     return cold
 
@@ -224,12 +224,11 @@ class TestBagDataset:
 class TestBlockUpdates:
     def test_update_q_zero_loss_returns_center(self):
         data = maxop.BagDataset.from_bags([1.0], [np.eye(2)])
-        zero = CompositeObjective(SmoothTerm(value=lambda q: 0.0, gradient=np.zeros_like,
-                                             prox=lambda center, rho, q0, slope: center),
-                                  zero_prox())
         t = np.array([2.0, 5.0])
         y1 = np.array([1.0])
-        q = maxop.update_q(zero, data.bag_max(t), y1 / 2.0, rho=2.0, q0=np.zeros(1))
+        # The prox of the zero loss returns its center.
+        q = maxop.update_q(lambda center, rho, q0, slope: center, data.bag_max(t), y1 / 2.0,
+                           rho=2.0, q0=np.zeros(1))
         assert q[0] == pytest.approx(5.0 - 0.5, abs=1e-8)
 
     @staticmethod
@@ -253,8 +252,8 @@ class TestBlockUpdates:
         """The logistic loss declares its prox, so the q-update is that
         prox, and reaches the per-bag root."""
         data, t, y1, rho = self._q_subproblem()
-        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-        q = maxop.update_q(loss, data.bag_max(t), y1 / rho, rho, np.zeros(data.n_bags))
+        prox = logistic_loss(data.labels).prox
+        q = maxop.update_q(prox, data.bag_max(t), y1 / rho, rho, np.zeros(data.n_bags))
         oracle = self._q_oracle(data, t, y1, rho)
         assert np.all(np.abs(q - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
@@ -270,8 +269,8 @@ class TestBlockUpdates:
               "center": data.bag_max(t) - y1 / rho,
               "near": oracle + 1e-3 * rng.standard_normal(data.n_bags),
               "far": np.full(data.n_bags, 1e6)}[start]
-        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-        q = maxop.update_q(loss, data.bag_max(t), y1 / rho, rho, q0)
+        prox = logistic_loss(data.labels).prox
+        q = maxop.update_q(prox, data.bag_max(t), y1 / rho, rho, q0)
         assert np.all(np.abs(q - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
     def test_logistic_prox_step_bound_raises(self, monkeypatch):
@@ -381,7 +380,7 @@ class TestBlockUpdates:
         X = rng.standard_normal((6, 3))
         data = maxop.BagDataset.from_bags([1.0], [X])
         t = rng.standard_normal(6)
-        beta = maxop.update_beta(zero_prox(), data, t, np.zeros(6), rho=1.0,
+        beta = maxop.update_beta(0.0, data, t, np.zeros(6), rho=1.0,
                                  beta0=np.zeros(3))
         expected, *_ = np.linalg.lstsq(X, t, rcond=None)
         assert np.allclose(beta, expected, atol=1e-6)
@@ -390,13 +389,12 @@ class TestBlockUpdates:
         X = np.eye(4)
         data = maxop.BagDataset.from_bags([1.0], [X])
         t = np.array([3.0, -0.2, 0.0, 1.0])
-        beta = maxop.update_beta(l1_term(1.0), data, t, np.zeros(4), rho=1.0,
+        beta = maxop.update_beta(1.0, data, t, np.zeros(4), rho=1.0,
                                  beta0=np.zeros(4))
         assert np.allclose(beta, [2.0, 0.0, 0.0, 0.0], atol=1e-6)
 
-    @pytest.mark.parametrize("reg, lam", [(zero_prox(), 0.0), (l1_term(0.5), 0.5)],
-                             ids=["none", "l1"])
-    def test_update_beta_matches_coordinate_descent_oracle(self, reg, lam):
+    @pytest.mark.parametrize("lam", [0.0, 0.5], ids=["none", "l1"])
+    def test_update_beta_matches_coordinate_descent_oracle(self, lam):
         """On full-rank X the beta-update solves its lasso exactly and
         lands on the minimizer that coordinate descent on the same lasso
         finds, with and without its active-set cache, cold and warm."""
@@ -405,7 +403,7 @@ class TestBlockUpdates:
         t = rng.standard_normal(data.X.shape[0])
         y2 = rng.standard_normal(data.X.shape[0])
         rho = 0.1
-        beta = _beta_three_ways(reg, data, t, y2, rho, np.zeros(3))
+        beta = _beta_three_ways(lam, data, t, y2, rho, np.zeros(3))
         X, b = data.X, t + y2 / rho
         oracle = lasso_cd_oracle(rho * X.T @ X, rho * X.T @ b, lam)
         assert np.allclose(beta, oracle, rtol=0.0, atol=1e-10)
@@ -424,7 +422,7 @@ class TestBlockUpdates:
             rho = float(rng.choice([0.1, 1.0, 10.0]))
             lam = float(rng.choice([0.0, 0.5, 5.0, 50.0]))
             beta0 = rng.standard_normal(p) * (rng.random(p) < 0.5)
-            beta = _beta_three_ways(l1_term(lam), data, t, y2, rho, beta0)
+            beta = _beta_three_ways(lam, data, t, y2, rho, beta0)
             X, b = data.X, t + y2 / rho
             oracle = lasso_brute_force(X.T @ X, X.T @ b, lam / rho)
             assert np.allclose(beta, oracle, rtol=0.0, atol=1e-10)
@@ -666,7 +664,7 @@ class TestRankDeficientBeta:
             beta0 = rng.standard_normal(3) * (rng.random(3) < 0.5)
             if kind == "all-zero":
                 beta0 = rng.standard_normal(3) * 1e9
-            beta = _beta_three_ways(l1_term(lam), data, t, y2, rho, beta0)
+            beta = _beta_three_ways(lam, data, t, y2, rho, beta0)
             G_full = X.T @ X + delta * np.eye(3)
             c = X.T @ (t + y2 / rho) + delta * beta0
             oracle = lasso_brute_force(G_full, c, lam / rho)
