@@ -12,8 +12,10 @@ Exit codes: 0 when the solve converged, 2 when it hit the iteration cap,
 from __future__ import annotations
 
 import argparse
+import io
 import math
 import os
+import stat
 import sys
 from typing import List, Optional, Sequence
 
@@ -150,10 +152,25 @@ def _finish(args, trace, converged, summary,
             extra_header=None, extra_cols=None) -> int:
     """Write the trace if ``--output`` is given, print the summary line and
     map convergence to the exit code."""
-    if args.output:
+    if args.output is not None:
         write_trace(args.output, trace, extra_header, extra_cols)
+        _seek_stdout_past(args.output)
     print(f"{args.subcommand}: iterations={len(trace)} {summary}")
     return EXIT_OK if converged else EXIT_MAX_ITER
+
+
+def _seek_stdout_past(path) -> None:
+    """When stdout is the regular file the trace just went to (``--output
+    /dev/stdout > run.txt``), move stdout's offset to the file's end. The
+    trace was written from offset 0 through a file description of its own,
+    so the summary line would otherwise go over its start."""
+    try:
+        fd = sys.stdout.fileno()
+    except io.UnsupportedOperation:  # a stdout with no descriptor, as in-process capture
+        return
+    out = os.fstat(fd)
+    if stat.S_ISREG(out.st_mode) and os.path.samestat(out, os.stat(path)):
+        os.lseek(fd, 0, os.SEEK_END)
 
 
 def _run_example(args) -> int:

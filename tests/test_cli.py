@@ -1,10 +1,27 @@
+"""The CLI's CSV writers, and its commands' exit codes and messages.
+
+Most command checks are rows ``Run(cmd, codes, text)`` that ``_runs``
+makes into tests and ``_check`` runs: the exit code must be in ``codes``
+and no ``RuntimeWarning`` raised; after exit 0 or 2 stdout holds ``text``
+and stderr is empty; after exit 1 or 64 stderr holds ``text``, and after
+exit 1 starts with ``error: ``. A field ``{name}`` of ``cmd`` is the path
+of an ``inputs`` file, ``{tmp}`` their directory.
+"""
+
+import io
 import os
+import shlex
+import signal
 import stat
 import subprocess
 import sys
 import threading
+import warnings
+from collections import namedtuple
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from helpers import read_trace
@@ -12,21 +29,105 @@ from nladmm import cli, datagen, maxop
 from nladmm.engine import RhoSchedule, StopCriteria, TraceRow
 from nladmm.terms import CompositeObjective, l1_term, logistic_loss, zero_prox
 
+TIME_BOUND = 120  # seconds
+DONE, ERROR, USAGE = (cli.EXIT_OK, cli.EXIT_MAX_ITER), (cli.EXIT_ERROR,), (cli.EXIT_USAGE,)
+FAILED = "error: solver failed: "  # a solver failure's text starts with this
+HUGE = "--rho-delta 1e308 --max-iter 3"
+NON_FINITE = FAILED + "non-finite values in residual norms"
+Run = namedtuple("Run", "cmd codes text")
+
+
+class Hung(BaseException):
+    """A run past ``TIME_BOUND``: not an ``Exception`` (``iterate`` makes one a
+    ``SubproblemFailure``) nor an ``OSError`` (``main`` exits 1 on it)."""
+
+
+def _hang(signum, frame):
+    raise Hung(f"no exit within {TIME_BOUND} s")
+
+
+def _check(row, inputs):
+    """Runs ``nladmm row.cmd`` in-process under a ``TIME_BOUND`` alarm, with
+    warnings recorded instead of raised, and holds it to the rules above."""
+    argv = [arg.format(**inputs) for arg in shlex.split(row.cmd)]
+    out, err = io.StringIO(), io.StringIO()
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(TIME_BOUND)
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                redirect_stdout(out), redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    out, err = out.getvalue(), err.getvalue()
+    seen = f"nladmm {' '.join(argv)} exited {code}\nstdout:\n{out}\nstderr:\n{err}"
+    assert code in row.codes, seen
+    warned = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert not warned, f"{seen}\nwarnings: {warned}"
+    if code in DONE:
+        assert err == "" and row.text in out, seen
+    else:
+        assert row.text in err, seen
+        assert code != cli.EXIT_ERROR or err.startswith("error: "), seen
+
+
+def _runs(*rows, ids=lambda row: row.cmd):
+    """A test method that checks ``rows``, parametrized if there are several."""
+    if len(rows) == 1:
+        def test(self, inputs):
+            _check(rows[0], inputs)
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=ids)
+    def test(self, row, inputs):
+        _check(row, inputs)
+    return test
+
 
 @pytest.fixture(scope="module")
-def default_bags(tmp_path_factory):
-    """The 20 x 5 x 4 bags of data seed 0, the defaults of generate-bags."""
-    path = tmp_path_factory.mktemp("bags") / "default_bags.csv"
-    maxop.save_bags_csv(path, datagen.generate_bags(20, 5, 4, 0)[0])
-    return path
+def inputs(tmp_path_factory):
+    """The 6 x 3 x 3 bags of data seed 0, the generate-bags defaults (20 x
+    5 x 4, seed 0), those with a fifth feature column that copies the first,
+    is zero or sums the first two (X'X singular), or with a NaN on line 8,
+    and a file whose line 3 is empty."""
+    tmp = tmp_path_factory.mktemp("cli")
+    data, _ = datagen.generate_bags(20, 5, 4, 0)
+    X, nan = data.X, data.X.copy()
+    nan[6, 0] = np.nan
+    sets = {"bags": datagen.generate_bags(6, 3, 3, 0)[0], "default_bags": data,
+            "nan": maxop.BagDataset(data.labels, nan, data.offsets)}
+    for name, column in [("dup", X[:, 0]), ("zero", 0.0 * X[:, 0]), ("sum", X[:, 0] + X[:, 1])]:
+        sets[name] = maxop.BagDataset(data.labels, np.column_stack([X, column]), data.offsets)
+    paths = {"tmp": str(tmp)}
+    for name, bags in sets.items():
+        paths[name] = str(tmp / f"{name}.csv")
+        maxop.save_bags_csv(paths[name], bags)
+    paths["malformed"] = str(tmp / "malformed.csv")
+    Path(paths["malformed"]).write_text("bag_id,label,f1\n0,1,0.5\n\n1,0,0.2\n")
+    return paths
 
 
-def _package_env():
-    """The environment with this checkout's package first on PYTHONPATH,
-    for the CLI in a child process."""
+def _child(args, stdout):
+    """``nladmm args`` in a child process, with this checkout's package first
+    on PYTHONPATH, writing to ``stdout``; stderr is captured."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
+    return subprocess.run([sys.executable, "-m", "nladmm.cli", *args], stdout=stdout,
+                          stderr=subprocess.PIPE, timeout=60, env=env)
+
+
+def _diagnosed(tmp_path, *args):
+    """The trace of ``nladmm args --diagnose``, after checking its exit and
+    gap <= bound on every row."""
+    out = tmp_path / "d.csv"
+    assert cli.main([*args, "--diagnose", "--output", str(out)]) in DONE
+    assert all(r["gap"] <= r["bound"] + 1e-8 for r in read_trace(out))
+    return out
 
 
 def _rows(n):
@@ -147,100 +248,76 @@ class TestOutputInPlace:
         assert capsys.readouterr().err.startswith("error: ")
         assert path.read_text() == "old\n"
 
-    def test_directory_output_exit_1(self, tmp_path, capsys):
-        assert cli.main(["example1", "--max-iter", "3", "--output", str(tmp_path)]) == 1
-        assert capsys.readouterr().err.startswith("error: ")
+    test_directory_output_exit_1 = _runs(Run("example1 --output {tmp}", ERROR, "Is a directory"))
+    test_empty_output_exit_1 = _runs(Run("example1 --output ''", ERROR, "directory: ''"))
+
+    def test_redirected_stdout_gets_trace_then_summary(self, tmp_path, capsys):
+        """``--output /dev/stdout > run.txt`` writes the trace at offset 0 through
+        a file description of its own; the summary follows, not over it."""
+        path, fresh = tmp_path / "run.txt", tmp_path / "fresh.csv"
+        with path.open("wb") as stdout:
+            proc = _child(["example1", "--max-iter", "3", "--output", "/dev/stdout"], stdout)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_MAX_ITER, b"")
+        cli.main(["example1", "--max-iter", "3", "--output", str(fresh)])
+        assert len(fresh.read_text().splitlines()) == 4  # the header and 3 rows
+        assert path.read_text() == fresh.read_text() + capsys.readouterr().out
 
 
 class TestUsageErrors:
-    def test_no_subcommand(self):
-        with pytest.raises(SystemExit) as e:
-            cli.main([])
-        assert e.value.code == 64
+    """A bad command line exits 64 with argparse's message."""
 
-    def test_unknown_flag(self):
-        with pytest.raises(SystemExit) as e:
-            cli.main(["example1", "--no-such-flag"])
-        assert e.value.code == 64
-
-    def test_bad_value(self):
-        with pytest.raises(SystemExit) as e:
-            cli.main(["example1", "--max-iter", "abc"])
-        assert e.value.code == 64
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_max_iter_not_positive(self, value, capsys):
-        with pytest.raises(SystemExit) as e:
-            cli.main(["example1", "--max-iter", value])
-        assert e.value.code == 64
-        assert "--max-iter: must be at least 1" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("subcommand, flag, value", [
-        ("onebit-cs", "--rho0", "nan"), ("example1", "--rho0", "inf"),
-        ("example1", "--rho0", "-1"), ("example1", "--rho0", "0"),
-        ("onebit-cs", "--rho-delta", "nan"), ("example1", "--rho-delta", "-0.5"),
-        ("example1", "--tol-primal", "nan"), ("example1", "--tol-primal", "-1"),
-        ("multi-instance", "--tol-dual", "inf"), ("onebit-cs", "--lambda", "nan"),
-        ("onebit-cs", "--lambda", "0"), ("multi-instance", "--lambda", "-1"),
-        ("multi-instance", "--lambda", "inf")])
-    def test_bad_float_flag(self, subcommand, flag, value, capsys):
-        with pytest.raises(SystemExit) as e:
-            cli.main([subcommand, flag, value])
-        assert e.value.code == 64
-        sign = "nonnegative" if flag == "--rho-delta" else "positive"
-        assert f"argument {flag}: must be finite and {sign}" in capsys.readouterr().err
-
-    def test_unparsable_float_flag(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            cli.main(["example1", "--rho0", "abc"])
-        assert e.value.code == 64
-        assert "argument --rho0: invalid float value: 'abc'" in capsys.readouterr().err
+    test_no_subcommand = _runs(Run("", USAGE, "required: subcommand"))
+    test_unknown_flag = _runs(
+        Run("example1 --no-such-flag", USAGE, "unrecognized arguments: --no-such-flag"))
+    test_bad_value = _runs(
+        Run("example1 --max-iter abc", USAGE, "--max-iter: invalid int value: 'abc'"))
+    test_max_iter_not_positive = _runs(
+        *(Run(f"example1 --max-iter {value}", USAGE, "argument --max-iter: must be at least 1")
+          for value in ("0", "-3")), ids=lambda row: row.cmd.split()[-1])
+    test_bad_float_flag = _runs(*(
+        Run(cmd, USAGE, f"argument {cmd.split()[1]}: must be finite and "
+            + ("nonnegative" if "--rho-delta" in cmd else "positive"))
+        for cmd in ["onebit-cs --rho0 nan", "example1 --rho0 inf", "example1 --rho0 -1",
+                    "example1 --rho0 0", "onebit-cs --rho-delta nan",
+                    "example1 --rho-delta -0.5", "example1 --tol-primal nan",
+                    "example1 --tol-primal -1", "multi-instance --tol-dual inf",
+                    "onebit-cs --lambda nan", "onebit-cs --lambda 0",
+                    "multi-instance --lambda -1", "multi-instance --lambda inf"]),
+        ids=lambda row: row.cmd.replace(" ", "-"))
+    test_unparsable_float_flag = _runs(
+        Run("example1 --rho0 abc", USAGE, "argument --rho0: invalid float value: 'abc'"))
 
     def test_diagnose_with_growing_rho(self, tmp_path, capsys):
         """The diagnostics need a constant rho, so the combination is
         refused before any solve runs and no trace is written."""
         out = tmp_path / "d.csv"
         with pytest.raises(SystemExit) as e:
-            cli.main(["example1", "--diagnose", "--rho-delta", "0.1",
-                      "--output", str(out)])
+            cli.main(["example1", "--diagnose", "--rho-delta", "0.1", "--output", str(out)])
         assert e.value.code == 64
         err = capsys.readouterr().err
         assert "--diagnose" in err and "--rho-delta 0.1" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("schedule", ["constant", "increment"])
-    def test_rho_schedule_flag_is_gone(self, schedule, capsys):
-        """--rho-schedule is an unknown flag: --rho-delta alone sets the schedule."""
-        with pytest.raises(SystemExit) as e:
-            cli.main(["example1", "--rho-schedule", schedule])
-        assert e.value.code == 64
-        assert "unrecognized arguments: --rho-schedule" in capsys.readouterr().err
-
-    def test_multi_instance_needs_input(self, capsys):
-        with pytest.raises(SystemExit) as e:
-            cli.main(["multi-instance", "--max-iter", "5"])
-        assert e.value.code == 64
-        assert "required: --input" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--bags", "--instances", "--features", "--seed"])
-    def test_multi_instance_has_no_generator_flags(self, flag, default_bags, capsys):
-        """The bags come from --input only; generate-bags takes these flags."""
-        with pytest.raises(SystemExit) as e:
-            cli.main(["multi-instance", "--input", str(default_bags), flag, "3"])
-        assert e.value.code == 64
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("subcommand, flag", [
-        ("onebit-cs", "--n"), ("onebit-cs", "--m"), ("onebit-cs", "--k"),
-        ("generate-bags", "--bags"), ("generate-bags", "--instances"),
-        ("generate-bags", "--features"), ("onebit-cs", "--seed"), ("generate-bags", "--seed")])
-    def test_size_not_positive(self, subcommand, flag, tmp_path, capsys):
-        """Sizes must be at least 1 and seeds at least 0."""
-        value, least = ("-1", 0) if flag == "--seed" else ("0", 1)
-        with pytest.raises(SystemExit) as e:
-            cli.main([subcommand, flag, value, "--output", str(tmp_path / "out.csv")])
-        assert e.value.code == 64
-        assert f"argument {flag}: must be at least {least}" in capsys.readouterr().err
+    # --rho-delta alone sets the schedule.
+    test_rho_schedule_flag_is_gone = _runs(
+        *(Run(f"example1 --rho-schedule {schedule}", USAGE,
+              "unrecognized arguments: --rho-schedule") for schedule in ("constant", "increment")),
+        ids=lambda row: row.cmd.split()[-1])
+    test_multi_instance_needs_input = _runs(Run("multi-instance", USAGE, "required: --input"))
+    # The bags come from --input only; generate-bags takes these flags.
+    test_multi_instance_has_no_generator_flags = _runs(
+        *(Run(f"multi-instance --input {{default_bags}} {flag} 3", USAGE,
+              f"unrecognized arguments: {flag}")
+          for flag in ("--bags", "--instances", "--features", "--seed")),
+        ids=lambda row: row.cmd.split()[3])
+    # Sizes must be at least 1 and seeds at least 0.
+    test_size_not_positive = _runs(
+        *(Run(f"{cmd} {-1 if 'seed' in cmd else 0} --output {{tmp}}/out.csv", USAGE,
+              f"argument {cmd.split()[1]}: must be at least {0 if 'seed' in cmd else 1}")
+          for cmd in ["onebit-cs --n", "onebit-cs --m", "onebit-cs --k", "generate-bags --bags",
+                      "generate-bags --instances", "generate-bags --features",
+                      "onebit-cs --seed", "generate-bags --seed"]),
+        ids=lambda row: "-".join(row.cmd.split()[:2]))
 
 
 class TestExampleSubcommands:
@@ -254,31 +331,18 @@ class TestExampleSubcommands:
         assert rows[-1]["objective"] == pytest.approx(0.5, abs=1e-3)
         assert "example1" in capsys.readouterr().out
 
-    def test_example2_converges(self, capsys):
-        code = cli.main(["example2"])
-        assert code in (0, 2)
-        assert "example2" in capsys.readouterr().out
+    test_example2_converges = _runs(Run("example2", DONE, "example2: "))
 
     def test_example_diagnose_columns(self, tmp_path):
-        out = tmp_path / "d.csv"
-        code = cli.main(["example1", "--diagnose", "--output", str(out)])
-        assert code in (0, 2)
-        header = out.read_text().splitlines()[0]
+        header = _diagnosed(tmp_path, "example1").read_text().splitlines()[0]
         assert header == ("iter,objective,primal_residual,dual_residual,rho"
                           ",bound,gap,lyapunov,vi_norm")
-        rows = read_trace(out)
-        for r in rows:
-            assert r["gap"] <= r["bound"] + 1e-8
 
     def test_example2_diagnose_rho0_49(self, tmp_path):
         """At rho = 49, (1/rho) * rho != 1 in floating point; the diagnostics
         must not depend on that product being exact."""
-        out = tmp_path / "d.csv"
-        code = cli.main(["example2", "--diagnose", "--rho0", "49", "--output", str(out)])
-        assert code in (0, 2)
-        rows = read_trace(out)
-        assert list(rows[0]) == cli.DIAG_HEADER
-        assert all(r["gap"] <= r["bound"] + 1e-8 for r in rows)
+        out = _diagnosed(tmp_path, "example2", "--rho0", "49")
+        assert list(read_trace(out)[0]) == cli.DIAG_HEADER
 
     def test_increment_schedule_runs(self, tmp_path):
         """--rho-delta alone sets the schedule: row k runs at rho0 + k * delta."""
@@ -291,21 +355,20 @@ class TestExampleSubcommands:
 
     def test_diagnose_increment_with_zero_delta(self, tmp_path):
         """--rho-delta 0 keeps rho constant, so the diagnostics still run."""
-        out = tmp_path / "d.csv"
-        code = cli.main(["example1", "--diagnose", "--rho-delta", "0", "--output", str(out)])
-        assert code in (0, 2)
-        rows = read_trace(out)
-        assert list(rows[0]) == cli.DIAG_HEADER
-        assert all(r["gap"] <= r["bound"] + 1e-8 for r in rows)
+        out = _diagnosed(tmp_path, "example1", "--rho-delta", "0")
+        assert list(read_trace(out)[0]) == cli.DIAG_HEADER
 
-    def test_example2_tiny_rho0_exit_1(self, capsys):
-        """At rho0 = 1e-160 the stationarity cubic's constant term 1/(2 rho)
-        squares past the float range; the solve fails with the CLI's error
-        line, not a traceback."""
-        assert cli.main(["example2", "--rho0", "1e-160"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: solver failed:") and "overflows" in err
-        assert "x1 block update: cubic" in err
+    # At rho0 = 1e-160 the stationarity cubic's constant term 1/(2 rho)
+    # squares past the float range.
+    test_example2_tiny_rho0_exit_1 = _runs(Run(
+        "example2 --rho0 1e-160", ERROR, FAILED + "x1 block update: cubic t^3 + p*t + q"
+        " with (p, q) = (0.0, 5e+159): the discriminant overflows"))
+    # At rho0 = 1e-160 example1's iterates and objective are subnormal; the
+    # engine's once-per-iteration finiteness test lets the solve run on.
+    test_example_runs = _runs(
+        Run("example2 --diagnose --output {tmp}/example2.csv", DONE, "example2: "),
+        Run("example2 --rho-delta 0.01 --output {tmp}/example2_increment.csv", DONE, "example2: "),
+        Run("example1 --rho0 1e-160", DONE, "example1: "))
 
     @pytest.mark.parametrize("args", [["example1"], ["example1", "--output", "/dev/stdout"]],
                              ids=["summary", "trace"])
@@ -317,43 +380,26 @@ class TestExampleSubcommands:
         read_end, write_end = os.pipe()
         os.close(read_end)
         try:
-            proc = subprocess.run([sys.executable, "-m", "nladmm.cli", *args],
-                                  stdout=write_end, stderr=subprocess.PIPE, timeout=60,
-                                  env=_package_env())
+            proc = _child(args, write_end)
         finally:
             os.close(write_end)
-        assert proc.returncode == 1
-        assert proc.stderr == b""
+        assert (proc.returncode, proc.stderr) == (1, b"")
 
 
 class TestOnebitSubcommand:
     def test_small_run(self, tmp_path, capsys):
         out = tmp_path / "cs.csv"
         code = cli.main(["onebit-cs", "--n", "32", "--m", "16", "--k", "4",
-                         "--max-iter", "30", "--seed", "1",
-                         "--output", str(out)])
+                         "--max-iter", "30", "--seed", "1", "--output", str(out)])
         assert code in (0, 2)
-        rows = read_trace(out)
-        assert len(rows) <= 30
-        text = capsys.readouterr().out
-        assert "sphere_residual" in text
+        assert len(read_trace(out)) <= 30
+        assert "sphere_residual" in capsys.readouterr().out
 
-    def test_invalid_sizes_exit_1(self, capsys):
-        code = cli.main(["onebit-cs", "--n", "4", "--m", "2", "--k", "10",
-                         "--max-iter", "5"])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-
-
-def _write_duplicated_column_bags(path):
-    """generate-bags output with a fifth feature column that copies the
-    first, so X'X is singular."""
-    assert cli.main(["generate-bags", "--seed", "1", "--output", str(path)]) == 0
-    lines = [line.split(",") for line in path.read_text().splitlines()]
-    lines[0].append("f5")
-    for fields in lines[1:]:
-        fields.append(fields[2])
-    path.write_text("\n".join(",".join(fields) for fields in lines) + "\n")
+    test_invalid_sizes_exit_1 = _runs(Run(
+        "onebit-cs --n 4 --m 2 --k 10 --max-iter 5", ERROR, "error: need 1 <= k <= n and m >= 1"))
+    # One rho-free v-block inverse per solve, under a growing rho.
+    test_growing_rho = _runs(Run(
+        "onebit-cs --rho-delta 0.01 --n 32 --m 16 --k 4 --max-iter 30", DONE, "sphere_residual="))
 
 
 class TestHugeRho:
@@ -362,65 +408,38 @@ class TestHugeRho:
     The 1-bit CS blocks take no step constant, so that solve fails when rho
     itself overflows at iteration 2."""
 
-    HUGE = ["--rho-delta", "1e308", "--max-iter", "3"]
+    test_overflowing_step_constant_exit_1 = _runs(
+        Run(f"onebit-cs --n 32 --m 16 --k 4 {HUGE}", ERROR,
+            FAILED + "penalty rho is inf at iteration 2"),
+        Run(f"multi-instance --input {{default_bags}} {HUGE}", ERROR, NON_FINITE),
+        ids=lambda row: row.cmd.split()[0])
+    test_rank_deficient_multi_instance_exit_1 = _runs(
+        Run(f"multi-instance --input {{dup}} {HUGE}", ERROR, NON_FINITE))
+    # The monic stationarity cubic takes 1/(2 rho), never 2 rho.
+    test_example2_runs_to_stopping_test = _runs(Run(f"example2 {HUGE}", DONE, "example2: "))
 
-    @pytest.mark.parametrize("subcommand, cause",
-                             [("onebit-cs", "penalty rho is inf at iteration 2"),
-                              ("multi-instance", "non-finite values in residual norms")],
-                             ids=["onebit-cs", "multi-instance"])
-    def test_overflowing_step_constant_exit_1(self, subcommand, cause, default_bags, capsys):
-        args = {"onebit-cs": ["onebit-cs", "--n", "32", "--m", "16", "--k", "4"],
-                "multi-instance": ["multi-instance", "--input", str(default_bags)]}[subcommand]
-        assert cli.main(args + self.HUGE) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: solver failed:") and cause in err
 
-    def test_rank_deficient_multi_instance_exit_1(self, tmp_path, capsys):
-        data = tmp_path / "dup.csv"
-        _write_duplicated_column_bags(data)
-        assert cli.main(["multi-instance", "--input", str(data)] + self.HUGE) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: solver failed:")
-        assert "non-finite values in residual norms" in err
-
-    def test_example2_runs_to_stopping_test(self):
-        """The monic stationarity cubic takes 1/(2 rho), never 2 rho."""
-        assert cli.main(["example2"] + self.HUGE) in (0, 2)
+def _tiny_rho0(bags, rho0):
+    return Run(f"multi-instance --input {bags} --rho0 {rho0} --max-iter 50", DONE, "max_rule_gap=")
 
 
 class TestTinyRho:
-    """At a tiny rho the logistic loss's prox starts far out on the
-    sigmoid's tails. Scores below -709, where exp(-q) overflows, give no
-    numpy warning (pytest turns one into an error). At rho0 = 1e-160 the
-    Newton root of the first q-update lies about 360 steps up the tail
-    from the zero start, so its step bound ends the solve."""
+    """At a tiny rho the logistic prox starts far out on the sigmoid's tails,
+    past -709 where exp(-q) overflows. Down to 1e-40 it climbs with plain
+    Newton (91 of its 100 steps in the first q-update at 1e-40, and each
+    later one starts at the predicted root), below that in log form."""
 
-    def test_multi_instance_rho0_1e_12(self, default_bags, capsys):
-        assert cli.main(["multi-instance", "--input", str(default_bags),
-                         "--rho0", "1e-12", "--max-iter", "50"]) in (0, 2)
-        assert "max_rule_gap" in capsys.readouterr().out
-
-    def test_multi_instance_rho0_1e_40(self, default_bags, capsys):
-        """The first root lies about 91 Newton steps up the tail, close to
-        the bound of 100; a prox that needs more there fails."""
-        assert cli.main(["multi-instance", "--input", str(default_bags),
-                         "--rho0", "1e-40", "--max-iter", "50"]) in (0, 2)
-        assert "max_rule_gap" in capsys.readouterr().out
-
-    def test_multi_instance_rho0_1e_160(self, default_bags, capsys):
-        code = cli.main(["multi-instance", "--input", str(default_bags),
-                         "--rho0", "1e-160", "--max-iter", "50"])
-        err = capsys.readouterr().err
-        assert code in (1, 2)
-        if code == 1:
-            assert err.startswith("error: solver failed:") and "Newton steps" in err
-            assert "q block update: logistic prox" in err
+    test_multi_instance_rho0_1e_12 = _runs(_tiny_rho0("{default_bags}", "1e-12"))
+    test_multi_instance_rho0_1e_40 = _runs(_tiny_rho0("{default_bags}", "1e-40"))
+    test_multi_instance_rho0_1e_160 = _runs(_tiny_rho0("{default_bags}", "1e-160"))
+    test_multi_instance_tiny_rho0 = _runs(
+        *(_tiny_rho0("{bags}", rho0) for rho0 in ("1e-12", "1e-40", "1e-45", "1e-160", "1e-300")),
+        *(_tiny_rho0("{default_bags}", rho0) for rho0 in ("1e-45", "1e-300")))
 
 
 class TestBagSubcommands:
     def test_generate_bags_deterministic_bytes(self, tmp_path):
-        a = tmp_path / "a.csv"
-        b = tmp_path / "b.csv"
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert cli.main(["generate-bags", "--seed", "1", "--output", str(a)]) == 0
         assert cli.main(["generate-bags", "--seed", "1", "--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -428,8 +447,7 @@ class TestBagSubcommands:
     def test_generate_bags_row_count(self, tmp_path, capsys):
         out = tmp_path / "bags.csv"
         code = cli.main(["generate-bags", "--bags", "20", "--instances", "5",
-                         "--features", "4", "--seed", "1",
-                         "--output", str(out)])
+                         "--features", "4", "--seed", "1", "--output", str(out)])
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 101  # header + 100 instances
@@ -439,14 +457,12 @@ class TestBagSubcommands:
     def test_multi_instance_from_file(self, tmp_path, capsys):
         data = tmp_path / "bags.csv"
         assert cli.main(["generate-bags", "--bags", "6", "--instances", "3",
-                         "--features", "3", "--seed", "2",
-                         "--output", str(data)]) == 0
+                         "--features", "3", "--seed", "2", "--output", str(data)]) == 0
         out = tmp_path / "mi.csv"
         code = cli.main(["multi-instance", "--input", str(data),
                          "--max-iter", "200", "--output", str(out)])
         assert code in (0, 2)
-        rows = read_trace(out)
-        assert len(rows) <= 200
+        assert len(read_trace(out)) <= 200
         assert "max_rule_gap" in capsys.readouterr().out
 
     def test_generated_bags_match_a_direct_solve(self, tmp_path):
@@ -464,37 +480,20 @@ class TestBagSubcommands:
         assert code == (0 if converged else 2)
         assert out.read_bytes() == ref.read_bytes()
 
-    def test_multi_instance_duplicated_column(self, tmp_path, capsys):
-        """A copied feature column makes X'X singular; the solve takes the
-        FISTA beta-update and runs to its iteration cap."""
-        data = tmp_path / "dup.csv"
-        _write_duplicated_column_bags(data)
-        assert cli.main(["multi-instance", "--input", str(data), "--max-iter", "100"]) in (0, 2)
-        assert "max_rule_gap" in capsys.readouterr().out
-
-    def test_multi_instance_nan_input_exit_1(self, tmp_path):
-        """A NaN feature is rejected at load time; the command ends at once."""
-        data = tmp_path / "bags.csv"
-        assert cli.main(["generate-bags", "--seed", "1", "--output", str(data)]) == 0
-        lines = data.read_text().splitlines()
-        fields = lines[7].split(",")
-        fields[2] = "nan"
-        lines[7] = ",".join(fields)
-        data.write_text("\n".join(lines) + "\n")
-        proc = subprocess.run(
-            [sys.executable, "-m", "nladmm.cli", "multi-instance",
-             "--input", str(data), "--max-iter", "5"],
-            capture_output=True, text=True, timeout=60, env=_package_env())
-        assert proc.returncode == 1
-        assert "line 8: non-finite feature value" in proc.stderr
-
-    def test_multi_instance_malformed_input_exit_1(self, tmp_path, capsys):
-        data = tmp_path / "bags.csv"
-        data.write_text("bag_id,label,f1\n0,1,0.5\n\n1,0,0.2\n")
-        assert cli.main(["multi-instance", "--input", str(data), "--max-iter", "5"]) == 1
-        assert "line 3: 0 fields" in capsys.readouterr().err
-
-    def test_multi_instance_missing_file_exit_1(self, capsys):
-        code = cli.main(["multi-instance", "--input", "/nonexistent/bags.csv"])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
+    # A singular X'X: the beta-update adds its small proximal term and is
+    # still an exact lasso solve.
+    test_multi_instance_duplicated_column = _runs(
+        Run("multi-instance --input {dup} --max-iter 100", DONE, "max_rule_gap="))
+    test_multi_instance_dependent_column = _runs(
+        *(Run(f"multi-instance --input {bags} --max-iter 100", DONE, "max_rule_gap=")
+          for bags in ("{zero}", "{sum}")))
+    # Each q-prox after the first starts at the root predicted for the new
+    # rho, here under a growing rho for all 100 iterations.
+    test_multi_instance_growing_rho = _runs(Run(
+        "multi-instance --input {bags} --rho-delta 0.01 --max-iter 100", DONE, "max_rule_gap="))
+    test_multi_instance_nan_input_exit_1 = _runs(Run(
+        "multi-instance --input {nan} --max-iter 5", ERROR, "line 8: non-finite feature value"))
+    test_multi_instance_malformed_input_exit_1 = _runs(Run(
+        "multi-instance --input {malformed} --max-iter 5", ERROR, "line 3: 0 fields"))
+    test_multi_instance_missing_file_exit_1 = _runs(Run(
+        "multi-instance --input /nonexistent/bags.csv", ERROR, "No such file or directory"))

@@ -597,33 +597,46 @@ def test_multi_instance_at_every_power_of_ten_of_rho():
         assert np.isfinite(trace[-1].objective), rho
 
 
-@pytest.mark.parametrize("seed, schedule", [
-    (0, RhoSchedule.constant(0.1)),
-    (1, RhoSchedule.constant(0.1)),
-    (2, RhoSchedule.constant(0.1)),
-    (0, RhoSchedule(0.1, 0.01)),
-    (None, RhoSchedule.constant(0.1)),
-], ids=["seed0", "seed1", "seed2", "seed0-rho0.1+0.01k", "rank-deficient"])
-def test_maxop_solve_matches_plain_loop(seed, schedule):
+def _ragged_bags() -> maxop.BagDataset:
+    """Twelve bags of 1 to 6 instances, four of them single-instance."""
+    full, _ = datagen.generate_bags(12, 6, 3, seed=3)
+    sizes = [1, 4, 1, 6, 2, 1, 3, 5, 1, 6, 2, 4]
+    return maxop.BagDataset.from_bags(
+        full.labels, [full.X[full.offsets[i]:full.offsets[i] + n] for i, n in enumerate(sizes)])
+
+
+@pytest.mark.parametrize("bags, schedule, max_iter", [
+    (0, RhoSchedule.constant(0.1), 300),
+    (1, RhoSchedule.constant(0.1), 300),
+    (2, RhoSchedule.constant(0.1), 300),
+    (0, RhoSchedule(0.1, 0.01), 300),
+    ("rank-deficient", RhoSchedule.constant(0.1), 300),
+    ("ragged", RhoSchedule.constant(0.1), 150),
+], ids=["seed0", "seed1", "seed2", "seed0-rho0.1+0.01k", "rank-deficient", "ragged"])
+def test_maxop_solve_matches_plain_loop(bags, schedule, max_iter):
     """maxop_solve gives the iterates, duals and trace rows of the plain
-    loop in ``helpers.maxop_reference`` bit for bit over 300 iterations: on
-    the benchmark's 200 x 5 x 4 bags, at a growing rho, and on
-    rank-deficient X. The solve keeps the previous t and its bag maxima
-    from the t-block; the loop takes both afresh at the start of each
-    iteration."""
-    if seed is None:
+    loop in ``helpers.maxop_reference`` bit for bit, the sign of a zero
+    included, up to its iteration cap: on the benchmark's 200 x 5 x 4 bags,
+    at a growing rho, on rank-deficient X, and on ragged bags. The solve
+    keeps the previous t and its bag maxima from the t-block; the loop takes
+    both afresh at the start of each iteration, and its t-block runs
+    ``t_update_bag`` bag by bag."""
+    if bags == "rank-deficient":
         data = _rank_deficient("sum")
+    elif bags == "ragged":
+        data = _ragged_bags()
     else:
-        data, _ = datagen.generate_bags(200, 5, 4, seed=seed)
+        data, _ = datagen.generate_bags(200, 5, 4, seed=bags)
     loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
     init = maxop.MaxOpState.zeros(data, schedule.rho0)
-    stop = StopCriteria(max_iter=300)
+    stop = StopCriteria(max_iter=max_iter)
     state, trace, _ = maxop.maxop_solve(data, loss, l1_term(1.0), init, schedule, stop)
     ref_state, ref_trace = maxop_reference(data, 1.0, init, schedule, stop)
-    assert len(trace) == 300
+    assert len(trace) == max_iter
     assert trace == ref_trace
     for name in ("q", "beta", "t", "y1", "y2"):
-        assert np.array_equal(getattr(state, name), ref_state[name]), name
+        a, b = getattr(state, name), ref_state[name]
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
 class TestRankDeficientBeta:
