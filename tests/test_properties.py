@@ -24,10 +24,11 @@ from scipy.special import expit
 from hypothesis import given, settings, strategies as st
 
 from helpers import lasso_kkt_violation, sphere_penalty_oracle, sphere_penalty_value
-from nladmm import maxop, terms
+from nladmm import datagen, maxop, terms
+from nladmm.engine import RhoSchedule, StopCriteria
 from nladmm.inner import cubic_real_roots, lasso_active_set
 from nladmm.sphere import sphere_penalty_min
-from nladmm.terms import logistic_loss
+from nladmm.terms import CompositeObjective, l1_term, logistic_loss, zero_prox
 
 VALUES = st.one_of(st.sampled_from([-1.5, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5]),
                    st.floats(-1e3, 1e3, allow_nan=False))
@@ -80,6 +81,27 @@ def test_t_update_bags_rounding_ties(value, n, top):
     t, tmax = maxop.t_update_bags(data, psi, phi)
     assert t.tobytes() == per_bag(data, psi, phi)[0].tobytes()
     assert tmax[0] > value and np.count_nonzero(t == tmax[0]) == top
+
+
+def test_maxop_solve_matches_per_bag_loop_at_benchmark_size(monkeypatch):
+    """The benchmark's shape, 200 bags x 5 instances x 4 features over 300
+    iterations, is bit-identical with the t-block done bag by bag."""
+    data, _ = datagen.generate_bags(200, 5, 4, seed=0)
+
+    def run():
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        return maxop.maxop_solve(data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
+                                 RhoSchedule.constant(0.1), StopCriteria(max_iter=300))
+
+    state, trace, converged = run()
+    with monkeypatch.context() as patched:
+        patched.setattr(maxop, "t_update_bags", per_bag)
+        ref_state, ref_trace, ref_converged = run()
+    assert trace == ref_trace and converged == ref_converged
+    for name in ("q", "beta", "t", "y1", "y2"):
+        a, b = getattr(state, name), getattr(ref_state, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert state.rho == ref_state.rho
 
 
 SIZES = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
