@@ -164,6 +164,8 @@ def _seek_stdout_past(path) -> None:
     /dev/stdout > run.txt``), move stdout's offset to the file's end. The
     trace was written from offset 0 through a file description of its own,
     so the summary line would otherwise go over its start."""
+    if sys.stdout is None:  # fd 1 was closed at start
+        return
     try:
         fd = sys.stdout.fileno()
     except io.UnsupportedOperation:  # a stdout with no descriptor, as in-process capture
@@ -253,12 +255,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         code = handlers[args.subcommand](args)
+        if sys.stdout is None:  # closed at start: print wrote nothing
+            return EXIT_ERROR
         sys.stdout.flush()
         return code
     except BrokenPipeError:
         # The reader closed stdout: end quietly, with fd 1 on devnull so that
         # the interpreter's flush at exit has nothing left to fail on.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if sys.stdout is not None:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_ERROR
     except SolverError as exc:
         print(f"error: solver failed: {exc}", file=sys.stderr)

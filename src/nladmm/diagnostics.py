@@ -79,11 +79,11 @@ def diagnose_result(result: SolveResult, ref: OptimumReference,
     """Per-iteration bound/gap/Lyapunov/VI table for a constant-rho solve.
 
     ``x1_history`` / ``x2_history`` are the primal iterates including the
-    initial point (length len(trace) + 1). The f1/f2 value of each
-    iterate is evaluated once, and one backward pass rebuilds the duals
-    from the final one, y^k = y^{k+1} - rho r^{k+1} with
+    initial point (length len(trace) + 1). The f1/f2 values of the iterates
+    are evaluated once and stacked, and the duals are rebuilt backward from
+    the final one, y^k = y^{k+1} - rho r^{k+1} with
     r^{k+1} = f1(x1^{k+1}) + f2(x2^{k+1}), undoing the engine's dual
-    steps. Row k, on (x1, x2, y)^{k+1}:
+    steps. Row k, on (x1, x2, y)^{k+1}, is one row of array expressions:
 
         bound    = rho eps ||f2(x2^{k+1}) - f2(x2^k)||_1 - y^{k+1} . r^{k+1}
         gap      = p^{k+1} - p*
@@ -92,35 +92,28 @@ def diagnose_result(result: SolveResult, ref: OptimumReference,
     with eps the sup-norm of f1(x1^{k+1}) - f1(x1*), and vi_norm the
     variational-inequality value ||E(w^k - w~^k)||_D^2 of ``vi_matrices``.
     """
-    rhos = {row.rho for row in result.trace}
-    if len(rhos) > 1:
+    trace = result.trace
+    if len({row.rho for row in trace}) > 1:
         raise ValueError("diagnostics require a constant penalty parameter")
-    rho = result.trace[0].rho
+    if not len(x1_history) == len(x2_history) == len(trace) + 1:
+        raise ValueError("diagnostics need len(trace) + 1 iterates of each block")
+    rho = trace[0].rho
     check_reference_feasible(ref, f1, f2)
-    F1 = [f1.eval(x) for x in x1_history]
-    F2 = [f2.eval(x) for x in x2_history]
-    f1_star = f1.eval(ref.x1_star)
-    f2_star = f2.eval(ref.x2_star)
-    y_star = np.asarray(ref.y_star, dtype=float)
-
-    rows = []
-    y = np.asarray(result.state.y, dtype=float)
-    for i in range(len(result.trace) - 1, -1, -1):
-        tr = result.trace[i]
-        r = F1[i + 1] + F2[i + 1]
-        # With w = (f1(x1), f2(x2), y), b = f2(x2^i) - f2(x2^{i+1}) and
-        # c = -rho (f1(x1^{i+1}) + f2(x2^i)) are the f2 and y parts of
-        # w^i - w~^i, and the VI value is rho ||b||^2 + ||rho b + c||^2 / rho.
-        b = F2[i] - F2[i + 1]
-        c = -rho * (F1[i + 1] + F2[i])
-        e = rho * b + c
-        vi_norm = rho * float(b @ b) + float(e @ e) / rho
-        eps = float(np.max(np.abs(F1[i + 1] - f1_star)))
-        bound = rho * eps * float(np.sum(np.abs(b))) - float(y @ r)
-        d2 = F2[i + 1] - f2_star
-        dy = y - y_star
-        rows.append(DiagnosticsRow(k=tr.k, bound=bound, gap=float(tr.objective) - ref.p_star,
-                                   lyapunov=float(rho * (d2 @ d2) + (dy @ dy) / rho),
-                                   vi_norm=vi_norm))
-        y = y - rho * r
-    return rows[::-1]
+    F1 = np.array([f1.eval(x) for x in x1_history])  # row k: f1(x1^k)
+    F2 = np.array([f2.eval(x) for x in x2_history])
+    R = F1[1:] + F2[1:]  # row k: r^{k+1}
+    # [y^K, rho r^K, ..., rho r^2] accumulates to y^K, ..., y^1; row k: y^{k+1}.
+    Y = np.subtract.accumulate(np.vstack([result.state.y, rho * R[:0:-1]]))[::-1]
+    # With w = (f1(x1), f2(x2), y), b = f2(x2^k) - f2(x2^{k+1}) and
+    # c = -rho (f1(x1^{k+1}) + f2(x2^k)) are the f2 and y parts of
+    # w^k - w~^k, and the VI value is rho ||b||^2 + ||rho b + c||^2 / rho.
+    b = F2[:-1] - F2[1:]
+    e = rho * b - rho * (F1[1:] + F2[:-1])  # rho b + c
+    vi_norm = rho * (b * b).sum(1) + (e * e).sum(1) / rho
+    eps = np.abs(F1[1:] - f1.eval(ref.x1_star)).max(1)
+    bound = rho * eps * np.abs(b).sum(1) - (Y * R).sum(1)
+    gap = np.array([row.objective for row in trace], dtype=float) - ref.p_star
+    d2, dy = F2[1:] - f2.eval(ref.x2_star), Y - np.asarray(ref.y_star, dtype=float)
+    lyapunov = rho * (d2 * d2).sum(1) + (dy * dy).sum(1) / rho
+    return [DiagnosticsRow(row.k, *values) for row, values in
+            zip(trace, zip(bound.tolist(), gap.tolist(), lyapunov.tolist(), vi_norm.tolist()))]

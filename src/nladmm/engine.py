@@ -15,7 +15,7 @@ import copy
 import math
 from dataclasses import dataclass
 from numbers import Integral
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -138,7 +138,7 @@ def _first_failure(state, checks, norms, trace):
 def iterate(init, blocks: Sequence[Tuple[str, Callable]],
             constraints: Sequence[Tuple[str, Callable]], dual_norm: Callable,
             objective: Callable, schedule: RhoSchedule,
-            stop: StopCriteria) -> SolveResult:
+            stop: StopCriteria, record: Optional[Callable] = None) -> SolveResult:
     """The outer loop of every solver, run on a copy of the state ``init``.
 
     Iteration k fixes rho = schedule.at(k), sets each (field, update) of
@@ -147,7 +147,9 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
     number or an array shaped like the dual. The primal norm is
     sqrt(sum_i r_i . r_i), the dual one dual_norm(state, rho); a caller
     whose dual norm reads the block values an iteration began with keeps
-    them itself.
+    them itself. ``record(k, state)``, if given, sees the live state of each
+    iteration k that passes the tests, after its trace row and before the
+    stopping test.
 
     A non-finite rho raises NonFiniteIterate before any block runs. The
     other values are tested once per iteration: r_norm + s_norm + the
@@ -219,15 +221,17 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
                 bound = _stacked_norm(state, duals)
             trace.append(TraceRow(k=k, objective=obj, r_norm=r_norm,
                                   s_norm=s_norm, rho=rho))
+            if record is not None:
+                record(k, state)
             if r_norm <= stop.tol_primal and s_norm <= stop.tol_dual:
                 return SolveResult(state, trace, True)
     return SolveResult(state, trace, False)
 
 
 def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
-          stop: StopCriteria) -> SolveResult:
+          stop: StopCriteria, record: Optional[Callable] = None) -> SolveResult:
     """Run the two-block iteration until both residual norms pass their
-    tolerances or ``stop.max_iter`` is reached."""
+    tolerances or ``stop.max_iter`` is reached; ``record`` is ``iterate``'s."""
     f1, f2 = problem.f1, problem.f2
     # f2 is evaluated once per iteration; f2_old is f2 at the last x2.
     f2x2 = f2.eval(np.asarray(init.x2, dtype=float))
@@ -248,4 +252,5 @@ def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
         ("x2", lambda s, rho: np.asarray(problem.solve_x2(s.x1, s.x2, s.y, rho), dtype=float)),
     ]
     return iterate(init, blocks, [("y", primal)], dual_norm,
-                   lambda s: float(problem.F1(s.x1) + problem.F2(s.x2)), schedule, stop)
+                   lambda s: float(problem.F1(s.x1) + problem.F2(s.x2)), schedule, stop,
+                   record)

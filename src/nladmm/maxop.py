@@ -47,6 +47,8 @@ class BagDataset:
         if len(self.labels) != len(self.offsets) - 1:
             raise ValueError(f"label count {len(self.labels)} differs from bag count "
                              f"{len(self.offsets) - 1}")
+        if not np.isfinite(self.X).all():
+            raise ValueError("X holds a non-finite value")
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, float]:

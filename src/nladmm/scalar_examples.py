@@ -10,7 +10,7 @@ Both have known optima (objective 0.5 at (0.25, 0.25), and -sqrt(2) at
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List
 
 import numpy as np
@@ -118,21 +118,14 @@ def run_example(which: str, schedule: RhoSchedule, max_iter: int = 30,
                 tol_primal: float = 1e-12, tol_dual: float = 1e-12) -> ExampleRun:
     """Run one scalar benchmark, recording the primal iterates so the
     diagnostics can be evaluated afterwards."""
-    problem = build_example(which)
-    x1_hist = [np.array([float(x0)])]
-    x2_hist = [np.array([float(z0)])]
-
-    def wrap(solver, hist):
-        def inner(x1, x2, y, rho):
-            out = solver(x1, x2, y, rho)
-            hist.append(out.copy())
-            return out
-        return inner
-
-    wrapped = replace(problem, solve_x1=wrap(problem.solve_x1, x1_hist),
-                      solve_x2=wrap(problem.solve_x2, x2_hist))
     init = IterateState(x1=np.array([float(x0)]), x2=np.array([float(z0)]),
                         y=np.array([float(y0)]), rho=schedule.at(0))
+    x1_hist, x2_hist = [init.x1], [init.x2]  # the solve runs on a copy of init
+
+    def record(k, state):
+        x1_hist.append(state.x1.copy())
+        x2_hist.append(state.x2.copy())
+
     stop = StopCriteria(tol_primal=tol_primal, tol_dual=tol_dual, max_iter=max_iter)
-    result = engine.solve(wrapped, init, schedule, stop)
+    result = engine.solve(build_example(which), init, schedule, stop, record)
     return ExampleRun(result=result, x1_history=x1_hist, x2_history=x2_hist)

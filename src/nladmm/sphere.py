@@ -67,6 +67,8 @@ class OneBitCsProblem:
         if np.ndim(self.Phi) != 2 or len(self.Phi) != len(self.y_sign):
             raise ValueError(f"Phi must be a matrix with one row per sign, got shape "
                              f"{np.shape(self.Phi)} for {len(self.y_sign)} signs")
+        if not np.isfinite(self.Phi).all():
+            raise ValueError("Phi holds a non-finite value")
 
     @property
     def signed_matrix(self) -> np.ndarray:

@@ -15,7 +15,8 @@ block, and ``read_trace`` reads a trace CSV back. ``onebit_reference`` and
 plain loops with no engine. ``quadratic_term`` is a
 FISTA test objective, ``linear_constraint`` the constraint map x -> A x,
 and ``diagnostics_oracle`` evaluates the diagnostics rows from the
-engine's own duals, map by map.
+engine's own duals, map by map; ``diagnose_loop`` is ``diagnose_result``
+as a loop over the trace, row by row.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from typing import Callable, List
 import numpy as np
 from scipy.optimize import minimize_scalar
 
+from nladmm.diagnostics import DiagnosticsRow
 from nladmm.engine import TraceRow
 from nladmm.errors import SolverError
 from nladmm.inner import cubic_real_roots, lasso_active_set
@@ -322,6 +324,36 @@ def diagnostics_oracle(trace, ref, f1, f2, x1_history, x2_history, ys) -> list:
                      float(rho * (d2 @ d2) + (dy @ dy) / rho),
                      rho * float(b @ b) + float(e @ e) / rho))
     return rows
+
+
+def diagnose_loop(result, ref, f1, f2, x1_history, x2_history) -> list:
+    """``diagnostics.diagnose_result`` as a loop over the trace, one
+    ``DiagnosticsRow`` at a time from the last row back, stepping the dual
+    back from the final one as it goes, with each row's values formed on
+    1-D arrays in the order of operations ``diagnose_result`` uses."""
+    rho = result.trace[0].rho
+    F1 = [f1.eval(x) for x in x1_history]
+    F2 = [f2.eval(x) for x in x2_history]
+    f1_star, f2_star = f1.eval(ref.x1_star), f2.eval(ref.x2_star)
+    y_star = np.asarray(ref.y_star, dtype=float)
+    rows = []
+    y = np.asarray(result.state.y, dtype=float)
+    for i in range(len(result.trace) - 1, -1, -1):
+        tr = result.trace[i]
+        r = F1[i + 1] + F2[i + 1]
+        b = F2[i] - F2[i + 1]
+        c = -rho * (F1[i + 1] + F2[i])
+        e = rho * b + c
+        vi_norm = rho * float(b @ b) + float(e @ e) / rho
+        eps = float(np.max(np.abs(F1[i + 1] - f1_star)))
+        bound = rho * eps * float(np.sum(np.abs(b))) - float(y @ r)
+        d2 = F2[i + 1] - f2_star
+        dy = y - y_star
+        rows.append(DiagnosticsRow(k=tr.k, bound=bound, gap=float(tr.objective) - ref.p_star,
+                                   lyapunov=float(rho * (d2 @ d2) + (dy @ dy) / rho),
+                                   vi_norm=vi_norm))
+        y = y - rho * r
+    return rows[::-1]
 
 
 def onebit_reference(problem, init, schedule, stop):

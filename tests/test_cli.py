@@ -35,6 +35,7 @@ FAILED = "error: solver failed: "  # a solver failure's text starts with this
 HUGE = "--rho-delta 1e308 --max-iter 3"
 NON_FINITE = FAILED + "non-finite values in residual norms"
 Run = namedtuple("Run", "cmd codes text")
+CLOSED = object()  # _child's stdout for a closed fd 1
 
 
 class Hung(BaseException):
@@ -96,16 +97,21 @@ def inputs(tmp_path_factory):
     and a file whose line 3 is empty."""
     tmp = tmp_path_factory.mktemp("cli")
     data, _ = datagen.generate_bags(20, 5, 4, 0)
-    X, nan = data.X, data.X.copy()
-    nan[6, 0] = np.nan
-    sets = {"bags": datagen.generate_bags(6, 3, 3, 0)[0], "default_bags": data,
-            "nan": maxop.BagDataset(data.labels, nan, data.offsets)}
+    X = data.X
+    sets = {"bags": datagen.generate_bags(6, 3, 3, 0)[0], "default_bags": data}
     for name, column in [("dup", X[:, 0]), ("zero", 0.0 * X[:, 0]), ("sum", X[:, 0] + X[:, 1])]:
         sets[name] = maxop.BagDataset(data.labels, np.column_stack([X, column]), data.offsets)
     paths = {"tmp": str(tmp)}
     for name, bags in sets.items():
         paths[name] = str(tmp / f"{name}.csv")
         maxop.save_bags_csv(paths[name], bags)
+    # A BagDataset refuses a NaN, so the NaN goes into the text: f1 of line 8.
+    lines = Path(paths["default_bags"]).read_text().split("\n")
+    fields = lines[7].split(",")
+    fields[2] = "nan"
+    lines[7] = ",".join(fields)
+    paths["nan"] = str(tmp / "nan.csv")
+    Path(paths["nan"]).write_text("\n".join(lines))
     paths["malformed"] = str(tmp / "malformed.csv")
     Path(paths["malformed"]).write_text("bag_id,label,f1\n0,1,0.5\n\n1,0,0.2\n")
     return paths
@@ -113,12 +119,15 @@ def inputs(tmp_path_factory):
 
 def _child(args, stdout):
     """``nladmm args`` in a child process, with this checkout's package first
-    on PYTHONPATH, writing to ``stdout``; stderr is captured."""
+    on PYTHONPATH, writing to ``stdout``, or with fd 1 closed as ``>&-``
+    leaves it when ``stdout`` is ``CLOSED``; stderr is captured."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if "PYTHONPATH" in os.environ else [])))
-    return subprocess.run([sys.executable, "-m", "nladmm.cli", *args], stdout=stdout,
-                          stderr=subprocess.PIPE, timeout=60, env=env)
+    cmd = [sys.executable, "-m", "nladmm.cli", *args]
+    if stdout is CLOSED:
+        cmd, stdout = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd], None
+    return subprocess.run(cmd, stdout=stdout, stderr=subprocess.PIPE, timeout=60, env=env)
 
 
 def _diagnosed(tmp_path, *args):
@@ -384,6 +393,16 @@ class TestExampleSubcommands:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (1, b"")
+
+    def test_stdout_closed_at_start(self, tmp_path):
+        """With fd 1 closed before the interpreter starts, ``sys.stdout`` is
+        None: the trace is written, and the CLI exits 1 with nothing on
+        stderr, as on a broken pipe."""
+        out, fresh = tmp_path / "t.csv", tmp_path / "fresh.csv"
+        proc = _child(["example1", "--output", str(out)], CLOSED)
+        assert (proc.returncode, proc.stderr) == (1, b"")
+        cli.main(["example1", "--output", str(fresh)])
+        assert out.read_bytes() == fresh.read_bytes()
 
 
 class TestOnebitSubcommand:

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import diagnostics_oracle, linear_constraint, record_duals, vi_sequences
+from helpers import (diagnose_loop, diagnostics_oracle, linear_constraint, record_duals,
+                     vi_sequences)
 from nladmm import scalar_examples as se
 from nladmm.diagnostics import (
     OptimumReference,
@@ -30,6 +31,11 @@ def _one_row(ref, f1, f2, x1s, x2s, y, rho, objective=0.0):
     (row,) = diagnose_result(SolveResult(state, trace, False), ref, f1, f2,
                              [np.array([v]) for v in x1s], [np.array([v]) for v in x2s])
     return row
+
+
+def _bits(row):
+    """A row's k and the bytes of its four values, so that -0.0 != 0.0."""
+    return row.k, np.array([row.bound, row.gap, row.lyapunov, row.vi_norm]).tobytes()
 
 
 class TestErrorBound:
@@ -186,6 +192,51 @@ class TestDiagnoseResult:
                 assert (row.gap, row.vi_norm) == (gap, vi_norm)
                 assert abs(row.bound - bound) <= 1e-12
                 assert abs(row.lyapunov - lyapunov) <= 1e-12
+
+    @pytest.mark.parametrize("rho", [0.5, 1.0, 49.0], ids=["rho0.5", "rho1", "rho49"])
+    @pytest.mark.parametrize("which", [se.EXAMPLE_SQRT, se.EXAMPLE_CIRCLE])
+    def test_matches_row_loop_bit_for_bit(self, which, rho):
+        """The one vectorized pass gives the rows of the loop over the trace
+        (``helpers.diagnose_loop``) to the bit, from three starts."""
+        problem = se.build_example(which)
+        ref = se.example_reference(which)
+        for x0, z0, y0 in [(1.0, 1.0, 0.0), (0.3, 0.8, 0.3), (2.0, 0.5, -1.0)]:
+            run = se.run_example(which, RhoSchedule.constant(rho), x0=x0, z0=z0, y0=y0)
+            args = (run.result, ref, problem.f1, problem.f2, run.x1_history, run.x2_history)
+            rows, loop = diagnose_result(*args), diagnose_loop(*args)
+            assert len(rows) == len(run.result.trace)
+            assert [_bits(row) for row in rows] == [_bits(row) for row in loop]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_row_loop_in_several_dimensions(self, d):
+        """For d > 1 the row sums may add in another order than the loop's
+        dot products, so the rows agree to 1e-12, not to the bit."""
+        rng = np.random.default_rng(d)
+        A = rng.standard_normal((d, d))
+        f1 = linear_constraint(A)
+        f2 = ConstraintTerm(eval=lambda x: A @ x - A @ np.ones(d), jacobian=lambda x: A)
+        ref = OptimumReference(x1_star=np.ones(d), x2_star=np.zeros(d),
+                               y_star=rng.standard_normal(d), p_star=0.5)
+        K, rho = 12, 1.7
+        trace = [TraceRow(k=k, objective=float(rng.standard_normal()), r_norm=1.0,
+                          s_norm=1.0, rho=rho) for k in range(K)]
+        x1s, x2s = list(rng.standard_normal((K + 1, d))), list(rng.standard_normal((K + 1, d)))
+        state = IterateState(x1=x1s[-1], x2=x2s[-1], y=rng.standard_normal(d), rho=rho)
+        args = (SolveResult(state, trace, False), ref, f1, f2, x1s, x2s)
+        for row, expected in zip(diagnose_result(*args), diagnose_loop(*args), strict=True):
+            assert row.k == expected.k and row.gap == expected.gap
+            for field in ("bound", "lyapunov", "vi_norm"):
+                assert getattr(row, field) == pytest.approx(getattr(expected, field),
+                                                            rel=1e-12, abs=1e-12)
+
+    def test_rejects_histories_unlike_the_trace(self):
+        run = se.run_example(se.EXAMPLE_SQRT, RhoSchedule.constant(1.0))
+        problem = se.build_example(se.EXAMPLE_SQRT)
+        ref = se.example_reference(se.EXAMPLE_SQRT)
+        for x1s, x2s in [(run.x1_history[:-1], run.x2_history),
+                         (run.x1_history, run.x2_history + [run.x2_history[-1]])]:
+            with pytest.raises(ValueError, match=r"len\(trace\) \+ 1 iterates"):
+                diagnose_result(run.result, ref, problem.f1, problem.f2, x1s, x2s)
 
     def test_flags_increase(self):
         """A VI value that grows is reported as it is. With f1 = x,

@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from helpers import linear_constraint, vi_sequences
+from helpers import linear_constraint, record_duals, vi_sequences
 from nladmm import datagen, engine, maxop, sphere
+from nladmm import scalar_examples as se
 from nladmm.engine import (
     IterateState,
     Problem,
@@ -288,6 +289,91 @@ class TestSolve:
         for k, wt in enumerate(w_tilde):
             step = mats.E @ (w[k] - wt)
             assert np.allclose(w[k + 1], w[k] - step, atol=1e-10)
+
+
+def _state_bytes(state):
+    return [np.asarray(getattr(state, f), dtype=float).tobytes() for f in ("x1", "x2", "y", "rho")]
+
+
+def _trace_bytes(trace):
+    return [np.array(row, dtype=float).tobytes() for row in trace]
+
+
+class TestRecord:
+    """``record(k, state)``: once per finished iteration, after its trace
+    row and dual step, before the stopping test."""
+
+    @pytest.mark.parametrize("schedule", [RhoSchedule.constant(1.0),
+                                          RhoSchedule.increment(0.7, 0.05)],
+                             ids=["constant", "increment"])
+    @pytest.mark.parametrize("which", ["example1", "example2"])
+    def test_sees_each_iteration_after_its_dual_step(self, which, schedule, monkeypatch):
+        """k runs 0..K-1 once each, the last one too although the stopping
+        test passes there, and the state at k holds rho_k and y^{k+1}: the
+        dual handed to the x1 block of iteration k + 1, or the final one."""
+        ys = record_duals(monkeypatch, se)
+        seen = []
+        init = IterateState(x1=np.array([1.2]), x2=np.array([0.7]), y=np.array([0.3]),
+                            rho=schedule.at(0))
+        result = solve(se.build_example(which), init, schedule,
+                       StopCriteria(tol_primal=1e-9, tol_dual=1e-9, max_iter=40),
+                       record=lambda k, state: seen.append((k, state.y.copy(), state.rho)))
+        K = len(result.trace)
+        assert result.converged and 1 < K < 40 and len(ys) == K
+        assert [k for k, _, _ in seen] == list(range(K))
+        for (k, y, rho), y_next in zip(seen, ys[1:] + [result.state.y]):
+            assert y.tobytes() == y_next.tobytes()
+            assert rho == result.trace[k].rho == schedule.at(k)
+
+    @pytest.mark.parametrize("failure", ["raises", "nan"])
+    def test_not_called_for_a_raising_iteration(self, failure):
+        """The x2 block of iteration 2 raises a SolverError or returns NaN;
+        the solve ends in SubproblemFailure, and only iterations 0 and 1
+        were recorded."""
+        problem = TestSolve()._linear_problem()
+        calls = []
+
+        def solve_x2(x1, x2, y, rho):
+            calls.append(rho)
+            if len(calls) == 3:
+                if failure == "raises":
+                    raise SubproblemFailure("no minimizer")
+                return np.array([np.nan])
+            return problem.solve_x2(x1, x2, y, rho)
+
+        seen = []
+        init = IterateState(x1=np.zeros(1), x2=np.zeros(1), y=np.zeros(1), rho=1.0)
+        with pytest.raises(SubproblemFailure, match="x2 block update") as e:
+            solve(dataclasses.replace(problem, solve_x2=solve_x2), init,
+                  RhoSchedule.constant(1.0), StopCriteria(max_iter=10),
+                  record=lambda k, state: seen.append(k))
+        assert seen == [0, 1]
+        assert len(e.value.trace) == 2
+
+    @pytest.mark.parametrize("which", ["example1", "example2"])
+    def test_none_leaves_iterates_bit_identical(self, which):
+        """A recording hook changes nothing: the solve with it has the trace
+        and final state of the solve with ``record=None``, and the state it
+        sees at k is that of a solve cut after k + 1 iterations."""
+        problem, schedule = se.build_example(which), RhoSchedule.constant(0.8)
+        init = IterateState(x1=np.array([0.9]), x2=np.array([1.1]), y=np.array([-0.2]),
+                            rho=0.8)
+
+        def run(max_iter, record=None):
+            return solve(problem, init, schedule,
+                         StopCriteria(tol_primal=1e-12, tol_dual=1e-12, max_iter=max_iter),
+                         record=record)
+
+        states = []
+        recorded = run(30, lambda k, state: states.append(_state_bytes(state)))
+        plain = run(30)
+        assert _trace_bytes(recorded.trace) == _trace_bytes(plain.trace)
+        assert _state_bytes(recorded.state) == _state_bytes(plain.state)
+        assert recorded.converged == plain.converged
+        for k, state in enumerate(states):
+            cut = run(k + 1)
+            assert _state_bytes(cut.state) == state
+            assert _trace_bytes(cut.trace) == _trace_bytes(plain.trace[:k + 1])
 
 
 def _run_onebit(stop):

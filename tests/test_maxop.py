@@ -159,6 +159,16 @@ class TestBagDataset:
             maxop.BagDataset(labels=np.array([0.0, 1.0]), X=np.ones((4, 2)),
                              offsets=np.array([0, 4]))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_features(self, value):
+        """Refused when built, as a bad offset or label count is; a NaN used
+        to reach ``gram``, whose eigensolver raised numpy's LinAlgError."""
+        data, _ = datagen.generate_bags(6, 3, 3, 0)
+        X = data.X.copy()
+        X[4, 1] = value
+        with pytest.raises(ValueError, match="X holds a non-finite value"):
+            maxop.BagDataset(data.labels, X, data.offsets)
+
     def test_offsets_must_start_at_zero(self):
         with pytest.raises(ValueError, match="offsets inconsistent"):
             maxop.BagDataset(labels=np.array([1.0]), X=np.zeros((2, 2)),

@@ -123,9 +123,14 @@ class TestRunExample:
         assert last.r_norm <= 1e-3
 
     def test_histories_align_with_trace(self):
-        run = se.run_example(se.EXAMPLE_SQRT, RhoSchedule.constant(1.0))
-        n = len(run.result.trace)
-        assert len(run.x1_history) == n + 1
-        assert len(run.x2_history) == n + 1
-        assert run.x1_history[0][0] == 1.0  # default start
-        assert np.allclose(run.x1_history[-1], run.result.state.x1)
+        """K + 1 iterates of each block: the start point, then a copy of the
+        block's value after each iteration, the last one the final state."""
+        for which in (se.EXAMPLE_SQRT, se.EXAMPLE_CIRCLE):
+            for x0, z0, y0 in [(1.0, 1.0, 0.0), (0.3, 0.8, 0.3)]:
+                run = se.run_example(which, RhoSchedule.constant(1.0), x0=x0, z0=z0, y0=y0)
+                n = len(run.result.trace)
+                assert len(run.x1_history) == len(run.x2_history) == n + 1
+                assert (run.x1_history[0].tolist(), run.x2_history[0].tolist()) == ([x0], [z0])
+                assert np.array_equal(run.x1_history[-1], run.result.state.x1)
+                assert np.array_equal(run.x2_history[-1], run.result.state.x2)
+                assert run.x1_history[-1] is not run.result.state.x1

@@ -111,6 +111,16 @@ class TestOneBitPieces:
         with pytest.raises(ValueError, match="one row per sign"):
             sphere.OneBitCsProblem(Phi=np.ones(2), y_sign=np.array([1.0, -1.0]), lam=1.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_phi(self, value):
+        """Refused when built; a single Inf used to end the solve in a
+        SubproblemFailure that blamed the z-block for the data."""
+        problem, _ = datagen.generate_onebit(16, 8, 2, 0)
+        Phi = problem.Phi.copy()
+        Phi[3, 5] = value
+        with pytest.raises(ValueError, match="Phi holds a non-finite value"):
+            sphere.OneBitCsProblem(Phi=Phi, y_sign=problem.y_sign, lam=problem.lam)
+
     @pytest.mark.parametrize("lam", [np.nan, np.inf])
     def test_non_finite_lambda(self, lam):
         with pytest.raises(ValueError, match="lambda must be finite and positive"):
