@@ -12,10 +12,8 @@ Exit codes: 0 when the solve converged, 2 when it hit the iteration cap,
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import os
-import stat
 import sys
 from typing import List, Optional, Sequence
 
@@ -37,27 +35,39 @@ EXIT_USAGE = 64
 
 
 class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # stdout closed at start: exit 1 quietly as main does, not argparse's help on stderr.
+        if file is None and sys.stdout is None:
+            raise SystemExit(EXIT_ERROR)
+        super().print_help(file)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
-def write_trace(path, rows: Sequence[TraceRow],
-                extra_header: Optional[List[str]] = None,
-                extra_cols: Optional[Sequence[Sequence[float]]] = None) -> None:
-    """Trace CSV with shortest round-trip float formatting (``repr``) and LF
-    line ends, written by ``textfile.write_lines``: an existing file is
-    overwritten in place and cut to length, keeping its inode and mode, and
-    a pipe or device works as a target. No field needs CSV quoting: the
-    headers are plain names and every value a number."""
+def trace_lines(rows: Sequence[TraceRow], extra_header: Optional[List[str]] = None,
+                extra_cols: Optional[Sequence[Sequence[float]]] = None) -> List[str]:
+    """The lines of a trace CSV, with shortest round-trip float formatting
+    (``repr``). No field needs CSV quoting."""
     lines = [",".join(TRACE_HEADER + (extra_header or []))]
     for i, row in enumerate(rows):
         line = f"{row.k},{row.objective!r},{row.r_norm!r},{row.s_norm!r},{row.rho!r}"
         if extra_cols is not None:
             line += "".join(f",{float(v)!r}" for v in extra_cols[i])
         lines.append(line)
-    textfile.write_lines(path, lines)
+    return lines
+
+
+def write_trace(path, rows: Sequence[TraceRow],
+                extra_header: Optional[List[str]] = None,
+                extra_cols: Optional[Sequence[Sequence[float]]] = None) -> None:
+    """The ``trace_lines`` with LF line ends, written by
+    ``textfile.write_lines``: an existing file is overwritten in place and
+    cut to length, keeping its inode and mode, and a pipe or device works
+    as a target."""
+    textfile.write_lines(path, trace_lines(rows, extra_header, extra_cols))
 
 
 def _int_at_least(minimum: int):
@@ -153,26 +163,18 @@ def _finish(args, trace, converged, summary,
     """Write the trace if ``--output`` is given, print the summary line and
     map convergence to the exit code."""
     if args.output is not None:
-        write_trace(args.output, trace, extra_header, extra_cols)
-        _seek_stdout_past(args.output)
+        # A file description of its own on stdout's file (--output /dev/stdout,
+        # or the file of > or >>) would write from offset 0, not append.
+        try:
+            to_stdout = os.path.samestat(os.fstat(sys.stdout.fileno()), os.stat(args.output))
+        except (AttributeError, OSError):  # stdout closed at start or in-process, or no file
+            to_stdout = False
+        if to_stdout:
+            print(*trace_lines(trace, extra_header, extra_cols), sep="\n")
+        else:
+            write_trace(args.output, trace, extra_header, extra_cols)
     print(f"{args.subcommand}: iterations={len(trace)} {summary}")
     return EXIT_OK if converged else EXIT_MAX_ITER
-
-
-def _seek_stdout_past(path) -> None:
-    """When stdout is the regular file the trace just went to (``--output
-    /dev/stdout > run.txt``), move stdout's offset to the file's end. The
-    trace was written from offset 0 through a file description of its own,
-    so the summary line would otherwise go over its start."""
-    if sys.stdout is None:  # fd 1 was closed at start
-        return
-    try:
-        fd = sys.stdout.fileno()
-    except io.UnsupportedOperation:  # a stdout with no descriptor, as in-process capture
-        return
-    out = os.fstat(fd)
-    if stat.S_ISREG(out.st_mode) and os.path.samestat(out, os.stat(path)):
-        os.lseek(fd, 0, os.SEEK_END)
 
 
 def _run_example(args) -> int:

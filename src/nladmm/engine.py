@@ -135,6 +135,16 @@ def _first_failure(state, checks, norms, trace):
     return None
 
 
+def check_shapes(state, shapes: Sequence[Tuple[str, Tuple[int, ...]]]) -> None:
+    """A builder's start check: DimensionMismatch names the first (field,
+    shape) of ``shapes`` that ``state`` holds in another shape."""
+    for name, shape in shapes:
+        got = np.shape(getattr(state, name))
+        if got != shape:
+            raise DimensionMismatch(f"start state field {name} has shape {got}, "
+                                    f"the data needs {shape}")
+
+
 def iterate(init, blocks: Sequence[Tuple[str, Callable]],
             constraints: Sequence[Tuple[str, Callable]], dual_norm: Callable,
             objective: Callable, schedule: RhoSchedule,

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from . import inner, textfile
-from .engine import RhoSchedule, SolveResult, StopCriteria, iterate
+from .engine import RhoSchedule, SolveResult, StopCriteria, check_shapes, iterate
 from .inner import lasso_active_set
 from .terms import CompositeObjective, ProxTerm
 
@@ -179,7 +179,7 @@ class MaxOpState:
 
 
 def update_q(prox: Callable[..., np.ndarray], tmax: np.ndarray, y1_rho: np.ndarray,
-             rho: float, q0: np.ndarray, slope: np.ndarray | None = None) -> np.ndarray:
+             rho: float, q0: np.ndarray, slope: np.ndarray) -> np.ndarray:
     """argmin_q loss(q) + (rho/2)||q - tmax + y1/rho||^2, with tmax the bag
     maxima of t (``data.bag_max(t)``) and y1_rho = y1/rho: the loss's exact
     ``prox``, warm-started at q0 and handed ``slope`` as it is; for the
@@ -297,10 +297,14 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     slope the last prox ended on; at q itself where that is not finite.
     The beta-block keeps its active-set inverses in a dict for this solve.
     The loss must declare its prox and have a zero nonsmooth part;
-    otherwise ValueError is raised before any iteration."""
+    otherwise ValueError is raised before any iteration, as is
+    DimensionMismatch for a start field shaped unlike the data needs."""
     if loss.smooth.prox is None or loss.nonsmooth.l1_weight != 0.0:
         raise ValueError("the q-block needs a loss that declares its prox, "
                          "with a zero nonsmooth part")
+    bags, inst = (data.n_bags,), (data.X.shape[0],)
+    check_shapes(init, [("q", bags), ("beta", (data.n_features,)), ("t", inst), ("y1", bags),
+                        ("y2", inst)])
     prox, lam = loss.smooth.prox, reg.l1_weight
     # The t-block keeps the t it replaces, t_old, and hands back the bag
     # maxima of its t: tmax now, tmax_old before; bag_max runs only on the

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import inner
-from .engine import RhoSchedule, SolveResult, StopCriteria, iterate
+from .engine import RhoSchedule, SolveResult, StopCriteria, check_shapes, iterate
 from .inner import cubic_real_roots
 from .terms import soft_threshold
 
@@ -134,7 +134,11 @@ def onebit_solve(problem: OneBitCsProblem, init: OneBitCsState,
     x-block forms y2/rho, y3/rho and y4/rho for all four. Being the first
     block, it also keeps the z, v and w the iteration starts from, which
     the dual norm reads. The y2 residual keeps M v for the new v; x does
-    not move v, so the next z-block reuses it, whatever rho then is."""
+    not move v, so the next z-block reuses it, whatever rho then is. A
+    start field shaped unlike the data needs raises DimensionMismatch."""
+    m, n = problem.Phi.shape
+    check_shapes(init, [("x", (n,)), ("w", (n,)), ("z", (m,)), ("v", (n,)), ("y1", ()),
+                        ("y2", (m,)), ("y3", (n,)), ("y4", (n,))])
     M = problem.signed_matrix
     K = np.linalg.inv(M.T @ M + 2.0 * np.eye(M.shape[1]))
     Mv = M.dot(np.asarray(init.v, dtype=float))

@@ -271,6 +271,18 @@ class TestOutputInPlace:
         assert len(fresh.read_text().splitlines()) == 4  # the header and 3 rows
         assert path.read_text() == fresh.read_text() + capsys.readouterr().out
 
+    def test_appended_stdout_keeps_the_file(self, tmp_path, capsys):
+        """``--output /dev/stdout >> log.txt`` appends the trace and then the
+        summary to the 7 lines already there, and overwrites none of them."""
+        path, fresh = tmp_path / "log.txt", tmp_path / "fresh.csv"
+        log = "".join(f"line {i}\n" for i in range(7))
+        path.write_text(log)
+        with path.open("ab") as stdout:
+            proc = _child(["example1", "--max-iter", "3", "--output", "/dev/stdout"], stdout)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_MAX_ITER, b"")
+        cli.main(["example1", "--max-iter", "3", "--output", str(fresh)])
+        assert path.read_text() == log + fresh.read_text() + capsys.readouterr().out
+
 
 class TestUsageErrors:
     """A bad command line exits 64 with argparse's message."""
@@ -404,6 +416,14 @@ class TestExampleSubcommands:
         cli.main(["example1", "--output", str(fresh)])
         assert out.read_bytes() == fresh.read_bytes()
 
+    @pytest.mark.parametrize("args", [["--help"], ["example1", "--help"]],
+                             ids=["nladmm", "example1"])
+    def test_help_with_stdout_closed_at_start(self, args):
+        """With fd 1 closed, argparse would print the help to stderr and
+        exit 0; the CLI exits 1 with nothing on stderr, as after a solve."""
+        proc = _child(args, CLOSED)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_ERROR, b"")
+
 
 class TestOnebitSubcommand:
     def test_small_run(self, tmp_path, capsys):
@@ -444,9 +464,9 @@ def _tiny_rho0(bags, rho0):
 
 class TestTinyRho:
     """At a tiny rho the logistic prox starts far out on the sigmoid's tails,
-    past -709 where exp(-q) overflows. Down to 1e-40 it climbs with plain
-    Newton (91 of its 100 steps in the first q-update at 1e-40, and each
-    later one starts at the predicted root), below that in log form."""
+    past -709 where exp(-q) overflows. It climbs with Newton steps, about
+    ln(1/rho) of its 800 in the first q-update (91 at 1e-40, about 690 at
+    1e-300), and each later one starts at the predicted root."""
 
     test_multi_instance_rho0_1e_12 = _runs(_tiny_rho0("{default_bags}", "1e-12"))
     test_multi_instance_rho0_1e_40 = _runs(_tiny_rho0("{default_bags}", "1e-40"))

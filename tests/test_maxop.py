@@ -13,7 +13,7 @@ from helpers import (
 )
 from nladmm import datagen, inner, maxop, sphere, terms
 from nladmm.engine import RhoSchedule, StopCriteria
-from nladmm.errors import SubproblemFailure
+from nladmm.errors import DimensionMismatch, SubproblemFailure
 from nladmm.terms import (
     CompositeObjective,
     SmoothTerm,
@@ -238,7 +238,7 @@ class TestBlockUpdates:
         y1 = np.array([1.0])
         # The prox of the zero loss returns its center.
         q = maxop.update_q(lambda center, rho, q0, slope: center, data.bag_max(t), y1 / 2.0,
-                           rho=2.0, q0=np.zeros(1))
+                           rho=2.0, q0=np.zeros(1), slope=np.empty(1))
         assert q[0] == pytest.approx(5.0 - 0.5, abs=1e-8)
 
     @staticmethod
@@ -263,7 +263,8 @@ class TestBlockUpdates:
         prox, and reaches the per-bag root."""
         data, t, y1, rho = self._q_subproblem()
         prox = logistic_loss(data.labels).prox
-        q = maxop.update_q(prox, data.bag_max(t), y1 / rho, rho, np.zeros(data.n_bags))
+        q = maxop.update_q(prox, data.bag_max(t), y1 / rho, rho, np.zeros(data.n_bags),
+                           np.empty(data.n_bags))
         oracle = self._q_oracle(data, t, y1, rho)
         assert np.all(np.abs(q - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
@@ -280,7 +281,7 @@ class TestBlockUpdates:
               "near": oracle + 1e-3 * rng.standard_normal(data.n_bags),
               "far": np.full(data.n_bags, 1e6)}[start]
         prox = logistic_loss(data.labels).prox
-        q = maxop.update_q(prox, data.bag_max(t), y1 / rho, rho, q0)
+        q = maxop.update_q(prox, data.bag_max(t), y1 / rho, rho, q0, np.empty(data.n_bags))
         assert np.all(np.abs(q - oracle) <= 1e-12 * np.maximum(np.abs(oracle), 1.0))
 
     def test_logistic_prox_step_bound_raises(self, monkeypatch):
@@ -290,7 +291,7 @@ class TestBlockUpdates:
         data, t, y1, rho = self._q_subproblem()
         prox = logistic_loss(data.labels).prox
         with pytest.raises(SubproblemFailure, match="no root within 2 Newton steps"):
-            prox(data.bag_max(t) - y1 / rho, rho, np.zeros(data.n_bags))
+            prox(data.bag_max(t) - y1 / rho, rho, np.zeros(data.n_bags), np.empty(data.n_bags))
 
     @pytest.mark.parametrize("center, rho", [
         pytest.param(-4.554559740748719, 0.08101137465304825, id="newton-cycle"),
@@ -303,7 +304,7 @@ class TestBlockUpdates:
         Both take at most 10."""
         monkeypatch.setattr(terms, "_MAX_NEWTON_STEPS", 10)
         c = np.array([center])
-        q = logistic_loss(np.array([1.0])).prox(c, rho, c)[0]
+        q = logistic_loss(np.array([1.0])).prox(c, rho, c, np.empty(1))[0]
         assert abs(rho * (q - center) - expit(-q)) <= 1e-15
 
     @pytest.mark.parametrize("label", [0.0, 1.0])
@@ -317,7 +318,8 @@ class TestBlockUpdates:
         from 0 would climb its tail about one unit per step."""
         monkeypatch.setattr(terms, "_MAX_NEWTON_STEPS", 3)
         s = 1.0 - 2.0 * label
-        q = logistic_loss(np.array([label])).prox(np.array([s * d]), 1e-6, np.array([s * u0]))
+        q = logistic_loss(np.array([label])).prox(np.array([s * d]), 1e-6, np.array([s * u0]),
+                                                  np.empty(1))
         assert s * q[0] == pytest.approx(min(max(0.0, d - 1e6), d), rel=1e-12)
 
     @pytest.mark.parametrize("label", [0.0, 1.0])
@@ -331,9 +333,10 @@ class TestBlockUpdates:
         bags, where a bag's center does not move."""
         prox = logistic_loss(np.array([label])).prox
         c = np.zeros(1)
-        root = prox(c, rho, np.zeros(1))
+        slope = np.empty(1)
+        root = prox(c, rho, np.zeros(1), slope)
         monkeypatch.setattr(terms, "_MAX_NEWTON_STEPS", 1)
-        assert prox(c, rho, root)[0] == pytest.approx(root[0], rel=1e-15)
+        assert prox(c, rho, root, slope)[0] == pytest.approx(root[0], rel=1e-15)
 
     @pytest.mark.parametrize("label", [0.0, 1.0])
     def test_logistic_prox_stops_at_rounding_level(self, label):
@@ -342,7 +345,7 @@ class TestBlockUpdates:
         the Newton steps on it are several units long. The prox stops on
         the size of the residual instead of running to its step bound."""
         c = np.array([(1.0 - 2.0 * label) / 1e-18])
-        q = logistic_loss(np.array([label])).prox(c, 1e-18, np.zeros(1))
+        q = logistic_loss(np.array([label])).prox(c, 1e-18, np.zeros(1), np.empty(1))
         loss_term = -expit(-q) if label else expit(q)
         penalty = 1e-18 * (q - c)
         eps = np.finfo(float).eps
@@ -357,7 +360,7 @@ class TestBlockUpdates:
         center, q0 = np.array([0.5, -1.0, 2.0]), np.zeros(3)
         {"center": center, "start": q0}[bad][1] = value
         with pytest.raises(SubproblemFailure, match="non-finite"):
-            logistic_loss(y).prox(center, 0.1, q0)
+            logistic_loss(y).prox(center, 0.1, q0, np.empty(3))
 
     def test_logistic_prox_declared_for_binary_labels_only(self):
         """The prox reflects label 1 onto label 0, so only labels 0 and 1
@@ -459,6 +462,22 @@ class TestMaxopSolve:
             RhoSchedule.constant(0.1), StopCriteria(max_iter=50))
         assert trace[-1].objective == pytest.approx(
             loss.value(state.q) + reg.value(state.beta))
+
+    @pytest.mark.parametrize("field", ["q", "beta", "t", "y1", "y2"])
+    def test_rejects_a_misshapen_start(self, field, monkeypatch):
+        """A start field one entry short of what the data needs (6 bags, 18
+        instances, 3 features) raises DimensionMismatch naming it before
+        any block runs, not a numpy broadcast or matmul error."""
+        data, _ = datagen.generate_bags(6, 3, 3, seed=0)
+        init = maxop.MaxOpState.zeros(data, 0.1)
+        setattr(init, field, getattr(init, field)[:-1])
+        calls = []
+        monkeypatch.setattr(maxop, "update_q", lambda *a: calls.append(a))
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        with pytest.raises(DimensionMismatch, match=f"start state field {field} has shape"):
+            maxop.maxop_solve(data, loss, l1_term(1.0), init, RhoSchedule.constant(0.1),
+                              StopCriteria(max_iter=3))
+        assert calls == []
 
     @pytest.mark.parametrize("case", ["nonsmooth-loss"])
     def test_rejects_undeclared_terms(self, case, monkeypatch):
@@ -583,11 +602,11 @@ def test_q_prox_starts_at_predicted_root(monkeypatch, schedule, bound):
 
 
 def test_q_prox_predicted_start_far_down_the_tail(monkeypatch):
-    """At rho = 1e-40, the lowest rho whose prox steps plain Newton, the
-    last root lies about 90 unit steps up the sigmoid's tail from the next
-    one, as y1/rho moves the center. The predicted start lies within a few
-    steps of it: 4.3 passes per q-update on generate_bags(6, 3, 3, 0) over
-    50 iterations, against 89.7 from the last root."""
+    """At rho = 1e-40 the last root lies about 90 unit steps up the
+    sigmoid's tail from the next one, as y1/rho moves the center. The
+    predicted start lies within a few steps of it: 4.3 passes per q-update
+    on generate_bags(6, 3, 3, 0) over 50 iterations, against 89.7 from the
+    last root."""
     data, _ = datagen.generate_bags(6, 3, 3, seed=0)
     assert _newton_passes(monkeypatch, [data], RhoSchedule.constant(1e-40), 50) <= 10.0
 

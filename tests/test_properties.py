@@ -227,10 +227,13 @@ def test_logistic_prox_meets_first_order_condition(case):
     of |l| + |p| + the slope times max(|q|, 1). The result lies in the
     bracket [c - 1/rho, c + 1/rho] widened by its rounding error,
     4 eps (|c| + 1/rho), and takes at most 30 Newton steps, about twice
-    the most seen on such inputs; a run past them raises."""
+    the most seen on such inputs; a run past them raises. Every coordinate
+    gets a slope of at least rho."""
     y, center, rho, start = case
+    written = np.full(y.size, np.nan)
     with mock.patch.object(terms, "_MAX_NEWTON_STEPS", 30):
-        q = logistic_loss(y).prox(center, rho, start)
+        q = logistic_loss(y).prox(center, rho, start, written)
+    assert np.all(written >= rho)
     loss_term = np.where(y == 1.0, -expit(-q), expit(q))
     penalty = rho * (q - center)
     slope = expit(q) * expit(-q) + rho
@@ -248,20 +251,20 @@ def tail_proxes(draw):
     n = draw(st.integers(1, 12))
     y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
     center = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
-    return y, center, draw(st.sampled_from([1e-45, 1e-160, 1e-300]))
+    return y, center, draw(st.sampled_from([1e-45, 1e-160, 1e-300, 6e-309]))
 
 
 @settings(max_examples=200, deadline=None)
 @given(tail_proxes())
 def test_logistic_prox_climbs_the_tail(case):
-    """From q0 = 0 at rho = 1e-45, 1e-160 and 1e-300, where plain Newton
-    would climb the tail about ln(1/rho) unit steps, past its bound of 100,
-    the prox meets the first-order bound of
-    ``test_logistic_prox_meets_first_order_condition`` within that bound.
+    """From q0 = 0 at rho = 1e-45, 1e-160, 1e-300 and 6e-309, where Newton
+    climbs the tail about ln(1/rho) unit steps, up to about 710 at the
+    last, the prox meets the first-order bound of
+    ``test_logistic_prox_meets_first_order_condition`` within its step bound.
     The sigmoid is taken as exp(-log(1 + exp(-q))), which keeps its
     subnormal values below q = -709, where expit rounds to 0."""
     y, center, rho = case
-    q = logistic_loss(y).prox(center, rho, np.zeros(y.size))
+    q = logistic_loss(y).prox(center, rho, np.zeros(y.size), np.empty(y.size))
 
     def sigmoid(x):
         return np.exp(-np.logaddexp(0.0, -x))

@@ -5,6 +5,7 @@ from helpers import (golden_section_min, onebit_reference, sphere_penalty_oracle
                      sphere_penalty_value)
 from nladmm import datagen, sphere
 from nladmm.engine import RhoSchedule, StopCriteria
+from nladmm.errors import DimensionMismatch
 
 
 def stationarity_residual(w, v, alpha):
@@ -227,6 +228,25 @@ class TestOneBitPieces:
                                               StopCriteria(max_iter=60))
         assert abs(float(state.x @ state.x) - 1.0) <= 1e-3
         assert trace[-1].objective < problem.objective(x0, problem.signed_matrix @ x0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("x", np.zeros(15)), ("w", np.zeros(15)), ("z", np.zeros(9)), ("v", np.zeros(17)),
+    ("y1", np.zeros(1)), ("y2", np.zeros(7)), ("y3", np.zeros(15)), ("y4", np.zeros((16, 1)))],
+    ids=["x", "w", "z", "v", "y1", "y2", "y3", "y4"])
+def test_onebit_solve_rejects_a_misshapen_start(field, value, monkeypatch):
+    """A start field shaped unlike the data needs (n = 16, m = 8) raises
+    DimensionMismatch naming it before any block runs, not a numpy error
+    from inside a block. Each field is set after the state is built."""
+    problem, _ = datagen.generate_onebit(16, 8, 2, 0)
+    init = sphere.OneBitCsState(x=np.ones(16) / 4.0, w=np.ones(16) / 4.0, z=np.zeros(8),
+                                y1=0.0, y2=np.zeros(8), y3=np.zeros(16), rho=10.0)
+    setattr(init, field, value)
+    calls = []
+    monkeypatch.setattr(sphere, "sphere_penalty_min", lambda *a: calls.append(a))
+    with pytest.raises(DimensionMismatch, match=f"start state field {field} has shape"):
+        sphere.onebit_solve(problem, init, RhoSchedule.constant(10.0), StopCriteria(max_iter=3))
+    assert calls == []
 
 
 @pytest.mark.parametrize("m", [32, 64, 128])
