@@ -241,11 +241,28 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
 def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
           stop: StopCriteria, record: Optional[Callable] = None) -> SolveResult:
     """Run the two-block iteration until both residual norms pass their
-    tolerances or ``stop.max_iter`` is reached; ``record`` is ``iterate``'s."""
+    tolerances or ``stop.max_iter`` is reached; ``record`` is ``iterate``'s.
+
+    Before any block runs, f1(x1), f2(x2) and y of ``init`` must share one
+    shape; otherwise DimensionMismatch names the start field that differs
+    from the other two (x1 when all three differ), or whose map raised
+    ValueError on it."""
     f1, f2 = problem.f1, problem.f2
+
+    def start_value(term, name):
+        try:
+            return term.eval(np.asarray(getattr(init, name), dtype=float))
+        except ValueError as exc:
+            raise DimensionMismatch(f"start state field {name} does not fit: {exc}") from exc
+
     # f2 is evaluated once per iteration; f2_old is f2 at the last x2.
-    f2x2 = f2.eval(np.asarray(init.x2, dtype=float))
+    f2x2 = start_value(f2, "x2")
     f2_old = None
+    s1, s2, sy = np.shape(start_value(f1, "x1")), np.shape(f2x2), np.shape(init.y)
+    if not s1 == s2 == sy:
+        name = "y" if s1 == s2 else "x2" if s1 == sy else "x1"
+        raise DimensionMismatch(f"start state field {name} does not fit: f1(x1), f2(x2) and y "
+                                f"have shapes {s1}, {s2} and {sy}")
 
     def primal(s):
         nonlocal f2x2, f2_old

@@ -108,12 +108,13 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
     rho (u - d); neither test scales with 1/rho. The start is x0 where it
     lies between 0 and the root (u0 h(u0) <= 0) or where it already passes
     the stopping test, as a root returned before does, and
-    clip(0, d - 1/rho, d) elsewhere. A done coordinate takes its last step
-    and leaves the loop, and the rest step on.
+    clip(0, d - 1/rho, d) elsewhere. Every coordinate takes two steps, and
+    the test runs on the second: a coordinate done there takes it and
+    leaves, and only the rest step on, each until it is done.
 
-    More than 800 steps, or a non-finite center, start or d - 1/rho, raise
-    SubproblemFailure. The array ``slope`` gets sigmoid'(q) + rho at each
-    coordinate's last Newton point."""
+    More than 800 steps in all, or a non-finite center, start or
+    d - 1/rho, raise SubproblemFailure. The array ``slope`` gets
+    sigmoid'(q) + rho at each coordinate's last Newton point."""
     y = np.asarray(labels, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("logistic loss labels must be 0 or 1")
@@ -137,16 +138,20 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
 
     def done(step, h, penalty, a):
         """Where u - step is the root: step^2 <= 4 eps max(|u|, 1), or
-        |h| <= 4 eps |rho (u - d)|."""
-        return (step * step <= _EPS4 * np.maximum(a, 1.0)) | (np.abs(h) <= _EPS4 * np.abs(penalty))
+        |h| < 4 eps |rho (u - d)|, strictly, so that a start whose penalty
+        overflows is not taken for a root."""
+        return (step * step <= _EPS4 * np.maximum(a, 1.0)) | (np.abs(h) < _EPS4 * np.abs(penalty))
 
     def prox(center, rho, q0, slope):
         # 1/rho can overflow at a tiny rho, and u - d for a start far from d:
-        # the first fails the check below, the second the start test.
-        with np.errstate(over="ignore"):
+        # the first fails the check below, the second the start test. The
+        # check sums first; finite values whose sum overflows, to inf or to
+        # inf - inf, go on to the per-array tests and pass them.
+        with np.errstate(over="ignore", invalid="ignore"):
             d = sign * center
             low = d - 1.0 / rho
-            if not (np.isfinite(low).all() and np.isfinite(q0).all()):
+            if not (math.isfinite(low.sum() + q0.sum())
+                    or (np.isfinite(low).all() and np.isfinite(q0).all())):
                 raise SubproblemFailure("logistic prox: non-finite center, start or "
                                         f"bracket end c -+ 1/rho at rho = {rho!r}")
             u = sign * q0
@@ -158,10 +163,21 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
                 if away.any():
                     u = np.where(away, np.minimum(np.maximum(0.0, low), d), u)
                     h, dh, penalty, a = residual(u, d, rho)
+            # Two steps on every coordinate, tested on the second.
+            u = u - h / dh
+            h, dh, penalty, a = residual(u, d, rho)
+            step = h / dh
+            fin = done(step, h, penalty, a)
+            out = u - step
+            slope[...] = dh
+            if fin.all():
+                return sign * out
             # u and d hold the coordinates still stepping, todo their places
             # in out.
-            out, todo = np.empty_like(u), np.arange(u.size)
-            for _ in range(_MAX_NEWTON_STEPS):
+            todo = (~fin).nonzero()[0]
+            u, d = out[todo], d[todo]
+            for _ in range(_MAX_NEWTON_STEPS - 2):
+                h, dh, penalty, a = residual(u, d, rho)
                 step = h / dh
                 fin = done(step, h, penalty, a)
                 u = u - step
@@ -173,7 +189,6 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
                         return sign * out
                     keep = ~fin
                     todo, u, d = todo[keep], u[keep], d[keep]
-                h, dh, penalty, a = residual(u, d, rho)
         raise SubproblemFailure(f"logistic prox: no root within {_MAX_NEWTON_STEPS} "
                                 "Newton steps")
 

@@ -231,6 +231,33 @@ class TestSolve:
         with pytest.raises(DimensionMismatch):
             solve(problem, init, RhoSchedule.constant(1.0), StopCriteria(max_iter=5))
 
+    @pytest.mark.parametrize("field", ["x1", "x2", "y"])
+    def test_misshapen_start_raises_before_blocks(self, field):
+        """On example1 from x1 = x2 = y = zeros(1), a 3-long start field
+        raises DimensionMismatch naming it before any block runs: a 3-long
+        x1 would otherwise run to the iteration cap, as its block overwrites
+        it, and a 3-long x2 end in numpy's matmul error."""
+        calls = []
+        example = se.build_example("example1")
+        problem = dataclasses.replace(
+            example, solve_x1=lambda *a: calls.append(1) or example.solve_x1(*a),
+            solve_x2=lambda *a: calls.append(2) or example.solve_x2(*a))
+        init = IterateState(x1=np.zeros(1), x2=np.zeros(1), y=np.zeros(1), rho=1.0)
+        setattr(init, field, np.zeros(3))
+        with pytest.raises(DimensionMismatch, match=f"^start state field {field} does not fit"):
+            solve(problem, init, RhoSchedule.constant(1.0), StopCriteria(max_iter=5))
+        assert calls == []
+
+    @pytest.mark.parametrize("field", ["x1", "x2"])
+    def test_start_that_its_map_refuses_raises(self, field):
+        """A 3-long start field under a 1 x 1 linear map, whose product
+        raises numpy's ValueError, raises DimensionMismatch naming it."""
+        init = IterateState(x1=np.zeros(1), x2=np.zeros(1), y=np.zeros(1), rho=1.0)
+        setattr(init, field, np.zeros(3))
+        with pytest.raises(DimensionMismatch, match=f"^start state field {field} does not fit"):
+            solve(self._linear_problem(), init, RhoSchedule.constant(1.0),
+                  StopCriteria(max_iter=5))
+
     def test_overflowing_rho_raises_before_blocks(self):
         """rho = 1 + k 1e308 is finite for k = 0 and 1 and overflows at
         k = 2, where the loop stops before any block runs."""

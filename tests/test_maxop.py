@@ -351,16 +351,33 @@ class TestBlockUpdates:
         eps = np.finfo(float).eps
         assert abs(loss_term + penalty) <= 8.0 * eps * (abs(loss_term) + abs(penalty))
 
+    @pytest.mark.parametrize("scale", [1.0, 1e308], ids=["small", "overflowing-sum"])
     @pytest.mark.parametrize("bad", ["center", "start"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_logistic_prox_nonfinite_raises(self, bad, value):
+    def test_logistic_prox_nonfinite_raises(self, bad, value, scale):
         """A NaN or Inf center or start raises, with no numpy warning
-        (pytest turns a RuntimeWarning into an error)."""
+        (pytest turns a RuntimeWarning into an error), also beside finite
+        values of 1e308 whose sum overflows."""
         y = np.array([0.0, 1.0, 1.0])
-        center, q0 = np.array([0.5, -1.0, 2.0]), np.zeros(3)
+        center, q0 = scale * np.array([1.0, -1.0, -1.0]), np.full(3, scale)
         {"center": center, "start": q0}[bad][1] = value
-        with pytest.raises(SubproblemFailure, match="non-finite"):
+        with pytest.raises(SubproblemFailure) as e:
             logistic_loss(y).prox(center, 0.1, q0, np.empty(3))
+        assert str(e.value) == ("logistic prox: non-finite center, start or bracket end "
+                                "c -+ 1/rho at rho = 0.1")
+
+    @pytest.mark.parametrize("center, q0", [
+        ([1e308, 1e308], [0.0, 0.0]), ([0.0, 0.0], [1e308, 1e308]),
+        ([1e308, 1e308], [-1e308, -1e308])], ids=["center", "start", "both"])
+    def test_logistic_prox_overflowing_sum_runs(self, center, q0):
+        """Finite centers and starts whose sums overflow, to inf or, summed,
+        to NaN, pass the finiteness check. The last start lies so far from
+        the center that rho (q - c) overflows: it is not taken for a root,
+        and Newton restarts inside the bracket [c - 1/rho, c]."""
+        center = np.array(center)
+        slope = np.full(2, np.nan)
+        q = logistic_loss(np.zeros(2)).prox(center, 1.0, np.array(q0), slope)
+        assert np.all((center - 1.0 <= q) & (q <= center)) and np.all(slope >= 1.0)
 
     def test_logistic_prox_declared_for_binary_labels_only(self):
         """The prox reflects label 1 onto label 0, so only labels 0 and 1

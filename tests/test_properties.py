@@ -13,7 +13,11 @@ occur often. Sphere inputs include norms from 1e-14 to 1e-6. Lassos have
 up to 16 features and condition numbers up to 1e6, with exact ties: zero
 entries of c, weights of 0 and of exactly ||c||_inf, and zero warm starts.
 Logistic prox inputs have labels 0 and 1, centers up to 1e3 in size, rho
-from 1e-3 to 1e3 and starts at zero, at the center or anywhere in 1e3.
+from 1e-3 to 1e3 and starts at zero, at the center or anywhere in 1e3;
+restarted proxes also take rho down to 6e-309 and start at a returned
+root, within one unit step of it or up to 1e306 away. The q-block's
+predicted start without rho growth is held to the general formula on
+arrays with signed zeros.
 """
 
 from unittest import mock
@@ -254,18 +258,11 @@ def tail_proxes(draw):
     return y, center, draw(st.sampled_from([1e-45, 1e-160, 1e-300, 6e-309]))
 
 
-@settings(max_examples=200, deadline=None)
-@given(tail_proxes())
-def test_logistic_prox_climbs_the_tail(case):
-    """From q0 = 0 at rho = 1e-45, 1e-160, 1e-300 and 6e-309, where Newton
-    climbs the tail about ln(1/rho) unit steps, up to about 710 at the
-    last, the prox meets the first-order bound of
-    ``test_logistic_prox_meets_first_order_condition`` within its step bound.
-    The sigmoid is taken as exp(-log(1 + exp(-q))), which keeps its
+def first_order_violation(y, center, rho, q):
+    """How far the prox result q misses the first-order bound of
+    ``test_logistic_prox_meets_first_order_condition``, positive where it
+    does. The sigmoid is taken as exp(-log(1 + exp(-q))), which keeps its
     subnormal values below q = -709, where expit rounds to 0."""
-    y, center, rho = case
-    q = logistic_loss(y).prox(center, rho, np.zeros(y.size), np.empty(y.size))
-
     def sigmoid(x):
         return np.exp(-np.logaddexp(0.0, -x))
 
@@ -274,4 +271,84 @@ def test_logistic_prox_climbs_the_tail(case):
     slope = sigmoid(q) * sigmoid(-q) + rho
     eps = np.finfo(float).eps
     scale = np.abs(loss_term) + np.abs(penalty) + slope * np.maximum(np.abs(q), 1.0)
-    assert np.all(np.abs(loss_term + penalty) <= 8.0 * eps * scale)
+    return np.abs(loss_term + penalty) - 8.0 * eps * scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(tail_proxes())
+def test_logistic_prox_climbs_the_tail(case):
+    """From q0 = 0 at rho = 1e-45, 1e-160, 1e-300 and 6e-309, where Newton
+    climbs the tail about ln(1/rho) unit steps, up to about 710 at the
+    last, the prox meets the first-order bound of
+    ``test_logistic_prox_meets_first_order_condition`` within its step bound."""
+    y, center, rho = case
+    q = logistic_loss(y).prox(center, rho, np.zeros(y.size), np.empty(y.size))
+    assert np.all(first_order_violation(y, center, rho, q) <= 0.0)
+
+
+@st.composite
+def restarted_proxes(draw):
+    """(labels, centers, rho, kind, offsets) for up to 12 bags: rho from
+    1e-6 to 1e3 or far down the tail, down to 6e-309, and the start kind:
+    at the root, one unit step or less from it on either side, or far."""
+    n = draw(st.integers(1, 12))
+    y = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]), min_size=n, max_size=n)))
+    center = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    rho = draw(st.one_of(st.floats(-6.0, 3.0).map(lambda e: 10.0 ** e),
+                         st.sampled_from([1e-45, 1e-160, 1e-300, 6e-309])))
+    kind = draw(st.sampled_from(["root", "near", "far"]))
+    near = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-16.0, 0.0)).map(
+        lambda p: p[0] * 10.0 ** p[1])
+    far = st.one_of(st.floats(-1e306, 1e306), st.sampled_from([-1e306, 1e306]))
+    offsets = np.array(draw(st.lists(near if kind == "near" else far, min_size=n, max_size=n)))
+    return y, center, rho, kind, offsets
+
+
+@settings(max_examples=200, deadline=None)
+@given(restarted_proxes())
+def test_logistic_prox_from_any_start(case):
+    """From a root the prox returned, from within one unit step of it on
+    either side (down the sigmoid's tail Newton steps are about one unit
+    long) and from far away, up to 1e306, where rho (q - c) can overflow,
+    the prox meets the first-order bound of
+    ``test_logistic_prox_meets_first_order_condition`` within its step
+    bound and writes every entry of ``slope``, each at least rho."""
+    y, center, rho, kind, offsets = case
+    prox = logistic_loss(y).prox
+    root = prox(center, rho, np.zeros(y.size), np.empty(y.size))
+    start = {"root": root, "near": root + offsets, "far": offsets}[kind]
+    written = np.full(y.size, np.nan)
+    q = prox(center, rho, start, written)
+    assert np.all(written >= rho)
+    assert np.all(first_order_violation(y, center, rho, q) <= 0.0)
+
+
+@st.composite
+def predictor_inputs(draw):
+    """(q, scaled, scaled_old, slope) arrays of one length, with signed
+    zeros, negative values and values from 1e-300 to 1e300 in size, and a
+    slope that is positive or NaN, as the q-block's is."""
+    n = draw(st.integers(1, 8))
+    values = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 1.0, -1e-300, 1e300]),
+                       st.floats(-1e300, 1e300, allow_nan=False))
+    slopes = st.one_of(st.just(np.nan), st.floats(1e-300, 1e300))
+
+    def array(elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+
+    return array(values), array(values), array(values), array(slopes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(predictor_inputs())
+def test_predicted_start_without_growth_is_the_general_formula(case):
+    """When rho did not grow, the q-block's predicted start leaves out the
+    growth terms and is still the general formula at growth 0, bit for
+    bit, the sign of a zero included."""
+    q, scaled, scaled_old, slope = case
+    grow = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        guess = q + (scaled - scaled_old - grow * q) / (slope + grow)
+        general = np.where(np.isfinite(guess), guess, q)
+        assert maxop._predicted_start(q, scaled, scaled_old, slope, grow).tobytes() == \
+            general.tobytes()
