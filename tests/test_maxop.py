@@ -351,13 +351,8 @@ class TestBlockUpdates:
         eps = np.finfo(float).eps
         assert abs(loss_term + penalty) <= 8.0 * eps * (abs(loss_term) + abs(penalty))
 
-    @pytest.mark.parametrize("scale", [1.0, 1e308], ids=["small", "overflowing-sum"])
-    @pytest.mark.parametrize("bad", ["center", "start"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_logistic_prox_nonfinite_raises(self, bad, value, scale):
-        """A NaN or Inf center or start raises, with no numpy warning
-        (pytest turns a RuntimeWarning into an error), also beside finite
-        values of 1e308 whose sum overflows."""
+    @staticmethod
+    def _nonfinite_prox_raises(bad, value, scale):
         y = np.array([0.0, 1.0, 1.0])
         center, q0 = scale * np.array([1.0, -1.0, -1.0]), np.full(3, scale)
         {"center": center, "start": q0}[bad][1] = value
@@ -365,6 +360,19 @@ class TestBlockUpdates:
             logistic_loss(y).prox(center, 0.1, q0, np.empty(3))
         assert str(e.value) == ("logistic prox: non-finite center, start or bracket end "
                                 "c -+ 1/rho at rho = 0.1")
+
+    @pytest.mark.parametrize("bad", ["center", "start"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_logistic_prox_nonfinite_raises(self, bad, value):
+        """A NaN or Inf center or start raises, with no numpy warning
+        (pytest turns a RuntimeWarning into an error)."""
+        self._nonfinite_prox_raises(bad, value, 1.0)
+
+    @pytest.mark.parametrize("bad", ["center", "start"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_logistic_prox_nonfinite_beside_overflow_raises(self, bad, value):
+        """The same, beside finite values of 1e308 whose sums overflow."""
+        self._nonfinite_prox_raises(bad, value, 1e308)
 
     @pytest.mark.parametrize("center, q0", [
         ([1e308, 1e308], [0.0, 0.0]), ([0.0, 0.0], [1e308, 1e308]),
