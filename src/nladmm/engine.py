@@ -246,13 +246,17 @@ def solve(problem: Problem, init: IterateState, schedule: RhoSchedule,
     Before any block runs, f1(x1), f2(x2) and y of ``init`` must share one
     shape; otherwise DimensionMismatch names the start field that differs
     from the other two (x1 when all three differ), or whose map raised
-    ValueError on it."""
+    ValueError on it while it is shaped unlike y; a map's ValueError on a
+    start shaped like y is its own and passes through."""
     f1, f2 = problem.f1, problem.f2
 
     def start_value(term, name):
+        x = np.asarray(getattr(init, name), dtype=float)
         try:
-            return term.eval(np.asarray(getattr(init, name), dtype=float))
+            return term.eval(x)
         except ValueError as exc:
+            if x.shape == np.shape(init.y):
+                raise
             raise DimensionMismatch(f"start state field {name} does not fit: {exc}") from exc
 
     # f2 is evaluated once per iteration; f2_old is f2 at the last x2.

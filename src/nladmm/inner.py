@@ -110,12 +110,9 @@ def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray,
     ill-conditioned G_AA is solved afresh instead. Every block is dense
     k x k, so this is for small p.
     """
-    x = np.asarray(x0, dtype=float)  # never written to: every step makes a new x
-    # Sums of Python floats: an overflow to inf or nan warns of nothing, and
-    # sends only finite values that overflow to the exact test.
-    if not (math.isfinite(sum(c.tolist()) + float(mu) + sum(x.tolist()))
-            or (np.isfinite(c).all() and math.isfinite(mu) and np.isfinite(x).all())):
+    if not (np.isfinite(c).all() and math.isfinite(mu) and np.isfinite(x0).all()):
         raise SubproblemFailure("lasso: non-finite linear term, l1 weight or start")
+    x = np.asarray(x0, dtype=float)  # never written to: every step makes a new x
     theta = np.sign(x)
     solve = np.count_nonzero(theta) > 0  # a warm start first solves on its own support
     if factors is None:

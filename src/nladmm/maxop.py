@@ -279,21 +279,6 @@ def t_update_bags(data: BagDataset, psi: np.ndarray,
     return t, tmax
 
 
-def _predicted_start(q: np.ndarray, scaled: np.ndarray, scaled_old: np.ndarray,
-                     slope: np.ndarray, grow: float) -> np.ndarray:
-    """q + (scaled - scaled_old - grow q) / (slope + grow), or q where that
-    is not finite. When rho did not grow the grow terms are left out, bit
-    for bit: slope is positive or NaN, so slope + 0 is slope, and grow q is
-    +-0, which changes only a -0 numerator, to +0 where q is negative or -0.
-    Where q is not -0 the sign of a zero quotient is lost in the sum, so
-    + 0.0, which makes every -0 numerator +0, gives the same sum."""
-    if grow:
-        guess = q + (scaled - scaled_old - grow * q) / (slope + grow)
-    else:
-        guess = q + (scaled - scaled_old + 0.0) / slope
-    return np.where(np.isfinite(guess), guess, q)
-
-
 def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
                 init: MaxOpState, schedule: RhoSchedule,
                 stop: StopCriteria) -> SolveResult:
@@ -338,7 +323,9 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
         y1_rho, y2_rho = s.y1 / rho, s.y2 / rho
         q0, scaled_old, scaled = s.q, scaled, rho * tmax - s.y1
         if scaled_old is not None:
-            q0 = _predicted_start(q0, scaled, scaled_old, slope, rho - rho_old)
+            grow = rho - rho_old
+            guess = q0 + (scaled - scaled_old - grow * q0) / (slope + grow)
+            q0 = np.where(np.isfinite(guess), guess, q0)
         rho_old = rho
         return update_q(prox, tmax, y1_rho, rho, q0, slope)
 

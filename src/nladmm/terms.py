@@ -144,14 +144,11 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
 
     def prox(center, rho, q0, slope):
         # 1/rho can overflow at a tiny rho, and u - d for a start far from d:
-        # the first fails the check below, the second the start test. The
-        # check sums first; finite values whose sum overflows, to inf or to
-        # inf - inf, go on to the per-array tests and pass them.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the first fails the check below, the second the start test.
+        with np.errstate(over="ignore"):
             d = sign * center
             low = d - 1.0 / rho
-            if not (math.isfinite(low.sum() + q0.sum())
-                    or (np.isfinite(low).all() and np.isfinite(q0).all())):
+            if not (np.isfinite(low).all() and np.isfinite(q0).all()):
                 raise SubproblemFailure("logistic prox: non-finite center, start or "
                                         f"bracket end c -+ 1/rho at rho = {rho!r}")
             u = sign * q0

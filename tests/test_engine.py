@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -257,6 +258,21 @@ class TestSolve:
         with pytest.raises(DimensionMismatch, match=f"^start state field {field} does not fit"):
             solve(self._linear_problem(), init, RhoSchedule.constant(1.0),
                   StopCriteria(max_iter=5))
+
+    @pytest.mark.parametrize("field", ["x1", "x2"])
+    def test_start_map_value_error_passes_through(self, field):
+        """A map's own ValueError on a start shaped like y, here a math
+        domain error, is not taken for a shape mismatch."""
+        problem = self._linear_problem()
+
+        def refuse(x):
+            return np.array([math.sqrt(x[0] - 1.0)])
+
+        term = ConstraintTerm(eval=refuse, jacobian=lambda x: np.eye(1))
+        problem = dataclasses.replace(problem, **{"f" + field[1]: term})
+        init = IterateState(x1=np.zeros(1), x2=np.zeros(1), y=np.zeros(1), rho=1.0)
+        with pytest.raises(ValueError, match="^math domain error$"):
+            solve(problem, init, RhoSchedule.constant(1.0), StopCriteria(max_iter=5))
 
     def test_overflowing_rho_raises_before_blocks(self):
         """rho = 1 + k 1e308 is finite for k = 0 and 1 and overflows at

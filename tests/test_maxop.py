@@ -351,40 +351,26 @@ class TestBlockUpdates:
         eps = np.finfo(float).eps
         assert abs(loss_term + penalty) <= 8.0 * eps * (abs(loss_term) + abs(penalty))
 
-    @staticmethod
-    def _nonfinite_prox_raises(bad, value, scale):
+    @pytest.mark.parametrize("bad", ["center", "start"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_logistic_prox_nonfinite_raises(self, bad, value):
+        """A NaN or Inf center or start raises, with no numpy warning
+        (pytest turns a RuntimeWarning into an error)."""
         y = np.array([0.0, 1.0, 1.0])
-        center, q0 = scale * np.array([1.0, -1.0, -1.0]), np.full(3, scale)
+        center, q0 = np.array([0.5, -1.0, 2.0]), np.zeros(3)
         {"center": center, "start": q0}[bad][1] = value
         with pytest.raises(SubproblemFailure) as e:
             logistic_loss(y).prox(center, 0.1, q0, np.empty(3))
         assert str(e.value) == ("logistic prox: non-finite center, start or bracket end "
                                 "c -+ 1/rho at rho = 0.1")
 
-    @pytest.mark.parametrize("bad", ["center", "start"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_logistic_prox_nonfinite_raises(self, bad, value):
-        """A NaN or Inf center or start raises, with no numpy warning
-        (pytest turns a RuntimeWarning into an error)."""
-        self._nonfinite_prox_raises(bad, value, 1.0)
-
-    @pytest.mark.parametrize("bad", ["center", "start"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_logistic_prox_nonfinite_beside_overflow_raises(self, bad, value):
-        """The same, beside finite values of 1e308 whose sums overflow."""
-        self._nonfinite_prox_raises(bad, value, 1e308)
-
-    @pytest.mark.parametrize("center, q0", [
-        ([1e308, 1e308], [0.0, 0.0]), ([0.0, 0.0], [1e308, 1e308]),
-        ([1e308, 1e308], [-1e308, -1e308])], ids=["center", "start", "both"])
-    def test_logistic_prox_overflowing_sum_runs(self, center, q0):
-        """Finite centers and starts whose sums overflow, to inf or, summed,
-        to NaN, pass the finiteness check. The last start lies so far from
-        the center that rho (q - c) overflows: it is not taken for a root,
+    def test_logistic_prox_overflowing_penalty_start_is_no_root(self):
+        """A start so far from its center that rho (q - c) overflows to
+        -inf has |h| = |rho (q - c)| = inf: it is not taken for a root,
         and Newton restarts inside the bracket [c - 1/rho, c]."""
-        center = np.array(center)
+        center = np.array([1e308, 1e308])
         slope = np.full(2, np.nan)
-        q = logistic_loss(np.zeros(2)).prox(center, 1.0, np.array(q0), slope)
+        q = logistic_loss(np.zeros(2)).prox(center, 1.0, np.array([-1e308, -1e308]), slope)
         assert np.all((center - 1.0 <= q) & (q <= center)) and np.all(slope >= 1.0)
 
     def test_logistic_prox_declared_for_binary_labels_only(self):

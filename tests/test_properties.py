@@ -321,34 +321,3 @@ def test_logistic_prox_from_any_start(case):
     q = prox(center, rho, start, written)
     assert np.all(written >= rho)
     assert np.all(first_order_violation(y, center, rho, q) <= 0.0)
-
-
-@st.composite
-def predictor_inputs(draw):
-    """(q, scaled, scaled_old, slope) arrays of one length, with signed
-    zeros, negative values and values from 1e-300 to 1e300 in size, and a
-    slope that is positive or NaN, as the q-block's is."""
-    n = draw(st.integers(1, 8))
-    values = st.one_of(st.sampled_from([-0.0, 0.0, -1.0, 1.0, -1e-300, 1e300]),
-                       st.floats(-1e300, 1e300, allow_nan=False))
-    slopes = st.one_of(st.just(np.nan), st.floats(1e-300, 1e300))
-
-    def array(elements):
-        return np.array(draw(st.lists(elements, min_size=n, max_size=n)))
-
-    return array(values), array(values), array(values), array(slopes)
-
-
-@settings(max_examples=300, deadline=None)
-@given(predictor_inputs())
-def test_predicted_start_without_growth_is_the_general_formula(case):
-    """When rho did not grow, the q-block's predicted start leaves out the
-    growth terms and is still the general formula at growth 0, bit for
-    bit, the sign of a zero included."""
-    q, scaled, scaled_old, slope = case
-    grow = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        guess = q + (scaled - scaled_old - grow * q) / (slope + grow)
-        general = np.where(np.isfinite(guess), guess, q)
-        assert maxop._predicted_start(q, scaled, scaled_old, slope, grow).tobytes() == \
-            general.tobytes()
