@@ -176,8 +176,6 @@ def _polish_root(p: float, q: float, r: float) -> float:
         if abs(fn) >= abs(f):
             break
         r, f = rn, fn
-        if f == 0.0:
-            break
     return r
 
 

@@ -311,9 +311,9 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     # initial t. It forms X beta once, and the y2 residual reuses it.
     tmax = data.bag_max(np.asarray(init.t, dtype=float))
     tmax_old = t_old = xbeta = y1_rho = y2_rho = None
-    # rho never falls, so the q-block's denominator is at least rho_old > 0;
-    # iterate's errstate keeps an overflow quiet. A slope the prox does not
-    # write stays NaN and gives no guess.
+    # slope = sigma' + rho_old at the last Newton point, so the q-block's
+    # denominator is sigma' + rho > 0 however rho moves; iterate's errstate
+    # keeps an overflow quiet. A slope the prox does not write gives no guess.
     slope = np.full(len(tmax), np.nan)
     scaled = rho_old = None
     factors = {}

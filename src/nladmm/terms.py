@@ -108,12 +108,12 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
     rho (u - d); neither test scales with 1/rho. The start is x0 where it
     lies between 0 and the root (u0 h(u0) <= 0) or where it already passes
     the stopping test, as a root returned before does, and
-    clip(0, d - 1/rho, d) elsewhere. Every coordinate takes two steps, and
-    the test runs on the second: a coordinate done there takes it and
-    leaves, and only the rest step on, each until it is done.
+    clip(0, d - 1/rho, d) elsewhere. Every coordinate takes one untested
+    step, and then one loop tests each step: a coordinate done there takes
+    it and leaves, and only the rest step on, each until it is done.
 
-    More than 800 steps in all, or a non-finite center, start or
-    d - 1/rho, raise SubproblemFailure. The array ``slope`` gets
+    More than 800 steps in all, the first included, or a non-finite center,
+    start or d - 1/rho, raise SubproblemFailure. The array ``slope`` gets
     sigmoid'(q) + rho at each coordinate's last Newton point."""
     y = np.asarray(labels, dtype=float)
     if not np.all((y == 0.0) | (y == 1.0)):
@@ -160,24 +160,15 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
                 if away.any():
                     u = np.where(away, np.minimum(np.maximum(0.0, low), d), u)
                     h, dh, penalty, a = residual(u, d, rho)
-            # Two steps on every coordinate, tested on the second.
-            u = u - h / dh
-            h, dh, penalty, a = residual(u, d, rho)
-            step = h / dh
-            fin = done(step, h, penalty, a)
-            out = u - step
-            slope[...] = dh
-            if fin.all():
-                return sign * out
-            # u and d hold the coordinates still stepping, todo their places
-            # in out.
-            todo = (~fin).nonzero()[0]
-            u, d = out[todo], d[todo]
-            for _ in range(_MAX_NEWTON_STEPS - 2):
+            # u and d hold the coordinates still stepping and todo their places
+            # in out; until the first compaction, u is out itself, stepped in place.
+            out = u = u - h / dh  # the first step, untested
+            todo = ...
+            for _ in range(_MAX_NEWTON_STEPS - 1):
                 h, dh, penalty, a = residual(u, d, rho)
                 step = h / dh
                 fin = done(step, h, penalty, a)
-                u = u - step
+                u -= step
                 n_fin = np.count_nonzero(fin)
                 if n_fin:
                     out[todo] = u
@@ -185,7 +176,8 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
                     if n_fin == fin.size:
                         return sign * out
                     keep = ~fin
-                    todo, u, d = todo[keep], u[keep], d[keep]
+                    todo = keep.nonzero()[0] if todo is ... else todo[keep]
+                    u, d = u[keep], d[keep]
         raise SubproblemFailure(f"logistic prox: no root within {_MAX_NEWTON_STEPS} "
                                 "Newton steps")
 

@@ -326,17 +326,22 @@ class TestBlockUpdates:
     @pytest.mark.parametrize("rho", [1e-20, 1e-39])
     def test_logistic_prox_keeps_a_start_at_its_root(self, label, rho, monkeypatch):
         """A root the prox returned, given back as the start, is kept and
-        done in one step, although rounding leaves its residual on the far
-        side of 0 here. Restarting at the clipped point instead climbs the
-        sigmoid's tail again: 47 Newton passes at rho = 1e-20 and 90 at
-        1e-39, in every q-update of a solve on the generate-bags default
-        bags, where a bag's center does not move."""
+        done in two steps, the untested first and the tested second,
+        although rounding leaves its residual on the far side of 0 here.
+        Restarting at the clipped point instead climbs the sigmoid's tail
+        again: 47 Newton passes at rho = 1e-20 and 90 at 1e-39, in every
+        q-update of a solve on the generate-bags default bags, where a
+        bag's center does not move. The bound counts the first step, so
+        one step is too few."""
         prox = logistic_loss(np.array([label])).prox
         c = np.zeros(1)
         slope = np.empty(1)
         root = prox(c, rho, np.zeros(1), slope)
-        monkeypatch.setattr(terms, "_MAX_NEWTON_STEPS", 1)
+        monkeypatch.setattr(terms, "_MAX_NEWTON_STEPS", 2)
         assert prox(c, rho, root, slope)[0] == pytest.approx(root[0], rel=1e-15)
+        monkeypatch.setattr(terms, "_MAX_NEWTON_STEPS", 1)
+        with pytest.raises(SubproblemFailure, match="no root within 1 Newton steps"):
+            prox(c, rho, root, slope)
 
     @pytest.mark.parametrize("label", [0.0, 1.0])
     def test_logistic_prox_stops_at_rounding_level(self, label):
