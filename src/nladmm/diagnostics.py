@@ -47,7 +47,9 @@ class ViMatrices:
 def vi_matrices(d: int, rho: float) -> ViMatrices:
     """Build C = [[rho A, 0],[B, I/rho]], D = blockdiag(rho A, I/rho),
     E = [[I, 0],[rho B, I]], G = C + C' - E'DE, with A = blockdiag(0, I)
-    and B = [0 I] on d-dimensional blocks."""
+    and B = [0 I] on d-dimensional blocks. ``diagnose_result`` does not
+    build them: it evaluates the VI value in closed form, and these dense
+    matrices are its test oracle."""
     if d < 1 or rho <= 0:
         raise ValueError("need d >= 1 and rho > 0")
     Z = np.zeros((d, d))

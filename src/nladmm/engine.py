@@ -54,6 +54,10 @@ class RhoSchedule:
 
 @dataclass(frozen=True)
 class StopCriteria:
+    """Tolerances on the primal and dual residual norms, and the iteration
+    cap; a max_iter that is not an integer of at least 1 raises ValueError
+    when built."""
+
     tol_primal: float = 1e-6
     tol_dual: float = 1e-6
     max_iter: int = 1000
@@ -155,11 +159,12 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
     ``blocks`` in order to update(state, rho), and steps the dual field of
     each (dual, residual) of ``constraints`` by rho * residual(state), a
     number or an array shaped like the dual. The primal norm is
-    sqrt(sum_i r_i . r_i), the dual one dual_norm(state, rho); a caller
-    whose dual norm reads the block values an iteration began with keeps
-    them itself. ``record(k, state)``, if given, sees the live state of each
-    iteration k that passes the tests, after its trace row and before the
-    stopping test.
+    sqrt(sum_i r_i . r_i), the dual one dual_norm(state, rho), called after
+    the dual steps; a caller whose dual norm reads the block values an
+    iteration began with keeps them itself. ``record(k, state)``, if given,
+    sees the live state of each iteration k that passes the tests, after its
+    trace row and before the stopping test, so a hook that keeps a value
+    copies it.
 
     A non-finite rho raises NonFiniteIterate before any block runs. The
     other values are tested once per iteration: r_norm + s_norm + the

@@ -32,7 +32,10 @@ class BagDataset:
 
     ``X`` is the (sum n_i) x p stack of all instances; ``offsets`` holds
     the start index of each bag so bag i occupies rows
-    offsets[i]:offsets[i+1].
+    offsets[i]:offsets[i+1]. A set with no bags, an X that is not 2-D, an
+    empty bag, offsets that do not span X, a label count unlike the bag
+    count, or a NaN or Inf in X raises ValueError when the set is built, so
+    no solve and no eigensolver of ``gram`` sees one.
     """
 
     labels: np.ndarray
@@ -40,6 +43,11 @@ class BagDataset:
     offsets: np.ndarray
 
     def __post_init__(self):
+        if np.ndim(self.X) != 2:
+            raise ValueError(f"X must be a matrix with one row per instance, got shape "
+                             f"{np.shape(self.X)}")
+        if len(self.offsets) < 2:
+            raise ValueError("a bag dataset needs at least one bag")
         if np.any(np.diff(self.offsets) < 1):
             raise ValueError("every bag must be nonempty")
         if self.offsets[0] != 0 or self.offsets[-1] != self.X.shape[0]:
@@ -195,8 +203,9 @@ def update_beta(lam: float, data: BagDataset, t: np.ndarray,
     = y2/rho and (X'X + delta I, delta) = ``data.gram``: a strongly convex
     lasso for any X, solved exactly by ``lasso_active_set`` from beta0.
     delta = 0 on full-rank X; on rank-deficient X the proximal term is that
-    of nonconvex proximal ADMM (Li & Pong 2015). ``factors`` is the
-    active-set cache of ``lasso_active_set`` for ``data.gram``."""
+    of nonconvex proximal ADMM (Li & Pong 2015; Wang, Yin & Zeng 2019).
+    ``factors`` is the active-set cache of ``lasso_active_set`` for
+    ``data.gram``."""
     G, delta = data.gram
     c = data.X.T @ (t + y2_rho)
     if delta > 0.0:

@@ -53,7 +53,11 @@ def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:
 @dataclass(frozen=True)
 class OneBitCsProblem:
     """Sign-only sparse recovery: min ||x||_1 + (lam/2) sum min(Y Phi x, 0)^2
-    subject to ||x||^2 = 1, where Y holds the observed measurement signs."""
+    subject to ||x||^2 = 1, where Y holds the observed measurement signs.
+    Signs other than +-1, a lam that is not finite and positive, and a Phi
+    that is not a matrix with one row per sign or that holds a NaN or Inf
+    raise ValueError when the problem is built, so bad data is not reported
+    as a failed block."""
 
     Phi: np.ndarray
     y_sign: np.ndarray  # diagonal of Y, entries in {-1, +1}
@@ -103,7 +107,8 @@ def onebit_update_z(Mv: np.ndarray, y2_rho: np.ndarray, rho: float,
                     lam: float) -> np.ndarray:
     """Per-coordinate exact minimizer of (lam/2) min(z,0)^2 + (rho/2)(z - a)^2
     with a = M v + y2/rho, from Mv = M v and y2_rho = y2/rho; the shrink
-    rho*a/(lam + rho) is formed only where a < 0, not where it is unused."""
+    rho*a/(lam + rho) is formed only where a < 0, so a huge rho cannot
+    overflow it on the entries that pass through."""
     z = Mv + y2_rho
     neg = z < 0.0
     z[neg] = rho * z[neg] / (lam + rho)

@@ -22,7 +22,8 @@ class SmoothTerm:
     """``prox``, when known, is the exact map prox(center, rho, x0, slope) =
     argmin_x f(x) + (rho/2)||x - center||^2, warm-started at x0. A prox that
     solves f'(x) + rho (x - center) = 0 by Newton's method writes into the
-    array ``slope`` the slope f''(x) + rho it ended on."""
+    array ``slope`` the slope f''(x) + rho it ended on; one that does not
+    leaves ``slope`` as it is."""
 
     value: Callable[[np.ndarray], float]
     gradient: Callable[[np.ndarray], np.ndarray]

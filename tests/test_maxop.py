@@ -169,6 +169,20 @@ class TestBagDataset:
         with pytest.raises(ValueError, match="X holds a non-finite value"):
             maxop.BagDataset(data.labels, X, data.offsets)
 
+    def test_rejects_a_set_with_no_bags(self):
+        """Refused when built. It used to build, and ``maxop_solve`` then ran
+        the logistic prox's 800 steps on an empty array, which no pass can
+        finish, and raised a SubproblemFailure that named no bag."""
+        with pytest.raises(ValueError, match="^a bag dataset needs at least one bag$"):
+            maxop.BagDataset(labels=np.array([]), X=np.zeros((0, 2)), offsets=np.array([0]))
+
+    @pytest.mark.parametrize("X", [np.zeros(3), np.zeros((3, 1, 1))], ids=["1-D", "3-D"])
+    def test_rejects_x_that_is_not_a_matrix(self, X):
+        """Refused when built. A 1-D X used to build, and ``n_features``
+        then raised a bare IndexError."""
+        with pytest.raises(ValueError, match="^X must be a matrix with one row per instance"):
+            maxop.BagDataset(labels=np.array([0.0]), X=X, offsets=np.array([0, 3]))
+
     def test_offsets_must_start_at_zero(self):
         with pytest.raises(ValueError, match="offsets inconsistent"):
             maxop.BagDataset(labels=np.array([1.0]), X=np.zeros((2, 2)),
