@@ -170,16 +170,17 @@ class TestBagDataset:
             maxop.BagDataset(data.labels, X, data.offsets)
 
     def test_rejects_a_set_with_no_bags(self):
-        """Refused when built. It used to build, and ``maxop_solve`` then ran
-        the logistic prox's 800 steps on an empty array, which no pass can
-        finish, and raised a SubproblemFailure that named no bag."""
+        """Refused when built: ``maxop_solve`` on it would run the logistic
+        prox's 800 steps on an empty array, which no pass can finish, and
+        end in a SubproblemFailure that names no cause."""
         with pytest.raises(ValueError, match="^a bag dataset needs at least one bag$"):
             maxop.BagDataset(labels=np.array([]), X=np.zeros((0, 2)), offsets=np.array([0]))
 
     @pytest.mark.parametrize("X", [np.zeros(3), np.zeros((3, 1, 1))], ids=["1-D", "3-D"])
     def test_rejects_x_that_is_not_a_matrix(self, X):
-        """Refused when built. A 1-D X used to build, and ``n_features``
-        then raised a bare IndexError."""
+        """Refused when built: on a 1-D X ``n_features``, and so
+        ``MaxOpState.zeros`` and ``maxop_solve``, would raise a bare
+        IndexError."""
         with pytest.raises(ValueError, match="^X must be a matrix with one row per instance"):
             maxop.BagDataset(labels=np.array([0.0]), X=X, offsets=np.array([0, 3]))
 
