@@ -201,16 +201,9 @@ def _run_example(args) -> int:
 def _run_onebit(args) -> int:
     problem, x_true = datagen.generate_onebit(args.n, args.m, args.k,
                                               args.seed, lam=args.lam)
-    # Matched-filter start: the normalized back-projection of the signs is
-    # already correlated with the signal and sits in a good basin.
-    x0 = problem.signed_matrix.T @ np.ones(args.m)
-    x0 /= np.linalg.norm(x0)
-    init = sphere.OneBitCsState(x=x0.copy(), w=x0.copy(),
-                                z=problem.signed_matrix @ x0,
-                                y1=0.0, y2=np.zeros(args.m), y3=np.zeros(args.n),
-                                rho=args.rho0)
     state, trace, converged = sphere.onebit_solve(
-        problem, init, RhoSchedule(args.rho0, args.rho_delta), _stop(args))
+        problem, sphere.OneBitCsState.matched_filter(problem, args.rho0),
+        RhoSchedule(args.rho0, args.rho_delta), _stop(args))
     corr = abs(float(state.x @ x_true)) / max(np.linalg.norm(state.x), 1e-30)
     return _finish(args, trace, converged,
                    f"objective={trace[-1].objective:.4f} "

@@ -32,10 +32,11 @@ class BagDataset:
 
     ``X`` is the (sum n_i) x p stack of all instances; ``offsets`` holds
     the start index of each bag so bag i occupies rows
-    offsets[i]:offsets[i+1]. A set with no bags, an X that is not 2-D, an
-    empty bag, offsets that do not span X, a label count unlike the bag
-    count, or a NaN or Inf in X raises ValueError when the set is built, so
-    no solve and no eigensolver of ``gram`` sees one.
+    offsets[i]:offsets[i+1]. A set with no bags, an X that is not 2-D or
+    has no feature column, offsets that are not an array of signed
+    integers, an empty bag, offsets that do not span X, a label count
+    unlike the bag count, or a NaN or Inf in X raises ValueError when the
+    set is built, so no solve and no eigensolver of ``gram`` sees one.
     """
 
     labels: np.ndarray
@@ -43,9 +44,12 @@ class BagDataset:
     offsets: np.ndarray
 
     def __post_init__(self):
-        if np.ndim(self.X) != 2:
-            raise ValueError(f"X must be a matrix with one row per instance, got shape "
-                             f"{np.shape(self.X)}")
+        if np.ndim(self.X) != 2 or np.shape(self.X)[1] == 0:
+            raise ValueError(f"X must be a matrix with one row per instance and a column per "
+                             f"feature, got shape {np.shape(self.X)}")
+        # Not cast: a float offset fails in reduceat, an unsigned diff wraps.
+        if not (isinstance(self.offsets, np.ndarray) and self.offsets.dtype.kind == "i"):
+            raise ValueError("offsets must be an array of signed integers")
         if len(self.offsets) < 2:
             raise ValueError("a bag dataset needs at least one bag")
         if np.any(np.diff(self.offsets) < 1):

@@ -102,6 +102,17 @@ class OneBitCsState:
         self.v = np.array(self.w, dtype=float)
         self.y4 = np.zeros_like(self.v)
 
+    @classmethod
+    def matched_filter(cls, problem: OneBitCsProblem, rho: float) -> "OneBitCsState":
+        """Matched-filter start: the normalized back-projection of the signs
+        is already correlated with the signal and sits in a good basin. x
+        and w start there, z at M x, and the duals at zero."""
+        M = problem.signed_matrix
+        x0 = M.T @ np.ones(len(M))
+        x0 /= np.linalg.norm(x0)
+        return cls(x=x0, w=x0.copy(), z=M @ x0, y1=0.0, y2=np.zeros(len(M)),
+                   y3=np.zeros_like(x0), rho=rho)
+
 
 def onebit_update_z(Mv: np.ndarray, y2_rho: np.ndarray, rho: float,
                     lam: float) -> np.ndarray:

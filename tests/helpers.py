@@ -5,18 +5,19 @@ subproblem oracle enumerates averaging-block sizes and polishes with
 coordinate descent, the sphere-penalty oracle reduces to one scalar
 variable and combines a dense grid with a derivative-free polish, and
 ``golden_section_min`` is a bracketed scalar minimizer for the scalar block
-updates, ``lasso_cd_oracle`` solves the l1-regularized quadratic
-subproblems of the block updates by coordinate descent, and
-``lasso_brute_force`` by trying every sign pattern; ``lasso_kkt_violation``
-measures how far a point is from optimal for such a subproblem.
-``record_duals`` records the dual each scalar-example solve hands its x1
-block, and ``read_trace`` reads a trace CSV back. ``onebit_reference`` and
-``maxop_reference`` run the 1-bit CS and the multi-instance iterations as
-plain loops with no engine. ``quadratic_term`` is a
-FISTA test objective, ``linear_constraint`` the constraint map x -> A x,
-and ``diagnostics_oracle`` evaluates the diagnostics rows from the
-engine's own duals, map by map; ``diagnose_loop`` is ``diagnose_result``
-as a loop over the trace, row by row.
+updates, and ``lasso_brute_force`` solves the l1-regularized quadratic
+subproblems of the block updates by trying every sign pattern;
+``lasso_kkt_violation`` measures how far a point is from optimal for such a
+subproblem. ``record_duals`` records the dual each scalar-example solve
+hands its x1 block, and ``read_trace`` reads a trace CSV back.
+``onebit_reference`` and ``maxop_reference`` run the 1-bit CS and the
+multi-instance iterations as plain loops with no engine; ``solve_mil``
+runs ``maxop_solve`` with the logistic loss, ||beta||_1 and the zero start.
+``quadratic_term`` is a FISTA test objective, ``linear_constraint`` the
+constraint map x -> A x, and ``diagnostics_oracle`` evaluates the
+diagnostics rows from the engine's own duals, map by map;
+``diagnose_loop`` is ``diagnose_result`` as a loop over the trace, row by
+row.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from nladmm.diagnostics import DiagnosticsRow
 from nladmm.engine import TraceRow
 from nladmm.errors import SolverError
 from nladmm.inner import cubic_real_roots, lasso_active_set
-from nladmm.maxop import t_update_bag
-from nladmm.terms import ConstraintTerm, SmoothTerm, logistic_loss
+from nladmm.maxop import MaxOpState, maxop_solve, t_update_bag
+from nladmm.terms import (ConstraintTerm, CompositeObjective, SmoothTerm, l1_term,
+                          logistic_loss, zero_prox)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GOLDEN_STEPS = 200
@@ -181,29 +183,6 @@ def sphere_penalty_oracle(v: np.ndarray, alpha: float,
                                   options={"xatol": 1e-12})
             best = min(best, float(res.fun))
     return best
-
-
-def lasso_cd_oracle(Q: np.ndarray, c: np.ndarray, lam: float,
-                    max_sweeps: int = 100_000) -> np.ndarray:
-    """argmin_x (1/2) x'Qx - c'x + lam ||x||_1 for symmetric positive
-    definite Q, by cyclic coordinate descent from 0: each coordinate in
-    turn is set to its exact minimizer soft(c_j - sum_{k != j} Q_jk x_k,
-    lam) / Q_jj, until a sweep moves no coordinate by more than 1e-15
-    (relative). No step size, no momentum and no vector prox, so it shares
-    nothing with FISTA."""
-    Q = np.asarray(Q, dtype=float)
-    c = np.asarray(c, dtype=float)
-    x = np.zeros(c.size)
-    for _ in range(max_sweeps):
-        moved = 0.0
-        for j in range(c.size):
-            u = c[j] - Q[j] @ x + Q[j, j] * x[j]
-            new = math.copysign(max(abs(u) - lam, 0.0), u) / Q[j, j]
-            moved = max(moved, abs(new - x[j]))
-            x[j] = new
-        if moved <= 1e-15 * (1.0 + float(np.max(np.abs(x)))):
-            return x
-    raise RuntimeError("coordinate descent did not converge")
 
 
 def lasso_value(G: np.ndarray, c: np.ndarray, mu: float, x: np.ndarray) -> float:
@@ -441,3 +420,11 @@ def maxop_reference(data, lam, init, schedule, stop):
         if r_norm <= stop.tol_primal and s_norm <= stop.tol_dual:
             break
     return dict(q=q, beta=beta, t=t, y1=y1, y2=y2), trace
+
+
+def solve_mil(data, schedule, stop):
+    """``maxop.maxop_solve`` with the logistic loss, ||beta||_1 (lam = 1) and
+    the zero start ``MaxOpState.zeros(data, schedule.rho0)``."""
+    loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+    return maxop_solve(data, loss, l1_term(1.0), MaxOpState.zeros(data, schedule.rho0),
+                       schedule, stop)

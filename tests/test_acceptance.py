@@ -10,6 +10,7 @@ from helpers import (
     bag_subproblem_value,
     linear_constraint,
     record_duals,
+    solve_mil,
     sphere_penalty_oracle,
     sphere_penalty_value,
     vi_sequences,
@@ -17,13 +18,7 @@ from helpers import (
 from nladmm import datagen, maxop, scalar_examples as se, sphere
 from nladmm.diagnostics import diagnose_result, vi_matrices
 from nladmm.engine import IterateState, Problem, RhoSchedule, StopCriteria, solve
-from nladmm.terms import (
-    CompositeObjective,
-    ConstraintTerm,
-    l1_term,
-    logistic_loss,
-    zero_prox,
-)
+from nladmm.terms import ConstraintTerm
 
 SCHEDULES = {"constant": RhoSchedule.constant(1.0),
              "increment": RhoSchedule.increment(1.0, 0.1)}
@@ -135,6 +130,7 @@ def test_criterion_6_vi_properties(monkeypatch):
         for rho in (0.1, 1.0, 10.0):
             mats = vi_matrices(d, rho)
             assert np.array_equal(mats.C, mats.D @ mats.E)
+            assert np.allclose(mats.G, mats.G.T)
             min_eig = min(min_eig, float(np.min(np.linalg.eigvalsh(mats.G))))
     worst_increase, worst_identity = -np.inf, 0.0
     ys = record_duals(monkeypatch, se)
@@ -155,7 +151,7 @@ def test_criterion_6_vi_properties(monkeypatch):
                                  float(np.linalg.norm(w[k + 1] - w[k] + step)))
     ok = (min_eig >= -1e-10 and worst_increase <= 1e-10
           and worst_identity <= 1e-8)
-    _report(6, ok, f"G PSD (min eig={min_eig:.1e}), C=DE exact, contraction "
+    _report(6, ok, f"G symmetric PSD (min eig={min_eig:.1e}), C=DE exact, contraction "
                    f"max increase={worst_increase:.1e}, update-identity "
                    f"residual={worst_identity:.1e}")
 
@@ -168,17 +164,12 @@ def test_criterion_7_onebit_cs_desk_scale():
     for m in (32, 64, 128):
         for seed in range(10):
             problem, x_true = datagen.generate_onebit(128, m, 16, seed, lam=10.0)
-            M = problem.signed_matrix
-            x0 = M.T @ np.ones(m)
-            x0 /= np.linalg.norm(x0)
-            init = sphere.OneBitCsState(x=x0.copy(), w=x0.copy(), z=M @ x0,
-                                        y1=0.0, y2=np.zeros(m),
-                                        y3=np.zeros(128), rho=1000.0)
+            init = sphere.OneBitCsState.matched_filter(problem, 1000.0)
             state, trace, _ = sphere.onebit_solve(
                 problem, init, RhoSchedule.constant(1000.0),
                 StopCriteria(max_iter=100))
             sph = abs(float(state.x @ state.x) - 1.0)
-            init_obj = problem.objective(x0, M @ x0)
+            init_obj = problem.objective(init.w, init.z)
             xn = state.x / np.linalg.norm(state.x)
             corr = abs(float(xn @ x_true))
             rng = np.random.default_rng(seed + 1)
@@ -197,10 +188,7 @@ def test_criterion_7_onebit_cs_desk_scale():
 def test_criterion_8_multi_instance_desk_run():
     start = time.time()
     data, _ = datagen.generate_bags(20, 5, 4, seed=0)
-    loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-    state, trace, _ = maxop.maxop_solve(
-        data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
-        RhoSchedule.constant(0.1), StopCriteria(max_iter=1000))
+    state, trace, _ = solve_mil(data, RhoSchedule.constant(0.1), StopCriteria(max_iter=1000))
     gap = float(np.max(np.abs(state.q - data.bag_max(state.t))))
     ok = trace[-1].r_norm <= 1e-2 and gap <= 1e-2 and len(trace) <= 1000
     _report(8, ok, f"20 bags, lambda=1, rho=0.1, {len(trace)} iterations: "

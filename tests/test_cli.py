@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import read_trace
+from helpers import read_trace, solve_mil
 from nladmm import cli, datagen, maxop
 from nladmm.engine import RhoSchedule, StopCriteria, TraceRow
-from nladmm.terms import CompositeObjective, l1_term, logistic_loss, zero_prox
 
 TIME_BOUND = 120  # seconds
 DONE, ERROR, USAGE = (cli.EXIT_OK, cli.EXIT_MAX_ITER), (cli.EXIT_ERROR,), (cli.EXIT_USAGE,)
@@ -173,21 +172,11 @@ class TestTraceCsv:
         raw = path.read_bytes()
         assert b"\r" not in raw
 
-    @pytest.mark.parametrize("first, second", [(40, 3), (3, 40)],
-                             ids=["long-then-short", "short-then-long"])
-    def test_overwrite_matches_fresh_write(self, tmp_path, first, second):
-        """A trace written over an existing one has the bytes of a fresh
-        write, whether the old file was longer or shorter."""
-        path, fresh = tmp_path / "trace.csv", tmp_path / "fresh.csv"
-        cli.write_trace(path, _rows(first))
-        cli.write_trace(path, _rows(second))
-        cli.write_trace(fresh, _rows(second))
-        assert path.read_bytes() == fresh.read_bytes()
 
-
+# Each writer's file grows with n: trace rows, or bags of 3 instances.
 _WRITERS = {
-    "trace": lambda path: cli.write_trace(path, _rows(40)),
-    "bags": lambda path: maxop.save_bags_csv(path, datagen.generate_bags(6, 3, 3, 0)[0]),
+    "trace": lambda path, n=40: cli.write_trace(path, _rows(n)),
+    "bags": lambda path, n=6: maxop.save_bags_csv(path, datagen.generate_bags(n, 3, 3, 0)[0]),
 }
 
 
@@ -224,6 +213,18 @@ class TestOutputInPlace:
     def test_device_target(self):
         """/dev/null can seek but not be truncated: nothing raises."""
         cli.write_trace("/dev/null", _rows(3))
+
+    @pytest.mark.parametrize("first, second", [(30, 3), (3, 30)],
+                             ids=["long-then-short", "short-then-long"])
+    @pytest.mark.parametrize("writer", sorted(_WRITERS))
+    def test_overwrite_matches_fresh_write(self, tmp_path, writer, first, second):
+        """A file written over an existing one has the bytes of a fresh
+        write, whether the old file was longer or shorter."""
+        path, fresh = tmp_path / "out.csv", tmp_path / "fresh.csv"
+        _WRITERS[writer](path, first)
+        _WRITERS[writer](path, second)
+        _WRITERS[writer](fresh, second)
+        assert path.read_bytes() == fresh.read_bytes()
 
     @pytest.mark.parametrize("writer", sorted(_WRITERS))
     def test_new_file_mode_follows_umask(self, tmp_path, writer):
@@ -512,9 +513,7 @@ class TestBagSubcommands:
         assert cli.main(["generate-bags", "--output", str(bags)]) == 0
         code = cli.main(["multi-instance", "--input", str(bags), "--output", str(out)])
         data, _ = datagen.generate_bags(20, 5, 4, 0)
-        _, trace, converged = maxop.maxop_solve(
-            data, CompositeObjective(logistic_loss(data.labels), zero_prox()), l1_term(1.0),
-            maxop.MaxOpState.zeros(data, 0.1), RhoSchedule(0.1), StopCriteria(max_iter=1000))
+        _, trace, converged = solve_mil(data, RhoSchedule(0.1), StopCriteria(max_iter=1000))
         cli.write_trace(ref, trace)
         assert code == (0 if converged else 2)
         assert out.read_bytes() == ref.read_bytes()

@@ -4,8 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from helpers import linear_constraint, record_duals, vi_sequences
-from nladmm import datagen, engine, maxop, sphere
+from helpers import linear_constraint, record_duals, solve_mil, vi_sequences
+from nladmm import datagen, engine, sphere
 from nladmm import scalar_examples as se
 from nladmm.engine import (
     IterateState,
@@ -16,13 +16,7 @@ from nladmm.engine import (
     solve,
 )
 from nladmm.errors import DimensionMismatch, NonFiniteIterate, SubproblemFailure
-from nladmm.terms import (
-    CompositeObjective,
-    ConstraintTerm,
-    l1_term,
-    logistic_loss,
-    zero_prox,
-)
+from nladmm.terms import ConstraintTerm
 
 
 def affine_constraint(A, c):
@@ -145,11 +139,6 @@ class TestJacobians:
                 e[j] = h
                 fd = (term.eval(x + e) - term.eval(x - e)) / (2 * h)
                 assert np.allclose(J[:, j], fd, atol=tol), (x, j)
-
-    def test_linear(self):
-        rng = np.random.default_rng(0)
-        A = rng.standard_normal((3, 2))
-        self._check(linear_constraint(A), rng.standard_normal((5, 2)))
 
     def test_scalar_square(self):
         from nladmm.scalar_examples import _square_constraint
@@ -421,43 +410,15 @@ class TestRecord:
 
 def _run_onebit(stop):
     problem, _ = datagen.generate_onebit(16, 12, 4, seed=0, lam=10.0)
-    M = problem.signed_matrix
-    x0 = M.T @ np.ones(12)
-    x0 /= np.linalg.norm(x0)
-    init = sphere.OneBitCsState(x=x0.copy(), w=x0.copy(), z=M @ x0, y1=0.0,
-                                y2=np.zeros(12), y3=np.zeros(16), rho=50.0)
-    return sphere.onebit_solve(problem, init, RhoSchedule.constant(50.0), stop)
+    return sphere.onebit_solve(problem, sphere.OneBitCsState.matched_filter(problem, 50.0),
+                               RhoSchedule.constant(50.0), stop)
 
 
 def _run_maxop(stop):
-    data, _ = datagen.generate_bags(4, 2, 2, seed=5)
-    loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
-    return maxop.maxop_solve(data, loss, l1_term(1.0), maxop.MaxOpState.zeros(data, 0.1),
-                             RhoSchedule.constant(0.1), stop)
+    return solve_mil(datagen.generate_bags(4, 2, 2, seed=5)[0], RhoSchedule.constant(0.1), stop)
 
 
 class TestApplicationSolvers:
-    @pytest.mark.parametrize("run, module, attr, block", [
-        (_run_onebit, sphere, "sphere_penalty_min", "x"),
-        (_run_onebit, sphere, "onebit_update_w", "w"),
-        (_run_maxop, maxop, "t_update_bags", "t"),
-    ], ids=["onebit_solve_first_block", "onebit_solve", "maxop_solve"])
-    def test_nonfinite_block_raises(self, monkeypatch, run, module, attr, block):
-        """A NaN from the first or the last block update of an iteration
-        stops the solve and names the block."""
-        original = getattr(module, attr)
-
-        def nan_like(*a, **kw):
-            # t_update_bags returns t and its bag maxima: both go NaN.
-            out = original(*a, **kw)
-            if isinstance(out, tuple):
-                return tuple(np.full_like(v, np.nan) for v in out)
-            return np.full_like(out, np.nan)
-
-        monkeypatch.setattr(module, attr, nan_like)
-        with pytest.raises(SubproblemFailure, match=f"in {block} block update"):
-            run(StopCriteria(max_iter=1))
-
     @pytest.mark.parametrize("run", [_run_onebit, _run_maxop],
                              ids=["onebit_solve", "maxop_solve"])
     def test_returns_solve_result(self, run):

@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from helpers import solve_mil
 from nladmm import datagen, engine, maxop, scalar_examples, sphere
 from nladmm.engine import IterateState, RhoSchedule, StopCriteria
 from nladmm.errors import DimensionMismatch, NonFiniteIterate, SubproblemFailure
@@ -48,24 +49,20 @@ def _onebit(monkeypatch, block, bad):
     attr = ONEBIT_BLOCKS[block]
     monkeypatch.setattr(sphere, attr, _poisoned(getattr(sphere, attr), bad))
     problem, _ = datagen.generate_onebit(16, 12, 4, seed=0, lam=10.0)
-    M = problem.signed_matrix
-    x0 = M.T @ np.ones(12)
-    x0 /= np.linalg.norm(x0)
-    init = sphere.OneBitCsState(x=x0.copy(), w=x0.copy(), z=M @ x0, y1=0.0,
-                                y2=np.zeros(12), y3=np.zeros(16), rho=50.0)
-    return sphere.onebit_solve(problem, init, RhoSchedule.constant(50.0), STOP)
+    return sphere.onebit_solve(problem, sphere.OneBitCsState.matched_filter(problem, 50.0),
+                               RhoSchedule.constant(50.0), STOP)
 
 
 def _mil(monkeypatch, block, bad):
     """q through a loss whose declared prox goes wrong, beta and t through
     the module functions the solve calls."""
     data, _ = datagen.generate_bags(4, 2, 2, seed=5)
-    smooth = logistic_loss(data.labels)
-    if block == "q":
-        smooth = dataclasses.replace(smooth, prox=_poisoned(smooth.prox, bad))
-    else:
+    if block != "q":
         attr = {"beta": "update_beta", "t": "t_update_bags"}[block]
         monkeypatch.setattr(maxop, attr, _poisoned(getattr(maxop, attr), bad))
+        return solve_mil(data, RhoSchedule.constant(0.1), STOP)
+    smooth = logistic_loss(data.labels)
+    smooth = dataclasses.replace(smooth, prox=_poisoned(smooth.prox, bad))
     return maxop.maxop_solve(data, CompositeObjective(smooth, zero_prox()), l1_term(1.0),
                              maxop.MaxOpState.zeros(data, 0.1), RhoSchedule.constant(0.1),
                              STOP)

@@ -111,17 +111,6 @@ class TestBlockUpdates:
 
 
 class TestRunExample:
-    @pytest.mark.parametrize("which", [se.EXAMPLE_SQRT, se.EXAMPLE_CIRCLE])
-    @pytest.mark.parametrize("schedule", [RhoSchedule.constant(1.0),
-                                          RhoSchedule.increment(1.0, 0.1)])
-    def test_converges_within_30(self, which, schedule):
-        run = se.run_example(which, schedule)
-        ref = se.example_reference(which)
-        last = run.result.trace[-1]
-        assert len(run.result.trace) <= 30
-        assert abs(last.objective - ref.p_star) <= 1e-3
-        assert last.r_norm <= 1e-3
-
     def test_histories_align_with_trace(self):
         """K + 1 iterates of each block: the start point, then a copy of the
         block's value after each iteration, the last one the final state."""

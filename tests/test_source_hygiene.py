@@ -2,7 +2,8 @@
 tests uses each name it imports (``__init__`` re-exports names, so it is
 left out), and no module of the package has an ``assert`` statement:
 ``python -O`` strips them, so a check the package relies on raises a typed
-error instead."""
+error instead. Every function and class of ``tests/helpers.py`` serves
+some test."""
 
 import ast
 from pathlib import Path
@@ -62,3 +63,19 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in the package: {found}"
+
+
+def test_every_helper_is_used():
+    """Each top-level function and class of ``tests/helpers.py`` is used by a
+    test module, or by a helper that is: a test deleted with its oracle
+    left behind fails here."""
+    tree = ast.parse((TESTS / "helpers.py").read_text(encoding="utf-8"))
+    defs = {node.name: _used(node) for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    tests = set().union(*(_used(ast.parse(path.read_text(encoding="utf-8")))
+                          for path in TESTS.glob("test_*.py")))
+    reached, frontier = set(), set(defs) & tests
+    while frontier:
+        reached |= frontier
+        frontier = set().union(*(defs[name] for name in frontier)) & set(defs) - reached
+    assert not set(defs) - reached, f"helpers no test uses: {sorted(set(defs) - reached)}"
