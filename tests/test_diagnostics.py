@@ -98,6 +98,14 @@ class TestViMatrices:
         eig = np.sort(np.linalg.eigvalsh(mats.G))
         assert np.allclose(eig, [0.0, 0.0, 1.0], atol=1e-12)
 
+    @pytest.mark.parametrize("d", [1, 2, 5, 10])
+    @pytest.mark.parametrize("rho", [0.1, 1.0, 10.0])
+    def test_g_symmetric_psd_grid(self, d, rho):
+        mats = vi_matrices(d=d, rho=rho)
+        assert np.allclose(mats.G, mats.G.T)
+        assert float(np.min(np.linalg.eigvalsh(mats.G))) >= -1e-10
+        assert np.array_equal(mats.C, mats.D @ mats.E)
+
     @pytest.mark.parametrize("d", [1, 3])
     def test_rho_inexact_reciprocal(self, d):
         """At rho = 49, (1/rho) * rho != 1 in floating point, so C = DE
