@@ -166,18 +166,20 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
     trace row and before the stopping test, so a hook that keeps a value
     copies it.
 
-    A non-finite rho raises NonFiniteIterate before any block runs. The
-    other values are tested once per iteration: r_norm + s_norm + the
-    objective + B must be finite and B <= 1e300, where B += rho * r_norm
-    bounds the stacked dual norm. Otherwise, and also when a block, a
-    residual, a norm or the objective raises, the values set so far are
-    scanned in order, blocks, duals, then norms: the first non-finite block
-    raises SubproblemFailure naming it, a dual or a norm NonFiniteIterate,
-    with the trace so far and chained from the error raised, if any. After
-    a clean scan, a SolverError raised by a block becomes SubproblemFailure
-    "<block> block update: <error>" the same way; any other error is
-    re-raised, and no error goes on with B the exact norm. A residual
-    shaped unlike its dual raises DimensionMismatch, with the trace so far.
+    A non-finite rho, or a NaN or Inf in a block or dual field of ``init``
+    ("non-finite values in start field <name>", with an empty trace),
+    raises NonFiniteIterate before any block runs. The other values are
+    tested once per iteration: r_norm + s_norm + the objective + B must be
+    finite and B <= 1e300, where B += rho * r_norm bounds the stacked dual
+    norm. Otherwise, and also when a block, a residual, a norm or the
+    objective raises, the values set so far are scanned in order, blocks,
+    duals, then norms: the first non-finite block raises SubproblemFailure
+    naming it, a dual or a norm NonFiniteIterate, with the trace so far and
+    chained from the error raised, if any. After a clean scan, a
+    SolverError raised by a block becomes SubproblemFailure "<block> block
+    update: <error>" the same way; any other error is re-raised, and no
+    error goes on with B the exact norm. A residual shaped unlike its dual
+    raises DimensionMismatch, with the trace so far.
 
     The test misses no non-finite block value if the blocks keep one
     contract: such a value makes a residual, the dual norm or the
@@ -188,6 +190,8 @@ def iterate(init, blocks: Sequence[Tuple[str, Callable]],
         value = getattr(init, name)
         setattr(state, name, float(value) if np.ndim(value) == 0
                 else np.array(value, dtype=float))
+        if not np.isfinite(getattr(state, name)).all():
+            raise NonFiniteIterate(f"non-finite values in start field {name}")
     duals = [dual for dual, _ in constraints]
     shapes = [np.shape(getattr(state, dual)) for dual in duals]
     checks = ([(name, f"{name} block update", SubproblemFailure) for name, _ in blocks]

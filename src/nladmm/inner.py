@@ -89,7 +89,7 @@ def _active_factor(block: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
 
 
 def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray,
-                     factors: dict | None = None) -> np.ndarray:
+                     factors: dict) -> np.ndarray:
     """Exact argmin_x (1/2) x'Gx - c'x + mu ||x||_1 for a symmetric positive
     definite G, by feature-sign search (Lee, Battle, Raina & Ng 2007) from x0.
 
@@ -115,8 +115,6 @@ def lasso_active_set(G: np.ndarray, c: np.ndarray, mu: float, x0: np.ndarray,
     x = np.asarray(x0, dtype=float)  # never written to: every step makes a new x
     theta = np.sign(x)
     solve = np.count_nonzero(theta) > 0  # a warm start first solves on its own support
-    if factors is None:
-        factors = {}
     for _ in range(_max_lasso_steps(c.size)):
         if not solve:
             g = G @ x - c

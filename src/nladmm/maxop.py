@@ -201,7 +201,7 @@ def update_q(prox: Callable[..., np.ndarray], tmax: np.ndarray, y1_rho: np.ndarr
 
 def update_beta(lam: float, data: BagDataset, t: np.ndarray,
                 y2_rho: np.ndarray, rho: float, beta0: np.ndarray,
-                factors: dict | None = None) -> np.ndarray:
+                factors: dict) -> np.ndarray:
     """argmin_beta lam ||beta||_1 + (rho/2)||t - X beta + y2/rho||^2
     + (rho delta/2)||beta - beta0||^2 for the l1 weight lam >= 0, with y2_rho
     = y2/rho and (X'X + delta I, delta) = ``data.gram``: a strongly convex

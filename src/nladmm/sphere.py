@@ -106,10 +106,15 @@ class OneBitCsState:
     def matched_filter(cls, problem: OneBitCsProblem, rho: float) -> "OneBitCsState":
         """Matched-filter start: the normalized back-projection of the signs
         is already correlated with the signal and sits in a good basin. x
-        and w start there, z at M x, and the duals at zero."""
+        and w start there, z at M x, and the duals at zero. An M'1 of norm 0
+        or Inf has no direction: ValueError."""
         M = problem.signed_matrix
-        x0 = M.T @ np.ones(len(M))
-        x0 /= np.linalg.norm(x0)
+        with np.errstate(over="ignore", invalid="ignore"):  # raises just below
+            x0 = M.T @ np.ones(len(M))
+            norm = np.linalg.norm(x0)
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"the matched-filter start needs 0 < ||M'1|| < inf, got {norm}")
+        x0 /= norm
         return cls(x=x0, w=x0.copy(), z=M @ x0, y1=0.0, y2=np.zeros(len(M)),
                    y3=np.zeros_like(x0), rho=rho)
 

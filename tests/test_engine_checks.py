@@ -101,6 +101,49 @@ def test_nonfinite_block_value_names_the_block(monkeypatch, solver, block, bad):
     assert len(e.value.trace) == BAD_CALL - 1
 
 
+START_FIELDS = ([("onebit", f) for f in ("x", "z", "v", "w", "y1", "y2", "y3", "y4")]
+                + [("mil", f) for f in ("q", "beta", "t", "y1", "y2")]
+                + [("example2", f) for f in ("x1", "x2", "y")])
+
+
+def _solve_from_poisoned_start(solver, field, bad):
+    """Each builder from a valid start whose ``field`` holds ``bad`` in its
+    first entry, or as its value if it is a number."""
+    if solver == "onebit":
+        problem, _ = datagen.generate_onebit(16, 12, 4, seed=0, lam=10.0)
+        init = sphere.OneBitCsState.matched_filter(problem, 50.0)
+    elif solver == "mil":
+        data, _ = datagen.generate_bags(4, 2, 2, seed=5)
+        init = maxop.MaxOpState.zeros(data, 0.1)
+    else:
+        init = IterateState(x1=np.ones(1), x2=np.ones(1), y=np.zeros(1), rho=1.0)
+    value = np.array(getattr(init, field), dtype=float)
+    value[(0,) * value.ndim] = bad
+    setattr(init, field, value if value.ndim else float(value))
+    if solver == "onebit":
+        return sphere.onebit_solve(problem, init, RhoSchedule.constant(50.0), STOP)
+    if solver == "mil":
+        loss = CompositeObjective(logistic_loss(data.labels), zero_prox())
+        return maxop.maxop_solve(data, loss, l1_term(1.0), init, RhoSchedule.constant(0.1),
+                                 STOP)
+    return engine.solve(scalar_examples.build_example(solver), init,
+                        RhoSchedule.constant(1.0), STOP)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("solver, field", START_FIELDS,
+                         ids=[f"{s}-{f}" for s, f in START_FIELDS])
+def test_nonfinite_start_names_the_field(solver, field, bad):
+    """A NaN or +Inf in any block or dual field of a start, for each of the
+    three builders, raises NonFiniteIterate naming that field with an empty
+    trace: it is not reported as a failed block, and example2's x1, which
+    its block overwrites before reading, does not run on to the cap."""
+    with pytest.raises(NonFiniteIterate) as e:
+        _solve_from_poisoned_start(solver, field, bad)
+    assert str(e.value) == f"non-finite values in start field {field}"
+    assert e.value.trace == []
+
+
 @pytest.mark.parametrize("solver, block", BLOCKS, ids=BLOCK_IDS)
 def test_block_solver_error_names_the_block(monkeypatch, solver, block):
     """Every block of the three builders whose solver raises a SolverError

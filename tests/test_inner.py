@@ -321,18 +321,18 @@ class TestLassoActiveSet:
             G, c = self._problem(rng, p)
             mu = float(rng.choice([0.0, 0.3, 1.0, 3.0])) * float(np.max(np.abs(c)))
             x0 = rng.standard_normal(p) * (rng.random(p) < 0.5)
-            x = lasso_active_set(G, c, mu, x0)
+            x = lasso_active_set(G, c, mu, x0, {})
             assert np.allclose(x, lasso_brute_force(G, c, mu), rtol=0.0, atol=1e-10)
             assert lasso_kkt_violation(G, c, mu, x) <= 1e-14
 
     def test_diagonal_is_soft_threshold(self):
         c = np.array([3.0, -0.5, 0.0, -2.0])
-        x = lasso_active_set(np.eye(4), c, 1.0, np.array([-1.0, 0.0, 2.0, 0.0]))
+        x = lasso_active_set(np.eye(4), c, 1.0, np.array([-1.0, 0.0, 2.0, 0.0]), {})
         assert np.array_equal(x, soft_threshold(c, 1.0))
 
     def test_does_not_modify_start(self):
         x0 = np.array([1.0, -1.0])
-        lasso_active_set(np.eye(2), np.array([-5.0, 5.0]), 1.0, x0)
+        lasso_active_set(np.eye(2), np.array([-5.0, 5.0]), 1.0, x0, {})
         assert np.array_equal(x0, [1.0, -1.0])
 
     def test_step_bound_raises(self, monkeypatch):
@@ -342,10 +342,10 @@ class TestLassoActiveSet:
         two it raises."""
         G, c = np.diag([1.0, 2.0]), np.array([3.0, -4.0])
         monkeypatch.setattr(inner, "_max_lasso_steps", lambda p: 3)
-        assert np.array_equal(lasso_active_set(G, c, 1.0, np.zeros(2)), [2.0, -1.5])
+        assert np.array_equal(lasso_active_set(G, c, 1.0, np.zeros(2), {}), [2.0, -1.5])
         monkeypatch.setattr(inner, "_max_lasso_steps", lambda p: 2)
         with pytest.raises(SubproblemFailure, match="^lasso: no solution within 2 "):
-            lasso_active_set(G, c, 1.0, np.zeros(2))
+            lasso_active_set(G, c, 1.0, np.zeros(2), {})
 
     @pytest.mark.parametrize("c, mu, x0", [([1.0, math.nan], 1.0, [0.0, 0.0]),
                                            ([math.inf, 0.0], 1.0, [0.0, 0.0]),
@@ -355,7 +355,7 @@ class TestLassoActiveSet:
                              ids=["nan-c", "inf-c", "inf-mu", "nan-mu", "nan-x0"])
     def test_non_finite_input_raises(self, c, mu, x0):
         with pytest.raises(SubproblemFailure) as e:
-            lasso_active_set(np.eye(2), np.array(c), mu, np.array(x0))
+            lasso_active_set(np.eye(2), np.array(c), mu, np.array(x0), {})
         assert str(e.value) == "lasso: non-finite linear term, l1 weight or start"
 
 

@@ -182,7 +182,7 @@ def test_lasso_active_set_meets_kkt(case):
     """The result satisfies the lasso's optimality conditions to 1e-10
     relative; a run past the step bound would raise instead."""
     G, c, mu, x0 = case
-    x = lasso_active_set(G, c, mu, x0)
+    x = lasso_active_set(G, c, mu, x0, {})
     assert lasso_kkt_violation(G, c, mu, x) <= 1e-10
 
 

@@ -1,6 +1,6 @@
-"""Every module of the package except ``__init__`` and every module of the
-tests uses each name it imports (``__init__`` re-exports names, so it is
-left out), and no module of the package has an ``assert`` statement:
+"""Every module of the package and of the tests uses each name it imports
+(the package re-exports nothing, so ``__init__`` is held to this too), and
+no module of the package has an ``assert`` statement:
 ``python -O`` strips them, so a check the package relies on raises a typed
 error instead. Every function and class of ``tests/helpers.py`` serves
 some test."""
@@ -12,7 +12,7 @@ import pytest
 
 TESTS = Path(__file__).resolve().parent
 PACKAGE = TESTS.parent / "src" / "nladmm"
-MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES = sorted(p.name for p in PACKAGE.glob("*.py"))
 # Test modules are keyed "tests/<name>", package modules by their bare name.
 SOURCES = {**{name: PACKAGE / name for name in MODULES},
            **{f"tests/{p.name}": p for p in TESTS.glob("*.py")}}
@@ -47,7 +47,7 @@ def _used(tree):
 
 
 def test_modules_found():
-    assert "engine.py" in MODULES and "cli.py" in MODULES
+    assert {"__init__.py", "engine.py", "cli.py"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("module", sorted(SOURCES))

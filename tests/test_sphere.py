@@ -200,6 +200,17 @@ class TestOneBitPieces:
         assert np.array_equal(s.v, w) and s.v is not w
         assert np.array_equal(s.y4, np.zeros(2))
 
+    @pytest.mark.parametrize("entry, norm", [(0.0, "0.0"), (1e308, "inf")],
+                             ids=["zero", "overflow"])
+    def test_matched_filter_needs_a_direction(self, entry, norm):
+        """A back-projection M'1 of norm 0 (Phi = 0) or one that overflows
+        has no direction to start from: ValueError, not a NaN x and w."""
+        problem = sphere.OneBitCsProblem(Phi=np.full((3, 4), entry), y_sign=np.ones(3),
+                                         lam=1.0)
+        with pytest.raises(ValueError) as e:
+            sphere.OneBitCsState.matched_filter(problem, 1.0)
+        assert str(e.value) == f"the matched-filter start needs 0 < ||M'1|| < inf, got {norm}"
+
 
 @pytest.mark.parametrize("field, value", [
     ("x", np.zeros(15)), ("w", np.zeros(15)), ("z", np.zeros(9)), ("v", np.zeros(17)),
