@@ -1,77 +1,28 @@
-"""Convex inner solvers: accelerated proximal gradient, an exact active-set
-solver for small lassos, and a real-root cubic solver."""
+"""Convex inner solvers: an exact active-set solver for small lassos and a
+real-root cubic solver; ``fista`` is a retired name that raises."""
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from numbers import Integral, Real
 from typing import List
 
 import numpy as np
 
-from .errors import NonFiniteIterate, SubproblemFailure
-from .terms import CompositeObjective
+from .errors import SubproblemFailure
 
 
 def _cbrt(x: float) -> float:
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
 
-@dataclass(frozen=True)
-class FistaConfig:
-    max_iter: int = 500
-    tol: float = 1e-8
+def fista(*args, **kwargs):
+    """Retired: no solve calls it, as every block has an exact solver.
 
-    def __post_init__(self):
-        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 1
-                and math.isfinite(self.tol) and self.tol > 0):
-            raise ValueError(f"invalid {self!r}: need an integer max_iter >= 1, tol > 0")
-
-
-def fista(obj: CompositeObjective, x0: np.ndarray,
-          cfg: FistaConfig = FistaConfig(),
-          lipschitz: float | None = None) -> np.ndarray:
-    """Accelerated proximal gradient (Beck & Teboulle 2009) with the fixed
-    step 1/L.
-
-    ``lipschitz`` = L, from the caller, bounds the Lipschitz constant of
-    the smooth gradient; a missing or non-positive L raises ValueError, a
-    NaN or Inf one (a constant that overflowed) NonFiniteIterate. No
-    objective values are taken inside the loop. Momentum restarts when it
-    points against the generalized gradient, (z - x_new)·(x_new - x) > 0
-    (O'Donoghue & Candès 2015), and x0 is returned if the result has a
-    larger composite objective, so the result is never worse than x0.
+    The name stays only because perfbench/tracing.py wraps ``sphere.fista``
+    and ``maxop.fista``; it is deleted together with that wrapper.
     """
-    if isinstance(lipschitz, Real) and not math.isfinite(lipschitz):
-        raise NonFiniteIterate(f"lipschitz constant is {lipschitz!r}, so there is no step")
-    if not (isinstance(lipschitz, Real) and lipschitz > 0):
-        raise ValueError(f"lipschitz must be finite and positive, got {lipschitz!r}")
-    x = np.asarray(x0, dtype=float).copy()
-    fx = obj.value(x)
-    z = x
-    t = 1.0
-    step = 1.0 / lipschitz
-
-    for _ in range(cfg.max_iter):
-        xn = obj.nonsmooth.prox(z - step * obj.smooth.gradient(z), step)
-        d = xn - x
-        dd = float(d @ d)
-        # A NaN or Inf in xn makes dd non-finite; the full check runs only
-        # then, since finite iterates far apart can overflow dd as well.
-        if not math.isfinite(dd) and not np.all(np.isfinite(xn)):
-            raise NonFiniteIterate("non-finite iterate in accelerated proximal gradient")
-        if (z - xn) @ d > 0.0:
-            t = 1.0
-        tn = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        z = xn + ((t - 1.0) / tn) * d
-        x, t = xn, tn
-        if math.sqrt(dd) <= cfg.tol:
-            break
-    if obj.value(x) > fx:
-        return np.asarray(x0, dtype=float).copy()
-    return x
+    raise NotImplementedError("fista is retired; no solve calls it")
 
 
 def _max_lasso_steps(p: int) -> int:

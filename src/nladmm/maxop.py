@@ -23,7 +23,7 @@ from .engine import RhoSchedule, SolveResult, StopCriteria, check_shapes, iterat
 from .inner import lasso_active_set
 from .terms import CompositeObjective, ProxTerm
 
-fista = inner.fista  # no block calls it; kept only for the benchmark tracer to wrap
+fista = inner.fista  # a retired name that raises; kept only for the benchmark tracer to wrap
 
 
 @dataclass(frozen=True)
@@ -135,8 +135,9 @@ def load_bags_csv(path) -> BagDataset:
     count unlike the header's, a value that does not parse, a non-finite
     feature, a label not 0 or 1, a label unlike that of the bag's first row,
     rows of one bag that are not adjacent, or bag ids that do not run
-    0, 1, 2, ... in order of first appearance."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    0, 1, 2, ... in order of first appearance. A leading UTF-8 byte-order
+    mark, as spreadsheet exports write, is skipped."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         if header[:2] != ["bag_id", "label"] or len(header) < 3:
@@ -295,7 +296,7 @@ def t_update_bags(data: BagDataset, psi: np.ndarray,
 def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
                 init: MaxOpState, schedule: RhoSchedule,
                 stop: StopCriteria) -> SolveResult:
-    """Cycle q (the loss's declared prox, exact per bag), beta (an exact
+    """Cycle q (the loss's prox, exact per bag), beta (an exact
     lasso solve in reg's l1 weight, with a proximal term on rank-deficient
     X), t (exact per bag, all bags in one pass), then the two dual ascent
     steps, with combined residual norms. Only this function reads the term
@@ -309,12 +310,11 @@ def maxop_solve(data: BagDataset, loss: CompositeObjective, reg: ProxTerm,
     and c_old the new and the last center (rho c = rho tmax - y1) and s the
     slope the last prox ended on; at q itself where that is not finite.
     The beta-block keeps its active-set inverses in a dict for this solve.
-    The loss must declare its prox and have a zero nonsmooth part;
-    otherwise ValueError is raised before any iteration, as is
-    DimensionMismatch for a start field shaped unlike the data needs."""
-    if loss.smooth.prox is None or loss.nonsmooth.l1_weight != 0.0:
-        raise ValueError("the q-block needs a loss that declares its prox, "
-                         "with a zero nonsmooth part")
+    A loss with a nonzero nonsmooth part raises ValueError, and a start
+    field shaped unlike the data needs DimensionMismatch, before any
+    iteration."""
+    if loss.nonsmooth.l1_weight != 0.0:
+        raise ValueError("the q-block needs a loss with a zero nonsmooth part")
     bags, inst = (data.n_bags,), (data.X.shape[0],)
     check_shapes(init, [("q", bags), ("beta", (data.n_features,)), ("t", inst), ("y1", bags),
                         ("y2", inst)])

@@ -21,7 +21,7 @@ from .engine import RhoSchedule, SolveResult, StopCriteria, check_shapes, iterat
 from .inner import cubic_real_roots
 from .terms import soft_threshold
 
-fista = inner.fista  # no block calls it; kept only for the benchmark tracer to wrap
+fista = inner.fista  # a retired name that raises; kept only for the benchmark tracer to wrap
 
 
 def sphere_penalty_min(v: np.ndarray, alpha: float) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Objective and constraint building blocks.
 
 Vectors are plain 1-D numpy float arrays. Objective terms come in two
-flavors: smooth (value + gradient, and a prox when known) and the l1 term
-lam * ||.||_1 with its shrinkage prox. Constraint maps carry a Jacobian; at
-kinks the Jacobian callable must return one designated subgradient element.
+flavors: smooth (a value and an exact prox) and the l1 term lam * ||.||_1,
+whose weight is all a lasso solve needs. Constraint maps carry a Jacobian;
+at kinks the Jacobian callable must return one designated subgradient
+element.
 """
 
 from __future__ import annotations
@@ -19,21 +20,20 @@ from .errors import SubproblemFailure
 
 @dataclass(frozen=True)
 class SmoothTerm:
-    """``prox``, when known, is the exact map prox(center, rho, x0, slope) =
+    """``prox`` is the exact map prox(center, rho, x0, slope) =
     argmin_x f(x) + (rho/2)||x - center||^2, warm-started at x0. A prox that
     solves f'(x) + rho (x - center) = 0 by Newton's method writes into the
     array ``slope`` the slope f''(x) + rho it ended on; one that does not
     leaves ``slope`` as it is."""
 
     value: Callable[[np.ndarray], float]
-    gradient: Callable[[np.ndarray], np.ndarray]
-    prox: Callable[..., np.ndarray] | None = None
+    prox: Callable[..., np.ndarray]
 
 
 @dataclass(frozen=True)
 class ProxTerm:
-    """l1_weight * ||.||_1 for a finite l1_weight >= 0 (the zero term at 0),
-    with its exact shrinkage prox; the weight is all a lasso solve needs."""
+    """l1_weight * ||.||_1 for a finite l1_weight >= 0 (the zero term at 0);
+    the weight is all a lasso solve needs."""
 
     l1_weight: float
 
@@ -44,9 +44,6 @@ class ProxTerm:
 
     def value(self, x: np.ndarray) -> float:
         return 0.0 if self.l1_weight == 0.0 else self.l1_weight * float(np.abs(x).sum())
-
-    def prox(self, v: np.ndarray, step: float) -> np.ndarray:
-        return v if self.l1_weight == 0.0 else soft_threshold(v, self.l1_weight * step)
 
 
 @dataclass(frozen=True)
@@ -126,10 +123,6 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
         loss -= y * q
         return float(loss.sum())
 
-    def gradient(q):
-        t, u = _sigmoid_halves(np.abs(q))
-        return np.where(q >= 0.0, t, u) - y
-
     def residual(u, d, rho):
         """h(u), its slope h'(u), rho (u - d) and |u|."""
         a = np.abs(u)
@@ -182,4 +175,4 @@ def logistic_loss(labels: np.ndarray) -> SmoothTerm:
         raise SubproblemFailure(f"logistic prox: no root within {_MAX_NEWTON_STEPS} "
                                 "Newton steps")
 
-    return SmoothTerm(value=value, gradient=gradient, prox=prox)
+    return SmoothTerm(value=value, prox=prox)

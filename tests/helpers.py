@@ -13,11 +13,10 @@ hands its x1 block, and ``read_trace`` reads a trace CSV back.
 ``onebit_reference`` and ``maxop_reference`` run the 1-bit CS and the
 multi-instance iterations as plain loops with no engine; ``solve_mil``
 runs ``maxop_solve`` with the logistic loss, ||beta||_1 and the zero start.
-``quadratic_term`` is a FISTA test objective, ``linear_constraint`` the
-constraint map x -> A x, and ``diagnostics_oracle`` evaluates the
-diagnostics rows from the engine's own duals, map by map;
-``diagnose_loop`` is ``diagnose_result`` as a loop over the trace, row by
-row.
+``linear_constraint`` is the constraint map x -> A x, and
+``diagnostics_oracle`` evaluates the diagnostics rows from the engine's own
+duals, map by map; ``diagnose_loop`` is ``diagnose_result`` as a loop over
+the trace, row by row.
 """
 
 from __future__ import annotations
@@ -36,8 +35,7 @@ from nladmm.engine import TraceRow
 from nladmm.errors import SolverError
 from nladmm.inner import cubic_real_roots, lasso_active_set
 from nladmm.maxop import MaxOpState, maxop_solve, t_update_bag
-from nladmm.terms import (ConstraintTerm, CompositeObjective, SmoothTerm, l1_term,
-                          logistic_loss, zero_prox)
+from nladmm.terms import ConstraintTerm, CompositeObjective, l1_term, logistic_loss, zero_prox
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _MAX_GOLDEN_STEPS = 200
@@ -260,14 +258,6 @@ def vi_sequences(f1, f2, x1_history, x2_history, ys, rho: float):
     w_tilde = [np.concatenate([f1s[k + 1], f2s[k + 1], ys[k] + rho * (f1s[k + 1] + f2s[k])])
                for k in range(len(ys) - 1)]
     return w, w_tilde
-
-
-def quadratic_term(weight: float, center: np.ndarray) -> SmoothTerm:
-    """(weight/2) ||x - center||^2, whose gradient has Lipschitz constant
-    ``weight``."""
-    c = np.asarray(center, dtype=float)
-    return SmoothTerm(value=lambda x: 0.5 * weight * float(np.dot(x - c, x - c)),
-                      gradient=lambda x: weight * (x - c))
 
 
 def linear_constraint(A: np.ndarray) -> ConstraintTerm:

@@ -7,6 +7,10 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import pytest
+
+from nladmm import inner, maxop, sphere
+
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
@@ -22,3 +26,14 @@ def test_traced_layers_resolve():
     missing = [f"nladmm.{mod}.{attr}" for mod, attr, _ in layers
                if not callable(getattr(importlib.import_module(f"nladmm.{mod}"), attr, None))]
     assert layers and not missing
+
+
+def test_fista_is_a_tombstone_while_the_tracer_wraps_it():
+    """``fista`` is one retired name that raises, kept only because the
+    tracer still wraps it under sphere and maxop. A change that drops those
+    layers fails here until it deletes the name too."""
+    layers = {(mod, attr) for mod, attr, _ in _traced_layers()}
+    assert {("sphere", "fista"), ("maxop", "fista")} <= layers
+    assert sphere.fista is maxop.fista is inner.fista
+    with pytest.raises(NotImplementedError, match="fista is retired"):
+        inner.fista()
